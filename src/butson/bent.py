@@ -26,11 +26,11 @@ from .matrices import (
     LogVector,
     NotHadamardError,
     circulant_from_row,
+    counts_match,
     fourier_matrix,
     hermitian_product_counts,
     kronecker,
     product_counts,
-    reduction_matrix,
     verify_hadamard,
 )
 from .numtheory import dual_entry_ambient_phase, is_self_conjugate
@@ -343,11 +343,6 @@ class NotSymmetricError(ValueError):
     pass
 
 
-def _products_equal(counts_a, counts_b, k: int) -> bool:
-    r = reduction_matrix(k)
-    return bool(((counts_a @ r) == (counts_b @ r)).all())
-
-
 def tensor_corollary_check(h: LogMatrix, m: LogMatrix | None = None, variant: int = 1) -> BentCertificate:
     """Certify the three tensor-product bent constructions exactly.
 
@@ -375,14 +370,12 @@ def tensor_corollary_check(h: LogMatrix, m: LogMatrix | None = None, variant: in
             raise ValueError("matrices must share order and phase")
         k = h.phase
         if variant == 2:
-            if not _products_equal(product_counts(h, m), product_counts(m, h), k):
+            if not counts_match(product_counts(h, m), k, product_counts(m, h)):
                 raise NotCommutingError("H M != M H")
             big = kronecker(h, h.conjugate())
             expected = "self_dual"
         else:
-            if not _products_equal(
-                hermitian_product_counts(h, m), hermitian_product_counts(m, h), k
-            ):
+            if not counts_match(hermitian_product_counts(h, m), k, hermitian_product_counts(m, h)):
                 raise NotAmicableError("H M* != M H*")
             if not (m.entries == m.entries.T).all():
                 raise NotSymmetricError("M is not symmetric")

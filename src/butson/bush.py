@@ -21,7 +21,7 @@ import numpy as np
 
 from .bent import BentCertificate, check_bent
 from .cyclotomic import reduction_matrix
-from .matrices import LogMatrix, LogVector, product_counts, verify_hadamard
+from .matrices import LogMatrix, LogVector, counts_match, product_counts, verify_hadamard
 from .numtheory import is_prime
 
 
@@ -91,17 +91,6 @@ def projector(p: int, a: int) -> LogMatrix:
     return LogMatrix(p, (a * (idx[None, :] - idx[:, None])) % p)
 
 
-def _counts_equal_scaled(counts: np.ndarray, k: int, scale: int, target: LogMatrix) -> bool:
-    """Does the count tensor equal scale * (unit matrix with target exponents)?"""
-    r = reduction_matrix(k)
-    want = scale * np.eye(k, dtype=np.int64)[target.entries] @ r
-    return bool(((counts @ r) == want).all())
-
-
-def _counts_all_zero(counts: np.ndarray, k: int) -> bool:
-    return bool(((counts @ reduction_matrix(k)) == 0).all())
-
-
 def verify_projector_algebra(p: int) -> bool:
     """Exactly verify the four projector identities for all residues a, b.
 
@@ -121,16 +110,13 @@ def verify_projector_algebra(p: int) -> bool:
         if blocks[(p - a) % p].transpose() != ra:
             return False
         sq = product_counts(ra, ra)
-        if not _counts_equal_scaled(sq, p, p, ra):
+        if not counts_match(sq, p, p * np.eye(p, dtype=np.int64)[ra.entries]):
             return False
         total += sq
         for b in range(p):
-            if b != a and not _counts_all_zero(product_counts(ra, blocks[b]), p):
+            if b != a and not counts_match(product_counts(ra, blocks[b]), p, 0):
                 return False
-    reduced = total @ reduction_matrix(p)
-    want = np.zeros_like(reduced)
-    want[np.arange(p), np.arange(p), 0] = p * p
-    return bool((reduced == want).all())
+    return counts_match(total, p, p * p)
 
 
 def bush_circulant(p: int, a: int) -> BushMatrix:
@@ -158,7 +144,8 @@ def conjugate_self_bent_check(m: LogMatrix) -> bool:
     s = isqrt(m.order)
     if s * s != m.order:
         raise ValueError(f"order {m.order} is not a perfect square")
-    return _counts_equal_scaled(product_counts(m, m), m.phase, s, m.conjugate())
+    want = s * np.eye(m.phase, dtype=np.int64)[m.conjugate().entries]
+    return counts_match(product_counts(m, m), m.phase, want)
 
 
 class BushModification(NamedTuple):

@@ -6,9 +6,13 @@ verification is exact: Hermitian inner products of rows are computed as
 exponent-difference counts and reduced modulo the k-th cyclotomic polynomial,
 so H H* = nI is decided by integer arithmetic alone.
 
-The count kernels use float32 matmuls on one-hot indicators.  Every count is
-at most n, far below 2**24, so those matmuls are exact integer arithmetic in
-disguise.
+One kernel, count_tensor, produces every count tensor here: A H*, A B and
+H H* alike, as k float32 matmuls of one-hot stacks, (n x kn)(kn x n) each,
+in O(k n^2) memory.  Every count is at most the row width n, so the matmuls
+are exact integer arithmetic while n < 2**24, and reducing a count tensor
+in int64 is exact while max|reduction_matrix(k)| * n < 2**62; the kernel
+raises ValueError outside those bounds.  counts_match is the one way to
+compare a count tensor with a target in Z[zeta_k].
 """
 
 from __future__ import annotations
@@ -199,14 +203,75 @@ def is_circulant(h: LogMatrix) -> bool:
 # -- exact verification and products ----------------------------------------
 
 
-def _pair_difference_counts(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """counts[i, j, t] = #{m : a[i, m] - b[j, m] = t mod k}."""
-    n = a.shape[0]
-    d = (a[:, None, :] - b[None, :, :]) % k
-    flat = d.reshape(n * n, -1)
-    offsets = k * np.arange(n * n, dtype=np.int64)[:, None]
-    binc = np.bincount((flat + offsets).ravel(), minlength=k * n * n)
-    return binc.reshape(n, n, k)
+def _check_exact(width: int, k: int) -> None:
+    """Raise unless counts over `width` terms stay exact in float32 and reduce exactly in int64.
+
+    Every count, and every sum of the k counts of one entry, is at most
+    width, so reducing an entry moves no coefficient past
+    max|reduction_matrix(k)| * width.
+    """
+    if int(np.abs(reduction_matrix(k)).max()) * width >= 2**62:
+        raise ValueError(f"{width} terms at phase {k} could overflow the int64 reduction")
+    if width >= 2**24:
+        raise ValueError(f"{width} terms exceed the 2**24 limit of exact float32 counts")
+
+
+def _one_hot(x: np.ndarray, k: int, dtype) -> np.ndarray:
+    """(rows, k, width) indicator stack: out[i, s, m] = 1 iff x[i, m] = s."""
+    rows, width = x.shape
+    oh = np.zeros((rows, k, width), dtype=dtype)
+    oh[np.arange(rows)[:, None], x, np.arange(width)] = 1
+    return oh
+
+
+def _times_unit(left: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """out[i, j, t] = sum of left[i, s, m] over all (s, m) with s - b[j, m] = t mod k.
+
+    Read left as a matrix over Z[zeta_k] whose entry (i, m) has coefficient
+    left[i, s, m] at zeta^s, and b as the exponent table of a unit matrix B;
+    out is then the coefficient tensor of left B*.  It runs as k matmuls
+    (rows x k width)(k width x len(b)) in left's dtype, so the caller bounds
+    the partial sums to keep them exact.  Float results come back as int64.
+    """
+    rows, _, width = left.shape
+    flat = left.reshape(rows, k * width)
+    out = np.empty((k, rows, b.shape[0]), dtype=left.dtype)
+    for t in range(k):
+        np.matmul(flat, _one_hot((b + t) % k, k, left.dtype).reshape(-1, k * width).T, out=out[t])
+    return out.transpose(1, 2, 0).astype(object if left.dtype == object else np.int64)
+
+
+def count_tensor(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
+    """counts[i, j, t] = #{m : a[i, m] - b[j, m] = t mod k}, as int64.
+
+    Entry (i, j) is the group-ring form of sum_m zeta^(a[i, m] - b[j, m]):
+    the counts of (A, B) give A B*, those of (A, -B^T) give A B.  This is
+    the one count kernel: k float32 matmuls of one-hot stacks, exact because
+    every count is at most the row width, checked below 2**24.
+    """
+    a, b = np.asarray(a), np.asarray(b)
+    _check_exact(a.shape[1], k)
+    return _times_unit(_one_hot(a % k, k, np.float32), b, k)
+
+
+def counts_match(counts: np.ndarray, k: int, target) -> bool:
+    """Do counts and target represent the same matrix over Z[zeta_k]?
+
+    An integer target c stands for the scalar matrix c I (0 for the zero
+    matrix); an array target is a count tensor that broadcasts against
+    counts.  Both sides are reduced with reduction_matrix(k) and compared
+    exactly.
+    """
+    r = reduction_matrix(k)
+    reduced = counts @ r
+    if np.ndim(target):
+        return bool((reduced == target @ r).all())
+    idx = np.arange(min(reduced.shape[:2]))
+    diag = reduced[idx, idx]
+    if not (diag[:, 0] == target).all() or diag[:, 1:].any():
+        return False
+    reduced[idx, idx] = 0
+    return not reduced.any()
 
 
 def verify_hadamard(h: LogMatrix) -> bool:
@@ -215,66 +280,29 @@ def verify_hadamard(h: LogMatrix) -> bool:
     Row orthogonality suffices: a square matrix of unit entries with
     orthogonal rows is invertible, and H* H = nI follows.
     """
-    if h._hadamard is not None:
-        return h._hadamard
-    n, k = h.order, h.phase
-    counts = _pair_difference_counts(h.entries, h.entries, k)
-    reduced = counts @ reduction_matrix(k)
-    target = np.zeros_like(reduced)
-    target[np.arange(n), np.arange(n), 0] = n
-    ok = bool((reduced == target).all())
-    h._hadamard = ok
-    return ok
+    if h._hadamard is None:
+        h._hadamard = counts_match(count_tensor(h.entries, h.entries, h.phase), h.phase, h.order)
+    return h._hadamard
 
 
-def _one_hot(entries: np.ndarray, k: int) -> np.ndarray:
-    """(k, n, n) float32 indicator stack of an exponent table."""
-    n = entries.shape[0]
-    oh = np.zeros((k, n, n), dtype=np.float32)
-    oh[entries, np.arange(n)[:, None], np.arange(n)[None, :]] = 1.0
-    return oh
+def _check_pair(a: LogMatrix, b: LogMatrix) -> None:
+    if a.phase != b.phase:
+        raise ValueError(f"phase mismatch: {a.phase} vs {b.phase}")
+    if a.order != b.order:
+        raise ValueError(f"order mismatch: {a.order} vs {b.order}")
 
 
 def product_counts(a: LogMatrix, b: LogMatrix) -> np.ndarray:
     """counts[i, j, t] = #{m : a[i, m] + b[m, j] = t mod k}, so that
-    (AB)_{ij} = sum_t counts[i, j, t] zeta^t.
-
-    counts <= n << 2**24, so the float32 matmuls below are exact.
-    """
-    if a.phase != b.phase:
-        raise ValueError(f"phase mismatch: {a.phase} vs {b.phase}")
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} vs {b.order}")
-    k, n = a.phase, a.order
-    oa = _one_hot(a.entries, k)
-    ob = _one_hot(b.entries, k)
-    counts = np.zeros((k, n, n), dtype=np.float32)
-    for s in range(k):
-        for t in range(k):
-            counts[(s + t) % k] += oa[s] @ ob[t]
-    return np.rint(counts).astype(np.int64).transpose(1, 2, 0)
+    (AB)_{ij} = sum_t counts[i, j, t] zeta^t."""
+    _check_pair(a, b)
+    return count_tensor(a.entries, -b.entries.T, a.phase)
 
 
 def hermitian_product_counts(a: LogMatrix, b: LogMatrix) -> np.ndarray:
     """Exponent counts of A B*, i.e. entries sum_m zeta^(a[i,m] - b[j,m])."""
-    if a.phase != b.phase:
-        raise ValueError(f"phase mismatch: {a.phase} vs {b.phase}")
-    if a.order != b.order:
-        raise ValueError(f"order mismatch: {a.order} vs {b.order}")
-    return _pair_difference_counts(a.entries, b.entries, a.phase)
-
-
-def counts_equal_scalar_matrix(counts: np.ndarray, k: int, diag: CycInt, off_diag: CycInt | int = 0) -> bool:
-    """Does the count tensor represent diag * I (off-diagonal = off_diag)?"""
-    n = counts.shape[0]
-    reduced = counts @ reduction_matrix(k)
-    d = np.array(diag.reduce().coeffs[: reduced.shape[2]], dtype=np.int64)
-    if isinstance(off_diag, int):
-        off_diag = CycInt.integer(k, off_diag)
-    o = np.array(off_diag.reduce().coeffs[: reduced.shape[2]], dtype=np.int64)
-    target = np.broadcast_to(o, reduced.shape).copy()
-    target[np.arange(n), np.arange(n)] = d
-    return bool((reduced == target).all())
+    _check_pair(a, b)
+    return count_tensor(a.entries, b.entries, a.phase)
 
 
 class NotHadamardError(ValueError):
@@ -293,20 +321,16 @@ def is_unbiased(a: LogMatrix, b: LogMatrix) -> CycInt | None:
         raise ValueError("matrices must share order and phase")
     k, n = a.phase, a.order
     counts = hermitian_product_counts(a, b)
-    reduced = counts @ reduction_matrix(k)
     z = CycInt(k, tuple(int(v) for v in counts[0, 0]))
     if z.norm_sq() != n:
         return None
-    # reductions of z * zeta^t for every t
-    zrots = np.stack([np.roll(counts[0, 0], t) for t in range(k)]) @ reduction_matrix(k)
-    quotient = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(n):
-            match = np.where((zrots == reduced[i, j]).all(axis=1))[0]
-            if len(match) == 0:
-                return None
-            quotient[i, j] = match[0]
-    if not verify_hadamard(LogMatrix(k, quotient)):
+    r = reduction_matrix(k)
+    # match[i, j, t]: entry (i, j) of A B* equals z * zeta^t
+    zrots = np.stack([np.roll(counts[0, 0], t) for t in range(k)]) @ r
+    match = ((counts @ r)[:, :, None, :] == zrots).all(axis=3)
+    if not match.any(axis=2).all():
+        return None
+    if not verify_hadamard(LogMatrix(k, match.argmax(axis=2))):
         return None
     return z
 
@@ -314,26 +338,10 @@ def is_unbiased(a: LogMatrix, b: LogMatrix) -> CycInt | None:
 # -- exact unitary order -----------------------------------------------------
 
 
-def _cyc_rows(h: LogMatrix) -> list[list[CycInt]]:
-    k = h.phase
-    return [[CycInt.root(k, int(e)).reduce() for e in row] for row in h.entries]
-
-
-def _right_multiply(p: list[list[CycInt]], h: LogMatrix) -> list[list[CycInt]]:
-    """P -> P H for a log-form H: each term is a coefficient rotation."""
-    n = h.order
-    ent = h.rows()
-    out = []
-    for i in range(n):
-        prow = p[i]
-        orow = []
-        for j in range(n):
-            acc = prow[0].times_root(ent[0][j])
-            for m in range(1, n):
-                acc = acc + prow[m].times_root(ent[m][j])
-            orow.append(acc.reduce())
-        out.append(orow)
-    return out
+def _coeff_dtype(bound: int):
+    """Matmul dtype for coefficients whose partial sums stay below bound in magnitude:
+    float64 while that is exact (below 2**53), else Python ints."""
+    return np.float64 if bound < 2**53 else object
 
 
 def unitary_order(h: LogMatrix, max_t: int) -> int | None:
@@ -341,25 +349,39 @@ def unitary_order(h: LogMatrix, max_t: int) -> int | None:
 
     Equivalently the multiplicative order of H / sqrt(n); odd t can only
     qualify when n is a perfect square.  Powers are exact: H^t is carried as
-    a cyclotomic-integer matrix, divided by n whenever every entry allows it
-    so coefficients stay small, and compared against the matching power of
-    sqrt(n) times the identity.
+    an (n, n, k) tensor of canonical coefficients, divided by n whenever
+    every coefficient allows it so they stay small, and compared against the
+    matching power of sqrt(n) times the identity.  Each step multiplies by H
+    through the count kernel in float64 while a coefficient bound keeps
+    that exact, and in Python integers once it does not.
     """
     if max_t < 2:
         raise ValueError(f"max_t must be at least 2, got {max_t}")
     if not verify_hadamard(h):
         raise NotHadamardError("unitary order is defined for Butson Hadamard matrices")
-    n = h.order
+    n, k = h.order, h.phase
     root = isqrt(n)
     square = root * root == n
-    p = _cyc_rows(h)
+    r = reduction_matrix(k)
+    r_max = int(np.abs(r).max())
+    h_conj = (-h.entries.T) % k  # P H = P (H*)*
+
+    def canonical(c: np.ndarray) -> np.ndarray:
+        out = np.zeros(c.shape, dtype=c.dtype)
+        out[..., : r.shape[1]] = c @ r
+        return out
+
+    p = canonical(np.eye(k, dtype=np.int64)[h.entries])
     scale = 0  # accumulated exponent: true power is p * n**scale
     for t in range(1, max_t + 1):
         if t > 1:
-            p = _right_multiply(p, h)
+            # an entry of P H sums k * n coefficients of P; reducing it scales by <= r_max
+            bound = r_max * k * n * int(np.abs(p).max())
+            left = p.transpose(0, 2, 1).astype(_coeff_dtype(bound))
+            p = canonical(_times_unit(left, h_conj, k))
         # divide out a factor of n when every reduced coefficient allows it
-        while all(c % n == 0 for row in p for z in row for c in z.coeffs):
-            p = [[CycInt(z.phase, tuple(c // n for c in z.coeffs)) for z in row] for row in p]
+        while n > 1 and not (p % n).any():
+            p //= n
             scale += 1
         if t % 2 == 0:
             target = n ** (t // 2 - scale) if t // 2 >= scale else None
@@ -367,8 +389,6 @@ def unitary_order(h: LogMatrix, max_t: int) -> int | None:
             target = root ** (t - 2 * scale) if t >= 2 * scale else None
         else:
             target = None
-        if target is None:
-            continue
-        if all(p[i][j] == (target if i == j else 0) for i in range(n) for j in range(n)):
+        if target is not None and counts_match(p, k, target):
             return t
     return None

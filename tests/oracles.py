@@ -61,3 +61,21 @@ def covering_radius_brute(words: list[tuple[int, ...]], k: int) -> int:
         d = int((arr != np.array(v)).sum(axis=1).min())
         radius = max(radius, d)
     return radius
+
+
+def difference_counts_brute(a, b, k: int) -> np.ndarray:
+    """counts[i, j, t] = #{m : a[i][m] - b[j][m] = t mod k}, by direct loops."""
+    return np.array(
+        [[[sum((x - y) % k == t for x, y in zip(ra, rb)) for t in range(k)] for rb in b] for ra in a],
+        dtype=np.int64,
+    ).reshape(len(a), len(b), k)
+
+
+def product_counts_brute(a, b, k: int) -> np.ndarray:
+    """counts[i, j, t] = #{m : a[i][m] + b[m][j] = t mod k}, by direct loops."""
+    n = len(b)
+    return np.array(
+        [[[sum((ra[m] + b[m][j]) % k == t for m in range(n)) for t in range(k)]
+          for j in range(len(b[0]))] for ra in a],
+        dtype=np.int64,
+    ).reshape(len(a), len(b[0]), k)
