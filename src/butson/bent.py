@@ -8,19 +8,26 @@ non-square n, so instead of the norm-1 scalar itself the certificate stores
 the cyclotomic integer (Hx)_i conj(x_i) (or (Hx)_i x_i), whose constancy
 across i is the defining identity and whose norm must be n.
 
-The search enumerates candidate vectors as base-k counters, most significant
-digit first, and certifies each one; parallel runs partition the index range
-into contiguous chunks and merge results by candidate index, so output is
-identical for every worker count.
+The search enumerates candidates as base-k counters, most significant digit
+first, and certifies them in batches: a fixed (k n, k n) incidence matrix of
+H times the batch's one-hot stack gives the exponent counts of every entry of
+every Hx in one float32 matmul, and _verdicts reduces their autocorrelations
+exactly (_check_exact bounds the range); check_bent runs the same verdicts on
+a batch of one.  fan_out, shared with the covering-radius scan, runs index
+chunks inline or over one pool and merges by index, so output is identical
+for every worker count.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+from functools import partial
 from math import gcd, isqrt, lcm
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
-from .cyclotomic import CycInt, _reduction_rows
+import numpy as np
+
+from .cyclotomic import CycInt, reduction_matrix
 from .matrices import (
     LogMatrix,
     LogVector,
@@ -34,6 +41,13 @@ from .matrices import (
     verify_hadamard,
 )
 from .numtheory import dual_entry_ambient_phase, is_self_conjugate
+
+_MODES = ("any", "self_dual", "conjugate_self_dual")
+# Multiply-adds of one batch's count matmul: OpenBLAS keeps a matmul this small on
+# one thread (threaded ones in pool workers oversubscribe the CPUs and stall), and
+# each array of a batch stays below 2**20 / n bytes.
+_BATCH_MACS = 1 << 18
+_CHUNK_MIN, _CHUNK_CAP = 1 << 10, 1 << 16  # fan_out chunk: worth a pool round trip, quick to stream
 
 
 class BentCertificate(NamedTuple):
@@ -65,73 +79,56 @@ class BentCertificate(NamedTuple):
         return self.self_dual_unit
 
     def matches(self, mode: str) -> bool:
-        if mode == "any":
-            return self.bent
-        if mode == "self_dual":
-            return self.self_dual
-        if mode == "conjugate_self_dual":
-            return self.conjugate_self_dual
-        raise ValueError(f"unknown mode {mode!r}")
+        if mode not in _MODES:
+            raise ValueError(f"unknown mode {mode!r}")
+        return self[_MODES.index(mode)]  # fields 0-2 follow _MODES
 
 
-def _reduce_counts_py(cnt: Sequence[int], red_rows, width: int) -> tuple[int, ...]:
-    out = [0] * width
-    for t, c in enumerate(cnt):
-        if c:
-            row = red_rows[t]
-            for i in range(width):
-                out[i] += c * row[i]
-    return tuple(out)
+def index_digits(indices, k: int, length: int) -> np.ndarray:
+    """Base-k digits of indices in [0, 2**63 - 1), most significant in row 0: shape
+    (length, len(indices)).  Place values past int64 clamp to its maximum, quotient 0."""
+    places = [min(k**p, 2**63 - 1) for p in range(length - 1, -1, -1)]
+    return np.asarray(indices, dtype=np.int64)[None, :] // np.array(places, dtype=np.int64)[:, None] % k
 
 
-def _certify(rows, k: int, x, n: int, red_rows, width: int):
-    """(bent, self_dual, conjugate_self_dual, per-row exponent counts).
+def _check_exact(n: int, k: int, dtype) -> None:
+    """Raise unless bent verdicts on counts of n terms are exact integer arithmetic in dtype.
 
-    Each row i contributes the count vector of (h_i + x) mod k, whose
-    group-ring element is (Hx)_i.  Every row is processed, bent or not, so
-    per-candidate cost is uniform across the search space.
+    Counts are at most n and one entry's k autocorrelations sum to n**2, so no
+    reduced coefficient passes max|reduction_matrix(k)| n**2; floats hold integers
+    below 2**(mantissa bits + 1) exactly.
     """
-    cnts = []
-    bent = True
-    for row in rows:
-        cnt = [0] * k
-        for e, xe in zip(row, x):
-            t = e + xe
-            cnt[t - k if t >= k else t] += 1
-        cnts.append(cnt)
-        if bent:
-            # norm_sq: coefficient t of z conj(z) is sum_s cnt[s] cnt[s-t]
-            red = [0] * width
-            for t in range(k):
-                d = 0
-                for s in range(k):
-                    d += cnt[s] * cnt[s - t]
-                if d:
-                    row_t = red_rows[t]
-                    for i in range(width):
-                        red[i] += d * row_t[i]
-            if red[0] != n or any(red[1:]):
-                bent = False
-    if not bent:
-        return False, False, False, cnts
-    sd = csd = True
-    sd_ref = csd_ref = None
-    for cnt, xe in zip(cnts, x):
-        if sd:
-            rot = cnt[xe:] + cnt[:xe]  # times zeta^(-x_i)
-            r = _reduce_counts_py(rot, red_rows, width)
-            if sd_ref is None:
-                sd_ref = r
-            elif r != sd_ref:
-                sd = False
-        if csd:
-            rot = cnt[-xe:] + cnt[:-xe] if xe else cnt  # times zeta^(x_i)
-            r = _reduce_counts_py(rot, red_rows, width)
-            if csd_ref is None:
-                csd_ref = r
-            elif r != csd_ref:
-                csd = False
-    return True, sd, csd, cnts
+    dtype = np.dtype(dtype)
+    limit = 2 ** (np.finfo(dtype).nmant + 1) if dtype.kind == "f" else 2**62
+    if int(np.abs(reduction_matrix(k)).max()) * n * n >= limit:
+        raise ValueError(f"{n} terms at phase {k} pass the exact integer range of {dtype}")
+
+
+def _verdicts(counts: np.ndarray, x: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+    """Exact (bent, self_dual, conjugate_self_dual) flags of a batch of candidates.
+
+    counts[t, i, b] is the number of terms of (H x_b)_i equal to zeta^t, x[:, b]
+    is candidate b.  Bent: each entry's autocorrelations d_t = sum_s counts[s]
+    counts[s - t], the coefficients of z conj(z), reduce to n, in one matmul of
+    reduction_matrix(k)[s - u] with the products counts[s] counts[u].  Dual
+    checks, on bent candidates only: (Hx)_i times zeta^(-x_i), or zeta^(x_i),
+    reduces to the same element for every i.  Arithmetic stays in counts.dtype.
+    """
+    _, n, size = counts.shape
+    _check_exact(n, k, counts.dtype)
+    r = reduction_matrix(k).astype(counts.dtype)
+    s = np.arange(k)
+    norm = r[(s[:, None] - s) % k].reshape(k * k, -1).T
+    red = (norm @ (counts[:, None] * counts[None]).reshape(k * k, -1)).reshape(-1, n, size)
+    bent = (red[0] == n).all(axis=0) & ~red[1:].any(axis=(0, 1))
+    sd, csd = np.zeros_like(bent), np.zeros_like(bent)
+    hit = np.flatnonzero(bent)
+    if hit.size:
+        c, shift = counts[:, :, hit], x[None, :, hit]
+        for flags, rot in ((sd, s[:, None, None] + shift), (csd, s[:, None, None] - shift)):
+            unit = (r.T @ np.take_along_axis(c, rot % k, axis=0).reshape(k, -1)).reshape(-1, n, hit.size)
+            flags[hit] = (unit == unit[:, :1]).all(axis=(0, 1))
+    return bent, sd, csd
 
 
 def _dual_entry_order(entry: CycInt, n: int, ambient: int) -> int | None:
@@ -164,20 +161,30 @@ def _dual_entry_order(entry: CycInt, n: int, ambient: int) -> int | None:
     return None
 
 
-def _build_certificate(k: int, n: int, x, cnts, flags) -> BentCertificate:
-    bent, sd, csd = flags
-    dual = tuple(CycInt(k, cnt) for cnt in cnts)
+def _build_certificate(k: int, n: int, x, counts: np.ndarray, flags, memo: dict) -> BentCertificate:
+    """The certificate of one candidate from its (k, n) exponent counts.  memo caches
+    dual-entry orders for all hits of one search, which share few count vectors."""
+    bent, sd, csd = (bool(f) for f in flags)
+    rows = [tuple(row) for row in counts.T.astype(np.int64).tolist()]
+    dual = tuple(CycInt(k, row) for row in rows)
     sd_unit = dual[0].times_root(-x[0]).reduce() if sd else None
     csd_unit = dual[0].times_root(x[0]).reduce() if csd else None
     orders = None
     if bent and is_self_conjugate(n, k):
         ambient = dual_entry_ambient_phase(n, k)
-        orders = tuple(_dual_entry_order(e, n, ambient) for e in dual)
+        for row, entry in zip(rows, dual):
+            if (row, n, ambient) not in memo:
+                memo[row, n, ambient] = _dual_entry_order(entry, n, ambient)
+        orders = tuple(memo[row, n, ambient] for row in rows)
     return BentCertificate(bent, sd, csd, dual, sd_unit, csd_unit, orders)
 
 
 def check_bent(h: LogMatrix, x: LogVector) -> BentCertificate:
-    """Certify whether x is bent / self-dual / conjugate self-dual for h."""
+    """Certify whether x is bent / self-dual / conjugate self-dual for h.
+
+    The counts come from one O(n^2) bincount and go through the verdicts of
+    the search kernel as a batch of one.
+    """
     if h.phase != x.phase:
         raise ValueError(f"phase mismatch: matrix {h.phase}, vector {x.phase}")
     if h.order != len(x):
@@ -185,10 +192,13 @@ def check_bent(h: LogMatrix, x: LogVector) -> BentCertificate:
     if not verify_hadamard(h):
         raise NotHadamardError("bent checks need a Butson Hadamard matrix")
     k, n = h.phase, h.order
-    red_rows = _reduction_rows(k)
-    width = len(red_rows[0])
-    bent, sd, csd, cnts = _certify(h.rows(), k, x.entries, n, red_rows, width)
-    return _build_certificate(k, n, x.entries, cnts, (bent, sd, csd))
+    xs = np.asarray(x.entries, dtype=np.int64)
+    cells = h.entries + xs  # cells[i, j]: exponent of term j of (Hx)_i
+    cells %= k
+    cells += np.arange(0, n * k, k)[:, None]
+    counts = np.bincount(cells.ravel(), minlength=n * k).reshape(n, k).T
+    flags = _verdicts(counts[..., None], xs[:, None], k)
+    return _build_certificate(k, n, x.entries, counts, [f[0] for f in flags], {})
 
 
 def ksw_vector(k: int, m: int) -> LogVector:
@@ -200,18 +210,8 @@ def ksw_vector(k: int, m: int) -> LogVector:
     if m % 2 or m < 2:
         raise ValueError(f"m must be even and at least 2, got {m}")
     t = m // 2
-    entries = []
-    for idx in range(k**m):
-        digits = _index_digits(idx, k, m)
-        entries.append(sum(digits[i] * digits[t + i] for i in range(t)) % k)
-    return LogVector(k, entries)
-
-
-def _index_digits(index: int, k: int, length: int) -> tuple[int, ...]:
-    digits = [0] * length
-    for pos in range(length - 1, -1, -1):
-        index, digits[pos] = divmod(index, k)
-    return tuple(digits)
+    c = index_digits(np.arange(k**m), k, m)
+    return LogVector(k, (c[:t] * c[t:]).sum(axis=0) % k)
 
 
 class SearchHit(NamedTuple):
@@ -220,41 +220,74 @@ class SearchHit(NamedTuple):
     certificate: BentCertificate
 
 
-_WORKER_STATE: dict = {}
+_scan = None  # a pool worker's scan, installed once per process
 
 
-def _init_worker(rows, k, n, mode, pin_first):
-    red_rows = _reduction_rows(k)
-    _WORKER_STATE.update(
-        rows=rows, k=k, n=n, mode=mode, pin_first=pin_first,
-        red_rows=red_rows, width=len(red_rows[0]),
-    )
+def _install_scan(scan) -> None:
+    global _scan
+    _scan = scan
 
 
-def _scan_range(bounds: tuple[int, int]):
-    start, stop = bounds
-    s = _WORKER_STATE
-    rows, k, n, mode = s["rows"], s["k"], s["n"], s["mode"]
-    red_rows, width = s["red_rows"], s["width"]
-    free = n - 1 if s["pin_first"] else n
+def _run_chunk(bounds: tuple[int, int]):
+    return _scan(*bounds)
+
+
+def fan_out(scan, total: int, workers: int = 1) -> Iterator:
+    """scan(start, stop) over contiguous chunks of [0, total), yielded in index order.
+
+    One worker runs _CHUNK_CAP-sized chunks inline and lazily.  More share
+    one fork pool that receives scan once per process, with up to 8 chunks
+    per worker within [_CHUNK_MIN, _CHUNK_CAP].  Callers merge in index order
+    (bent search concatenates, the radius scan takes the max), so results
+    never depend on workers.
+    """
+    size = _CHUNK_CAP if workers <= 1 else min(_CHUNK_CAP, max(_CHUNK_MIN, -(-total // (8 * workers))))
+    bounds = ((lo, min(lo + size, total)) for lo in range(0, total, size))
+    if workers <= 1:
+        yield from (scan(lo, hi) for lo, hi in bounds)
+        return
+    with multiprocessing.get_context("fork").Pool(workers, _install_scan, (scan,)) as pool:
+        yield from pool.imap(_run_chunk, bounds)
+
+
+def _incidence(h: LogMatrix) -> np.ndarray:
+    """(k n, k n) float32 0/1 matrix M with M @ one_hot(x) = the exponent counts of Hx.
+
+    Entry ((t, i), (s, j)) is 1 iff h[i, j] + s = t mod k: a coordinate
+    x_j = s puts the term zeta^(h[i, j] + s) into row i.
+    """
+    k, n = h.phase, h.order
+    inc = np.zeros((k, n, k, n), dtype=np.float32)
+    i, s, j = np.ix_(np.arange(n), np.arange(k), np.arange(n))
+    inc[(h.entries[i, j] + s) % k, i, s, j] = 1
+    return inc.reshape(k * n, k * n)
+
+
+def _batch_counts(inc: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
+    """counts[t, i, b] of the candidates x[:, b]: one float32 matmul, exact as counts are at most n."""
+    one_hot = (x == np.arange(k)[:, None, None]).astype(np.float32).reshape(inc.shape[1], -1)
+    return (inc @ one_hot).reshape(k, x.shape[0], -1)
+
+
+def _scan_bent(start: int, stop: int, inc: np.ndarray, k: int, flag: int, memo: dict) -> list:
+    """Hits among candidate indices [start, stop), certified in batches of at most _BATCH_MACS."""
+    n = inc.shape[0] // k
+    step = max(1, _BATCH_MACS // inc.size)
     hits = []
-    for index in range(start, stop):
-        x = _index_digits(index, k, free)
-        if s["pin_first"]:
-            x = (0,) + x
-        bent, sd, csd, cnts = _certify(rows, k, x, n, red_rows, width)
-        ok = bent if mode == "any" else (sd if mode == "self_dual" else csd)
-        if ok:
-            hits.append((index, x, tuple(tuple(c) for c in cnts), (bent, sd, csd)))
+    for lo in range(start, stop, step):
+        index = np.arange(lo, min(lo + step, stop), dtype=np.int64)
+        x = index_digits(index, k, n)
+        counts = _batch_counts(inc, x, k)
+        flags = _verdicts(counts, x, k)
+        for b in np.flatnonzero(flags[flag]):
+            vector = tuple(x[:, b].tolist())
+            cert = _build_certificate(k, n, vector, counts[:, :, b], [f[b] for f in flags], memo)
+            hits.append(SearchHit(int(index[b]), LogVector(k, vector), cert))
     return hits
 
 
-def search_bent(
-    h: LogMatrix,
-    mode: str = "any",
-    budget: int | None = None,
-    workers: int = 1,
-) -> Iterator[SearchHit]:
+def search_bent(h: LogMatrix, mode: str = "any", budget: int | None = None,
+                workers: int = 1) -> Iterator[SearchHit]:
     """Stream every candidate vector whose certificate matches mode.
 
     Candidates are base-k counters over the entries, most significant digit
@@ -263,46 +296,23 @@ def search_bent(
     exactly once.  The dual modes scan the full k^n space because the pinned
     representative can have a different unit.  Budget caps the number of
     candidates scanned and a partial result is normal; output order is by
-    candidate index regardless of worker count.
+    candidate index regardless of worker count.  Indices are int64, so a
+    space of 2**63 or more candidates needs a budget.
     """
-    if mode not in ("any", "self_dual", "conjugate_self_dual"):
+    if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if not verify_hadamard(h):
         raise NotHadamardError("bent search needs a Butson Hadamard matrix")
     k, n = h.phase, h.order
-    pin_first = mode == "any"
-    total = k ** (n - 1) if pin_first else k**n
+    total = k ** (n - 1) if mode == "any" else k**n
     if budget is not None:
         total = min(total, budget)
-    rows = h.rows()
-
-    def emit(raw) -> SearchHit:
-        index, x, cnts, flags = raw
-        cert = _build_certificate(k, n, x, [list(c) for c in cnts], flags)
-        return SearchHit(index, LogVector(k, x), cert)
-
-    if workers <= 1:
-        _init_worker(rows, k, n, mode, pin_first)
-        step = 4096
-        for start in range(0, total, step):
-            for raw in _scan_range((start, min(start + step, total))):
-                yield emit(raw)
-        return
-
-    chunks = max(workers, min(8 * workers, total))
-    bounds = []
-    base, extra = divmod(total, chunks)
-    pos = 0
-    for c in range(chunks):
-        size = base + (1 if c < extra else 0)
-        if size:
-            bounds.append((pos, pos + size))
-            pos += size
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(workers, initializer=_init_worker, initargs=(rows, k, n, mode, pin_first)) as pool:
-        for chunk_hits in pool.imap(_scan_range, bounds):
-            for raw in chunk_hits:
-                yield emit(raw)
+    if total >= 2**63:
+        raise ValueError(f"{total} candidates pass the int64 index range; give a budget")
+    _check_exact(n, k, np.float32)
+    scan = partial(_scan_bent, inc=_incidence(h), k=k, flag=_MODES.index(mode), memo={})
+    for hits in fan_out(scan, total, workers):
+        yield from hits
 
 
 def tensor_bent(x: LogVector, y: LogVector) -> LogVector:

@@ -23,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import closing
 from fractions import Fraction
 from math import isqrt
 
@@ -198,12 +199,14 @@ def _cmd_bent_check(args) -> int:
 
 def _cmd_bent_search(args) -> int:
     h = read_matrix(args.matrix)
-    for hit in search_bent(h, mode=args.mode, budget=args.budget, workers=args.workers):
-        if args.json:
-            print(json.dumps({"index": hit.index, "vector": list(hit.vector.entries),
-                              "kind": hit.certificate.kind}))
-        else:
-            print(f"{hit.index}: " + " ".join(str(e) for e in hit.vector.entries))
+    # closing stops the scan and its worker pool when output ends early
+    with closing(search_bent(h, args.mode, args.budget, args.workers)) as hits:
+        for hit in hits:
+            if args.json:
+                print(json.dumps({"index": hit.index, "vector": list(hit.vector.entries),
+                                  "kind": hit.certificate.kind}))
+            else:
+                print(f"{hit.index}: " + " ".join(str(e) for e in hit.vector.entries))
     return 0
 
 
@@ -328,6 +331,15 @@ def _parse_rm_pair(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected integers q,m — got {text!r}") from None
 
 
+def _positive_int(text: str) -> int:
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+
+
 def _add_json(p) -> None:
     p.add_argument("--json", action="store_true", help="machine-readable output")
 
@@ -399,7 +411,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     p.add_argument("--mode", choices=("any", "self_dual", "conjugate_self_dual"), default="any")
     p.add_argument("--budget", type=int, default=None, help="max candidates to scan")
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=_positive_int, default=_default_workers())
     _add_json(p)
     p.set_defaults(func=_cmd_bent_search)
 
@@ -413,7 +425,7 @@ def _build_parser() -> argparse.ArgumentParser:
     strategy.add_argument("--sample", type=int, default=None, metavar="N",
                           help="sampled lower bound from N seeded draws")
     p.add_argument("--budget", type=int, default=2**30)
-    p.add_argument("--workers", type=int, default=_default_workers())
+    p.add_argument("--workers", type=_positive_int, default=_default_workers())
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bent-vector", default=None, help="vector file for the phase-3 lower bound")
     _add_json(p)
@@ -449,7 +461,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not in the interpreter's last flush
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout (`| head`): a normal end; devnull takes the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except FileFormatError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -18,15 +18,15 @@ inner product z = s0 + s1 zeta + s2 zeta^2 is the rational s0 - (s1+s2)/2.
 
 from __future__ import annotations
 
-import multiprocessing as mp
 import random
 from fractions import Fraction
+from functools import partial
 from math import ceil, isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bent import check_bent
+from .bent import check_bent, fan_out, index_digits
 from .matrices import LogMatrix, LogVector, NotHadamardError, verify_hadamard
 from .numtheory import is_prime
 
@@ -118,13 +118,6 @@ def _column_tables(words: np.ndarray, k: int) -> list[list[np.ndarray]]:
     return [[(words[:, i] == v).astype(np.int64) for v in range(k)] for i in range(n)]
 
 
-def _digits_of(index: int, k: int, n: int) -> list[int]:
-    digits = [0] * n
-    for i in range(n - 1, -1, -1):
-        index, digits[i] = divmod(index, k)
-    return digits
-
-
 def _scan_radius_range(words: np.ndarray, k: int, start: int, stop: int) -> int:
     """Largest min-distance over ambient indices [start, stop), lexicographic.
 
@@ -135,8 +128,8 @@ def _scan_radius_range(words: np.ndarray, k: int, start: int, stop: int) -> int:
     """
     m, n = words.shape
     eq = _column_tables(words, k)
-    digits = _digits_of(start, k, n)
-    x = np.array(digits, dtype=np.int64)
+    x = index_digits([start], k, n)[:, 0]
+    digits = x.tolist()
     dist = (words != x).sum(axis=1)
     best = int(dist.min())
     for _ in range(stop - start - 1):
@@ -153,18 +146,6 @@ def _scan_radius_range(words: np.ndarray, k: int, start: int, stop: int) -> int:
         if d > best:
             best = d
     return best
-
-
-_RADIUS_STATE: dict = {}
-
-
-def _init_radius_worker(words: np.ndarray, k: int) -> None:
-    _RADIUS_STATE["words"] = words
-    _RADIUS_STATE["k"] = k
-
-
-def _radius_worker(bounds: tuple[int, int]) -> int:
-    return _scan_radius_range(_RADIUS_STATE["words"], _RADIUS_STATE["k"], *bounds)
 
 
 def covering_radius(
@@ -195,15 +176,7 @@ def covering_radius(
             raise BudgetExceededError(
                 f"ambient space {k}^{n} = {total} vectors exceeds budget {budget}"
             )
-        words = c.word_array()
-        if workers <= 1 or total < 4 * workers:
-            value = _scan_radius_range(words, k, 0, total)
-        else:
-            step = -(-total // workers)
-            bounds = [(lo, min(lo + step, total)) for lo in range(0, total, step)]
-            ctx = mp.get_context("fork")
-            with ctx.Pool(workers, initializer=_init_radius_worker, initargs=(words, k)) as pool:
-                value = max(pool.map(_radius_worker, bounds))
+        value = max(fan_out(partial(_scan_radius_range, c.word_array(), k), total, workers))
         c._covering_radius = value
         return CoveringRadiusResult(value, True)
     if strategy == "sampled":
@@ -374,14 +347,9 @@ def reed_muller_1(q: int, m: int, *, budget: int = 2**22) -> ZkCode:
         raise BudgetExceededError(
             f"{q}^{m + 1} words of length {q}^{m} = {q ** (2 * m + 1)} entries exceed budget {budget}"
         )
-    points = np.array(
-        [_digits_of(i, q, m) for i in range(q**m)], dtype=np.int64
-    )  # lexicographic, most significant digit first
-    words = []
-    for idx in range(q ** (m + 1)):
-        coeffs = _digits_of(idx, q, m + 1)
-        a0, lin = coeffs[0], np.array(coeffs[1:], dtype=np.int64)
-        words.append(tuple(int(e) for e in (a0 + points @ lin) % q))
+    points = index_digits(np.arange(q**m), q, m)  # lexicographic, most significant digit first
+    coeffs = index_digits(np.arange(q ** (m + 1)), q, m + 1)
+    words = ((coeffs[0][:, None] + coeffs[1:].T @ points) % q).tolist()
     code = ZkCode(q, words)
     assert code.length == q**m and len(code) == q ** (m + 1)
     assert min_distance(code) == (q - 1) * q ** (m - 1)

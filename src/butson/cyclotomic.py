@@ -160,6 +160,9 @@ class CycInt:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycInt is immutable")
 
+    def __reduce__(self):
+        return CycInt, (self.phase, self.coeffs)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
