@@ -1,186 +1,48 @@
-"""Exact tools for Butson Hadamard matrices, bent vectors, and Z_k codes."""
+"""Exact tools for Butson Hadamard matrices, bent vectors, and Z_k codes.
 
-from .bent import (
-    BentCertificate,
-    SearchHit,
-    check_bent,
-    circulant_bent_bridge,
-    devectorize,
-    ksw_vector,
-    search_bent,
-    tensor_bent,
-    tensor_corollary_check,
-    vectorize,
-)
-from .bush import (
-    BushMatrix,
-    BushModification,
-    BushStructureError,
-    bush_bent_certificates,
-    bush_circulant,
-    bush_modify,
-    bush_quaternary_bents,
-    bush_real_order4,
-    conjugate_self_bent_check,
-    projector,
-    verify_projector_algebra,
-)
-from .catalog import CatalogEntry, bent_orders_and_phases, catalog, sample_bh48
+The top level exports the names the demos and the README use; every other
+name is imported from its module (butson.cyclotomic, butson.matrices, ...).
+"""
+
+from .bent import check_bent, ksw_vector, search_bent
+from .bush import bush_circulant, bush_modify, verify_projector_algebra
 from .codes import (
-    BentBound,
-    BudgetExceededError,
-    CoveringRadiusResult,
-    LeducqBound,
-    ZkCode,
     bent_lower_bound,
     code_from_matrix,
     covering_radius,
-    hamming_distance,
-    has_strength_2,
-    is_self_complementary,
     leducq_upper_bound,
     min_distance,
     reed_muller_1,
     schmidt_rho,
-    ternary_distance,
-    ternary_real_inner,
 )
-from .cyclotomic import (
-    CycInt,
-    CyclotomicPolynomial,
-    canonical_reduce,
-    cyclotomic_polynomial,
-    reduction_matrix,
-)
-from .fileio import (
-    FileFormatError,
-    parse_matrix,
-    parse_vector,
-    read_matrix,
-    read_vector,
-    serialize_matrix,
-    serialize_matrix_json,
-    serialize_vector,
-    write_matrix,
-    write_matrix_json,
-    write_vector,
-)
-from .matrices import (
-    LogMatrix,
-    LogVector,
-    NotHadamardError,
-    character_table,
-    circulant_from_row,
-    fourier_matrix,
-    hermitian_product_counts,
-    is_circulant,
-    is_unbiased,
-    kronecker,
-    product_counts,
-    sylvester_matrix,
-    unitary_order,
-    verify_hadamard,
-)
-from .numtheory import (
-    ObstructionReport,
-    ObstructionVerdict,
-    SplittingProfile,
-    bent_obstructions,
-    circulant_real_obstruction,
-    dual_entry_ambient_phase,
-    entry_root_obstruction,
-    is_self_conjugate,
-    is_self_conjugate_prime,
-    multiplicative_order,
-    p_part,
-    splitting_profile,
-    totient,
-)
+from .fileio import parse_matrix, serialize_matrix
+from .matrices import LogVector, character_table, fourier_matrix, kronecker, sylvester_matrix, verify_hadamard
+from .numtheory import bent_obstructions, circulant_real_obstruction, is_self_conjugate_prime, splitting_profile
 
 __all__ = [
-    "BentBound",
-    "BentCertificate",
-    "BudgetExceededError",
-    "BushMatrix",
-    "BushModification",
-    "BushStructureError",
-    "CatalogEntry",
-    "CoveringRadiusResult",
-    "CycInt",
-    "CyclotomicPolynomial",
-    "FileFormatError",
-    "LeducqBound",
-    "LogMatrix",
     "LogVector",
-    "NotHadamardError",
-    "ObstructionReport",
-    "ObstructionVerdict",
-    "SearchHit",
-    "SplittingProfile",
-    "ZkCode",
     "bent_lower_bound",
     "bent_obstructions",
-    "bent_orders_and_phases",
-    "bush_bent_certificates",
     "bush_circulant",
     "bush_modify",
-    "bush_quaternary_bents",
-    "bush_real_order4",
-    "canonical_reduce",
-    "catalog",
     "character_table",
     "check_bent",
-    "circulant_bent_bridge",
-    "circulant_from_row",
     "circulant_real_obstruction",
     "code_from_matrix",
-    "conjugate_self_bent_check",
     "covering_radius",
-    "cyclotomic_polynomial",
-    "devectorize",
-    "dual_entry_ambient_phase",
-    "entry_root_obstruction",
     "fourier_matrix",
-    "hamming_distance",
-    "has_strength_2",
-    "hermitian_product_counts",
-    "is_circulant",
-    "is_self_complementary",
-    "is_self_conjugate",
     "is_self_conjugate_prime",
-    "is_unbiased",
-    "ksw_vector",
     "kronecker",
+    "ksw_vector",
     "leducq_upper_bound",
     "min_distance",
-    "multiplicative_order",
-    "p_part",
     "parse_matrix",
-    "parse_vector",
-    "product_counts",
-    "projector",
-    "read_matrix",
-    "read_vector",
-    "reduction_matrix",
     "reed_muller_1",
-    "sample_bh48",
     "schmidt_rho",
     "search_bent",
     "serialize_matrix",
-    "serialize_matrix_json",
-    "serialize_vector",
     "splitting_profile",
     "sylvester_matrix",
-    "tensor_bent",
-    "tensor_corollary_check",
-    "ternary_distance",
-    "ternary_real_inner",
-    "totient",
-    "unitary_order",
     "verify_hadamard",
     "verify_projector_algebra",
-    "vectorize",
-    "write_matrix",
-    "write_matrix_json",
-    "write_vector",
 ]

@@ -12,10 +12,10 @@ The search enumerates candidates as base-k counters, most significant digit
 first, and certifies them in batches: a fixed (k n, k n) incidence matrix of
 H times the batch's one-hot stack gives the exponent counts of every entry of
 every Hx in one float32 matmul, and _verdicts reduces their autocorrelations
-exactly (_check_exact bounds the range); check_bent runs the same verdicts on
-a batch of one.  fan_out, shared with the covering-radius scan, runs index
-chunks inline or over one pool and merges by index, so output is identical
-for every worker count.
+exactly (cyclotomic.check_exact bounds the range); check_bent runs the same
+verdicts on a batch of one.  fan_out, shared with the covering-radius scan,
+runs index chunks inline or over one pool and merges by index, so output is
+identical for every worker count.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CycInt, reduction_matrix
+from .cyclotomic import CycInt, check_exact, reduction_matrix
 from .matrices import (
     LogMatrix,
     LogVector,
@@ -38,6 +38,7 @@ from .matrices import (
     hermitian_product_counts,
     kronecker,
     product_counts,
+    row_counts,
     verify_hadamard,
 )
 from .numtheory import dual_entry_ambient_phase, is_self_conjugate
@@ -91,17 +92,10 @@ def index_digits(indices, k: int, length: int) -> np.ndarray:
     return np.asarray(indices, dtype=np.int64)[None, :] // np.array(places, dtype=np.int64)[:, None] % k
 
 
-def _check_exact(n: int, k: int, dtype) -> None:
-    """Raise unless bent verdicts on counts of n terms are exact integer arithmetic in dtype.
-
-    Counts are at most n and one entry's k autocorrelations sum to n**2, so no
-    reduced coefficient passes max|reduction_matrix(k)| n**2; floats hold integers
-    below 2**(mantissa bits + 1) exactly.
-    """
-    dtype = np.dtype(dtype)
-    limit = 2 ** (np.finfo(dtype).nmant + 1) if dtype.kind == "f" else 2**62
-    if int(np.abs(reduction_matrix(k)).max()) * n * n >= limit:
-        raise ValueError(f"{n} terms at phase {k} pass the exact integer range of {dtype}")
+def _verdict_bound(n: int, k: int) -> int:
+    """Counts are at most n and one entry's k autocorrelations sum to n**2, so no
+    reduced coefficient of the verdicts passes max|reduction_matrix(k)| n**2."""
+    return int(np.abs(reduction_matrix(k)).max()) * n * n
 
 
 def _verdicts(counts: np.ndarray, x: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
@@ -115,7 +109,7 @@ def _verdicts(counts: np.ndarray, x: np.ndarray, k: int) -> tuple[np.ndarray, ..
     reduces to the same element for every i.  Arithmetic stays in counts.dtype.
     """
     _, n, size = counts.shape
-    _check_exact(n, k, counts.dtype)
+    check_exact(_verdict_bound(n, k), counts.dtype)
     r = reduction_matrix(k).astype(counts.dtype)
     s = np.arange(k)
     norm = r[(s[:, None] - s) % k].reshape(k * k, -1).T
@@ -182,8 +176,8 @@ def _build_certificate(k: int, n: int, x, counts: np.ndarray, flags, memo: dict)
 def check_bent(h: LogMatrix, x: LogVector) -> BentCertificate:
     """Certify whether x is bent / self-dual / conjugate self-dual for h.
 
-    The counts come from one O(n^2) bincount and go through the verdicts of
-    the search kernel as a batch of one.
+    The counts come from one O(n^2) row_counts bincount and go through the
+    verdicts of the search kernel as a batch of one.
     """
     if h.phase != x.phase:
         raise ValueError(f"phase mismatch: matrix {h.phase}, vector {x.phase}")
@@ -193,10 +187,7 @@ def check_bent(h: LogMatrix, x: LogVector) -> BentCertificate:
         raise NotHadamardError("bent checks need a Butson Hadamard matrix")
     k, n = h.phase, h.order
     xs = np.asarray(x.entries, dtype=np.int64)
-    cells = h.entries + xs  # cells[i, j]: exponent of term j of (Hx)_i
-    cells %= k
-    cells += np.arange(0, n * k, k)[:, None]
-    counts = np.bincount(cells.ravel(), minlength=n * k).reshape(n, k).T
+    counts = row_counts(h.entries + xs, k).T  # row i: exponents of the terms of (Hx)_i
     flags = _verdicts(counts[..., None], xs[:, None], k)
     return _build_certificate(k, n, x.entries, counts, [f[0] for f in flags], {})
 
@@ -309,7 +300,7 @@ def search_bent(h: LogMatrix, mode: str = "any", budget: int | None = None,
         total = min(total, budget)
     if total >= 2**63:
         raise ValueError(f"{total} candidates pass the int64 index range; give a budget")
-    _check_exact(n, k, np.float32)
+    check_exact(_verdict_bound(n, k), np.float32)
     scan = partial(_scan_bent, inc=_incidence(h), k=k, flag=_MODES.index(mode), memo={})
     for hits in fan_out(scan, total, workers):
         yield from hits

@@ -20,8 +20,14 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bent import BentCertificate, check_bent
-from .cyclotomic import reduction_matrix
-from .matrices import LogMatrix, LogVector, counts_match, product_counts, verify_hadamard
+from .matrices import (
+    LogMatrix,
+    LogVector,
+    counts_match,
+    product_counts,
+    row_counts,
+    verify_hadamard,
+)
 from .numtheory import is_prime
 
 
@@ -60,25 +66,16 @@ class BushMatrix:
         return f"BushMatrix(order={self.order}, phase={self.phase}, block_size={self.block_size})"
 
 
-def _reduced_line_sums(entries: np.ndarray, k: int) -> np.ndarray:
-    """Reduced CycInt coefficients of each row sum of a stack of rows."""
-    rows, width = entries.shape
-    offsets = k * np.arange(rows, dtype=np.int64)[:, None]
-    binc = np.bincount((entries + offsets).ravel(), minlength=k * rows).reshape(rows, k)
-    return binc @ reduction_matrix(k)
-
-
 def _block_sums_hold(base: LogMatrix, n: int) -> bool:
+    """Every row and column of block (I, J) sums to n if I = J and to 0 otherwise."""
     k = base.phase
     blocks = base.entries.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # (I, J, r, c)
-    for axis_rows in (blocks, blocks.transpose(0, 1, 3, 2)):
-        lines = axis_rows.reshape(n * n * n, n)
-        reduced = _reduced_line_sums(lines, k).reshape(n, n, n, -1)
-        target = np.zeros_like(reduced)
-        target[np.arange(n), np.arange(n), :, 0] = n
-        if not (reduced == target).all():
-            return False
-    return True
+    # block rows, then block columns, in a fresh array that row_counts may overwrite
+    lines = np.concatenate([blocks, blocks.transpose(0, 1, 3, 2)])
+    counts = row_counts(lines.reshape(-1, n), k).reshape(2, n, n, n, k)
+    target = np.zeros((n, n, 1, k), dtype=np.int64)
+    target[np.arange(n), np.arange(n), :, 0] = n
+    return counts_match(counts, k, target)
 
 
 def projector(p: int, a: int) -> LogMatrix:
@@ -268,14 +265,3 @@ def bush_real_order4() -> BushMatrix:
         [2, 0, 0, 0],
     ]
     return BushMatrix(LogMatrix(4, rows), 2)
-
-
-def bush_bent_certificates(h: BushMatrix) -> list[tuple[int, BentCertificate]]:
-    """Certificates of every column of the matrix against itself.
-
-    For B_a with M M = p conj(M) these are all conjugate self-dual.
-    """
-    out = []
-    for j in range(h.order):
-        out.append((j, check_bent(h.base, h.base.column(j))))
-    return out

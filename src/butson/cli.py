@@ -24,10 +24,9 @@ import json
 import os
 import sys
 from contextlib import closing
-from fractions import Fraction
 from math import isqrt
 
-from .bent import check_bent, ksw_vector, search_bent
+from .bent import _MODES, check_bent, ksw_vector, search_bent
 from .bush import (
     BushMatrix,
     BushStructureError,
@@ -55,7 +54,6 @@ from .fileio import (
 )
 from .matrices import (
     LogMatrix,
-    character_table,
     fourier_matrix,
     is_unbiased,
     kronecker,
@@ -64,10 +62,6 @@ from .matrices import (
     verify_hadamard,
 )
 from .numtheory import bent_obstructions
-
-
-def _default_workers() -> int:
-    return os.cpu_count() or 1
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -80,10 +74,6 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cyc_json(z: CycInt) -> dict:
     return {"str": str(z), "phase": z.phase, "coeffs": list(z.coeffs)}
-
-
-def _fraction_str(x: Fraction) -> str:
-    return str(x)  # a/b for non-integers, plain digits otherwise
 
 
 def _write_constructed(h: LogMatrix, args) -> int:
@@ -243,8 +233,8 @@ def _cmd_covering_radius(args) -> int:
             "exact": result.exact,
             "upper_bound": (
                 {
-                    "rational_part": _fraction_str(upper.rational_part),
-                    "root_coefficient": _fraction_str(upper.root_coefficient),
+                    "rational_part": str(upper.rational_part),
+                    "root_coefficient": str(upper.root_coefficient),
                     "radicand": upper.radicand,
                     "floor": upper.floor,
                 }
@@ -260,8 +250,8 @@ def _cmd_covering_radius(args) -> int:
         print(f"{label}: {result.value}")
         if upper is not None:
             print(
-                f"upper bound: {_fraction_str(upper.rational_part)} "
-                f"+ {_fraction_str(upper.root_coefficient)}*sqrt({upper.radicand}) "
+                f"upper bound: {upper.rational_part} "
+                f"+ {upper.root_coefficient}*sqrt({upper.radicand}) "
                 f"(floor {upper.floor})"
             )
         if lower is not None:
@@ -409,9 +399,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bent-search", help="stream bent vectors over the full candidate space")
     p.add_argument("matrix")
-    p.add_argument("--mode", choices=("any", "self_dual", "conjugate_self_dual"), default="any")
+    p.add_argument("--mode", choices=_MODES, default="any")
     p.add_argument("--budget", type=int, default=None, help="max candidates to scan")
-    p.add_argument("--workers", type=_positive_int, default=_default_workers())
+    p.add_argument("--workers", type=_positive_int, default=1)
     _add_json(p)
     p.set_defaults(func=_cmd_bent_search)
 
@@ -425,7 +415,7 @@ def _build_parser() -> argparse.ArgumentParser:
     strategy.add_argument("--sample", type=int, default=None, metavar="N",
                           help="sampled lower bound from N seeded draws")
     p.add_argument("--budget", type=int, default=2**30)
-    p.add_argument("--workers", type=_positive_int, default=_default_workers())
+    p.add_argument("--workers", type=_positive_int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bent-vector", default=None, help="vector file for the phase-3 lower bound")
     _add_json(p)

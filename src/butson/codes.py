@@ -54,7 +54,6 @@ class ZkCode:
         self.duplicates_removed = len(normalized) - len(distinct)
         self._word_set = frozenset(distinct)
         self._min_distance: int | None = None
-        self._covering_radius: int | None = None
 
     def __len__(self) -> int:
         return len(self.words)
@@ -169,15 +168,12 @@ def covering_radius(
     """
     k, n = c.modulus, c.length
     if strategy == "exhaustive":
-        if c._covering_radius is not None:
-            return CoveringRadiusResult(c._covering_radius, True)
         total = k**n
         if total > budget:
             raise BudgetExceededError(
                 f"ambient space {k}^{n} = {total} vectors exceeds budget {budget}"
             )
         value = max(fan_out(partial(_scan_radius_range, c.word_array(), k), total, workers))
-        c._covering_radius = value
         return CoveringRadiusResult(value, True)
     if strategy == "sampled":
         rng = random.Random(seed)

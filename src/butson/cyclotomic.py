@@ -55,47 +55,31 @@ def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], lis
     return _poly_trim(quo), _poly_trim(rem)
 
 
-class CyclotomicPolynomial:
-    """The monic minimal polynomial of zeta_k, of degree phi(k)."""
-
-    __slots__ = ("order", "coefficients")
-
-    def __init__(self, order: int, coefficients: tuple[int, ...]):
-        self.order = order
-        self.coefficients = coefficients
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def __repr__(self) -> str:
-        return f"CyclotomicPolynomial(order={self.order}, coefficients={self.coefficients})"
-
-
 @lru_cache(maxsize=None)
-def cyclotomic_polynomial(k: int) -> CyclotomicPolynomial:
-    """Phi_k, by exact division of x^k - 1 by the product of Phi_d, d | k, d < k."""
+def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
+    """Coefficients of Phi_k, constant term first: the monic minimal polynomial
+    of zeta_k, of degree phi(k), by exact division of x^k - 1 by the product
+    of Phi_d, d | k, d < k."""
     if k < 1:
         raise ValueError(f"order must be positive, got {k}")
     num = [-1] + [0] * (k - 1) + [1]
     den = [1]
     for d in divisors(k):
         if d < k:
-            den = _poly_mul(den, list(cyclotomic_polynomial(d).coefficients))
+            den = _poly_mul(den, cyclotomic_polynomial(d))
     quo, rem = _poly_divmod(num, den)
     if rem != [0]:
         raise AssertionError(f"x^{k}-1 not divisible by product of proper Phi_d")
-    poly = CyclotomicPolynomial(k, tuple(quo))
-    if poly.degree != totient(k):
-        raise AssertionError(f"Phi_{k} has degree {poly.degree}, expected {totient(k)}")
-    return poly
+    if len(quo) - 1 != totient(k):
+        raise AssertionError(f"Phi_{k} has degree {len(quo) - 1}, expected {totient(k)}")
+    return tuple(quo)
 
 
 @lru_cache(maxsize=None)
 def _reduction_rows(k: int) -> tuple[tuple[int, ...], ...]:
     """Row j is the coefficient vector (length phi(k)) of x^j mod Phi_k."""
     phi = cyclotomic_polynomial(k)
-    d = phi.degree
+    d = len(phi) - 1
     rows: list[tuple[int, ...]] = []
     row = [0] * d
     for j in range(k):
@@ -108,7 +92,7 @@ def _reduction_rows(k: int) -> tuple[tuple[int, ...], ...]:
             row = [0] + row[: d - 1]
             if lead:
                 for i in range(d):
-                    row[i] -= lead * phi.coefficients[i]
+                    row[i] -= lead * phi[i]
         rows.append(tuple(row))
     return tuple(rows)
 
@@ -117,12 +101,23 @@ def _reduction_rows(k: int) -> tuple[tuple[int, ...], ...]:
 def reduction_matrix(k: int) -> np.ndarray:
     """The k x phi(k) integer matrix of _reduction_rows, for batched reductions.
 
-    Reducing a batch of coefficient rows C (shape (..., k)) is C @ reduction_matrix(k).
-    Entries are small; int64 accumulation is exact for every in-scope count batch.
+    Reducing a batch of coefficient rows C (shape (..., k)) is C @ reduction_matrix(k);
+    check_exact decides whether a dtype holds the result exactly.
     """
     m = np.array(_reduction_rows(k), dtype=np.int64)
     m.flags.writeable = False
     return m
+
+
+def check_exact(bound: int, dtype) -> None:
+    """The one exactness guard: raise ValueError unless every integer of magnitude
+    up to bound, result or partial sum, is exact in dtype.  Floats hold integers
+    below 2**(mantissa bits + 1); signed ints are held two bits short of their
+    width (2**62 for int64), which leaves headroom for one more addition."""
+    dtype = np.dtype(dtype)
+    bits = np.finfo(dtype).nmant + 1 if dtype.kind == "f" else np.iinfo(dtype).bits - 2
+    if bound >= 2**bits:
+        raise ValueError(f"{bound} passes the exact integer range of {dtype}, 2**{bits}")
 
 
 def reduce_coeffs(coeffs: Sequence[int], k: int) -> tuple[int, ...]:
@@ -305,7 +300,3 @@ def _root_table(k: int) -> dict[tuple[int, ...], tuple[int, int]]:
             table.setdefault(key, (sign, t))
     return table
 
-
-def canonical_reduce(z: CycInt) -> CycInt:
-    """Free-function spelling of CycInt.reduce."""
-    return z.reduce()

@@ -36,12 +36,8 @@ def serialize_matrix(h: LogMatrix, comments: Sequence[str] = ()) -> str:
     return "\n".join(lines) + "\n"
 
 
-def matrix_json(h: LogMatrix) -> dict:
-    return {"n": h.order, "k": h.phase, "rows": [[int(e) for e in row] for row in h.entries]}
-
-
 def serialize_matrix_json(h: LogMatrix) -> str:
-    return json.dumps(matrix_json(h)) + "\n"
+    return json.dumps({"n": h.order, "k": h.phase, "rows": h.entries.tolist()}) + "\n"
 
 
 def _parse_int(token: str, source: str, line: int, what: str) -> int:

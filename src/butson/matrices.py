@@ -11,8 +11,10 @@ H H* alike, as k float32 matmuls of one-hot stacks, (n x kn)(kn x n) each,
 in O(k n^2) memory.  Every count is at most the row width n, so the matmuls
 are exact integer arithmetic while n < 2**24, and reducing a count tensor
 in int64 is exact while max|reduction_matrix(k)| * n < 2**62; the kernel
-raises ValueError outside those bounds.  counts_match is the one way to
-compare a count tensor with a target in Z[zeta_k].
+raises ValueError outside those bounds through cyclotomic.check_exact.
+row_counts is the one per-row bincount, for check_bent's single product
+Hx and the Bush block sums.  counts_match is the one way to compare a count
+tensor with a target in Z[zeta_k].
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycInt, reduction_matrix
+from .cyclotomic import CycInt, check_exact, reduction_matrix
 
 
 class LogMatrix:
@@ -38,16 +40,13 @@ class LogMatrix:
         self.phase = phase
         self.entries = arr
         self._hadamard: bool | None = None
-        self._row_cache: tuple[tuple[int, ...], ...] | None = None
 
     @property
     def order(self) -> int:
         return self.entries.shape[0]
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        if self._row_cache is None:
-            self._row_cache = tuple(tuple(int(v) for v in row) for row in self.entries)
-        return self._row_cache
+        return tuple(tuple(row) for row in self.entries.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LogMatrix):
@@ -203,19 +202,6 @@ def is_circulant(h: LogMatrix) -> bool:
 # -- exact verification and products ----------------------------------------
 
 
-def _check_exact(width: int, k: int) -> None:
-    """Raise unless counts over `width` terms stay exact in float32 and reduce exactly in int64.
-
-    Every count, and every sum of the k counts of one entry, is at most
-    width, so reducing an entry moves no coefficient past
-    max|reduction_matrix(k)| * width.
-    """
-    if int(np.abs(reduction_matrix(k)).max()) * width >= 2**62:
-        raise ValueError(f"{width} terms at phase {k} could overflow the int64 reduction")
-    if width >= 2**24:
-        raise ValueError(f"{width} terms exceed the 2**24 limit of exact float32 counts")
-
-
 def _one_hot(x: np.ndarray, k: int, dtype) -> np.ndarray:
     """(rows, k, width) indicator stack: out[i, s, m] = 1 iff x[i, m] = s."""
     rows, width = x.shape
@@ -247,11 +233,27 @@ def count_tensor(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     Entry (i, j) is the group-ring form of sum_m zeta^(a[i, m] - b[j, m]):
     the counts of (A, B) give A B*, those of (A, -B^T) give A B.  This is
     the one count kernel: k float32 matmuls of one-hot stacks, exact because
-    every count is at most the row width, checked below 2**24.
+    every count is at most the row width.  Reducing an entry, whose k counts
+    sum to the width, moves no coefficient past max|reduction_matrix(k)| times
+    the width, so that is checked against int64 first.
     """
     a, b = np.asarray(a), np.asarray(b)
-    _check_exact(a.shape[1], k)
+    width = a.shape[1]
+    check_exact(int(np.abs(reduction_matrix(k)).max()) * width, np.int64)
+    check_exact(width, np.float32)
     return _times_unit(_one_hot(a % k, k, np.float32), b, k)
+
+
+def row_counts(cells: np.ndarray, k: int) -> np.ndarray:
+    """counts[i, t] = #{j : cells[i, j] = t mod k}, from one bincount.
+
+    cells is an integer array of shape (rows, width) that serves as scratch:
+    it is reduced and offset in place, so callers pass a temporary they own.
+    """
+    rows = cells.shape[0]
+    cells %= k
+    cells += np.arange(0, rows * k, k)[:, None]
+    return np.bincount(cells.ravel(), minlength=rows * k).reshape(rows, k)
 
 
 def counts_match(counts: np.ndarray, k: int, target) -> bool:
@@ -340,8 +342,12 @@ def is_unbiased(a: LogMatrix, b: LogMatrix) -> CycInt | None:
 
 def _coeff_dtype(bound: int):
     """Matmul dtype for coefficients whose partial sums stay below bound in magnitude:
-    float64 while that is exact (below 2**53), else Python ints."""
-    return np.float64 if bound < 2**53 else object
+    float64 while check_exact allows it (below 2**53), else Python ints."""
+    try:
+        check_exact(bound, np.float64)
+    except ValueError:
+        return object
+    return np.float64
 
 
 def unitary_order(h: LogMatrix, max_t: int) -> int | None:

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from butson import bent
 from butson.bent import check_bent, index_digits, ksw_vector, search_bent
 from butson.cli import main
-from butson.cyclotomic import CycInt, reduction_matrix
+from butson.cyclotomic import CycInt, check_exact, reduction_matrix
 from butson.fileio import write_matrix
 from butson.matrices import (
     LogMatrix,
@@ -176,9 +176,9 @@ def test_guard_fires_at_the_float_mantissa_without_allocating():
     big = int(np.abs(reduction_matrix(105)).max())
     assert big > 1
     n = isqrt((2**24 - 1) // big)
-    bent._check_exact(n, 105, np.float32)
+    check_exact(big * n * n, np.float32)
     with pytest.raises(ValueError):
-        bent._check_exact(n + 1, 105, np.float32)
+        check_exact(big * (n + 1) ** 2, np.float32)
 
 
 def test_index_range_guard_and_digits():

@@ -8,6 +8,7 @@ from butson.bent import check_bent
 from butson.bush import (
     BushMatrix,
     BushStructureError,
+    _block_sums_hold,
     bush_circulant,
     bush_modify,
     bush_quaternary_bents,
@@ -228,3 +229,11 @@ def test_bush_structure_error():
         raise AssertionError("expected BushStructureError")
     except BushStructureError:
         pass
+
+
+def test_block_sums_check_block_rows_and_block_columns():
+    # Off-diagonal blocks [[0, 1], [0, 1]]: every block row sums as Bush-type
+    # requires, two block columns do not; the transpose swaps the two roles.
+    m = LogMatrix(2, [[0, 0, 0, 1], [0, 0, 0, 1], [0, 1, 0, 0], [0, 1, 0, 0]])
+    assert not _block_sums_hold(m, 2)
+    assert not _block_sums_hold(m.transpose(), 2)

@@ -4,8 +4,8 @@ from __future__ import annotations
 
 import json
 
-from butson.bent import ksw_vector
-from butson.cli import main
+from butson.bent import _MODES, ksw_vector
+from butson.cli import _build_parser, main
 from butson.fileio import read_matrix, read_vector, write_matrix, write_vector
 from butson.matrices import LogVector, character_table, fourier_matrix, sylvester_matrix
 
@@ -247,3 +247,11 @@ def test_construct_rm_lists_words(capsys):
     assert lines[0].startswith("#") and "min distance 2" in lines[0]
     assert len(lines) == 1 + 8
     assert lines[1] == "0 0 0 0"
+
+
+def test_parser_defaults_to_one_worker_and_takes_the_search_modes():
+    parser = _build_parser()
+    assert parser.parse_args(["bent-search", "m.bh"]).workers == 1
+    assert parser.parse_args(["covering-radius", "--rm", "3,2"]).workers == 1
+    for mode in _MODES:
+        assert parser.parse_args(["bent-search", "m.bh", "--mode", mode]).mode == mode

@@ -2,6 +2,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from functools import lru_cache
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import covering_radius_brute
 
@@ -22,7 +27,7 @@ from butson.codes import (
     ternary_distance,
     ternary_real_inner,
 )
-from butson.bent import ksw_vector
+from butson.bent import ksw_vector, search_bent
 from butson.bush import bush_circulant
 from butson.matrices import LogMatrix, LogVector, fourier_matrix, kronecker
 
@@ -157,6 +162,14 @@ def test_covering_radius_budget_guard():
     assert covering_radius(c, budget=2**12) == (12, True)
 
 
+def test_covering_radius_checks_the_budget_on_every_call():
+    # an earlier full scan of the same code must not let a later call skip its budget
+    rm = reed_muller_1(3, 2)
+    assert covering_radius(rm) == (5, True)
+    with pytest.raises(BudgetExceededError):
+        covering_radius(rm, budget=10)
+
+
 def test_covering_radius_sampled_lower_bound():
     _, c_code = code_from_matrix(BH48)
     exact = covering_radius(c_code).value
@@ -244,6 +257,38 @@ def test_bent_lower_bound_sandwich():
     upper = leducq_upper_bound(9, 3).floor
     assert lower <= radius <= upper
     assert (lower, radius, upper) == (4, 5, 5)
+
+
+PHASE_3_BASES = [fourier_matrix(3), kronecker(fourier_matrix(3), fourier_matrix(3)),
+                 bush_circulant(3, 1).base, bush_circulant(3, 2).base]
+
+
+@lru_cache(maxsize=None)
+def _bent_vectors(h: LogMatrix) -> tuple[tuple[int, ...], ...]:
+    return tuple(hit.vector.entries for hit in search_bent(h))
+
+
+@st.composite
+def _matrix_and_bent_vector(draw):
+    """A phase-3 Hadamard matrix, monomially transformed, and one of its bent vectors."""
+    base = draw(st.sampled_from(PHASE_3_BASES))
+    n = base.order
+    perm = lambda: draw(st.permutations(range(n)))  # noqa: E731
+    shifts = lambda: draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))  # noqa: E731
+    row_perm, row_shift, col_perm, col_shift = perm(), shifts(), perm(), shifts()
+    h = base.monomial_transform(row_perm, row_shift, col_perm, col_shift)
+    x = draw(st.sampled_from(_bent_vectors(base)))
+    c = draw(st.integers(0, 2))  # a constant multiple of a bent vector is bent
+    return h, LogVector(3, [(x[j] - t + c) % 3 for j, t in zip(col_perm, col_shift)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(_matrix_and_bent_vector())
+def test_bent_lower_bound_distances_are_hamming_distances(case):
+    h, x = case
+    _, c_code = code_from_matrix(h)
+    got = bent_lower_bound(h, x)
+    assert got.distances == tuple(hamming_distance(x.entries, w) for w in c_code.words)
 
 
 def test_bent_lower_bound_rejections():

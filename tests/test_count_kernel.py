@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import butson
 from butson import matrices
 from butson.bush import bush_circulant
-from butson.cyclotomic import CycInt, reduction_matrix
+from butson.cyclotomic import CycInt, check_exact, reduction_matrix
 from butson.matrices import (
     LogMatrix,
     character_table,
@@ -75,7 +75,8 @@ def test_exactness_guards_raise_before_allocating():
     assert int(np.abs(reduction_matrix(105)).max()) == 2  # so 2 * 2**61 reaches 2**62
     with pytest.raises(ValueError, match="int64"):
         count_tensor(huge, huge, 105)
-    matrices._check_exact(2**24 - 1, 105)  # the widest table both bounds allow
+    check_exact(2 * (2**24 - 1), np.int64)  # the widest table both bounds allow
+    check_exact(2**24 - 1, np.float32)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB and RLIMIT_AS is enforced on Linux")
