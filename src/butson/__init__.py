@@ -16,8 +16,20 @@ from .codes import (
     schmidt_rho,
 )
 from .fileio import parse_matrix, serialize_matrix
-from .matrices import LogVector, character_table, fourier_matrix, kronecker, sylvester_matrix, verify_hadamard
-from .numtheory import bent_obstructions, circulant_real_obstruction, is_self_conjugate_prime, splitting_profile
+from .matrices import (
+    LogVector,
+    character_table,
+    fourier_matrix,
+    kronecker,
+    sylvester_matrix,
+    verify_hadamard,
+)
+from .numtheory import (
+    bent_obstructions,
+    circulant_real_obstruction,
+    is_self_conjugate_prime,
+    splitting_profile,
+)
 
 __all__ = [
     "LogVector",

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CycInt, check_exact, reduction_matrix
+from .cyclotomic import CycInt, check_exact, max_reduction, reduction_matrix
 from .matrices import (
     LogMatrix,
     LogVector,
@@ -94,8 +94,8 @@ def index_digits(indices, k: int, length: int) -> np.ndarray:
 
 def _verdict_bound(n: int, k: int) -> int:
     """Counts are at most n and one entry's k autocorrelations sum to n**2, so no
-    reduced coefficient of the verdicts passes max|reduction_matrix(k)| n**2."""
-    return int(np.abs(reduction_matrix(k)).max()) * n * n
+    reduced coefficient of the verdicts passes max_reduction(k) n**2."""
+    return max_reduction(k) * n * n
 
 
 def _verdicts(counts: np.ndarray, x: np.ndarray, k: int) -> tuple[np.ndarray, ...]:

@@ -20,14 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bent import BentCertificate, check_bent
-from .matrices import (
-    LogMatrix,
-    LogVector,
-    counts_match,
-    product_counts,
-    row_counts,
-    verify_hadamard,
-)
+from .matrices import LogMatrix, LogVector, counts_match, product_counts, row_counts, verify_hadamard
 from .numtheory import is_prime
 
 
@@ -57,10 +50,6 @@ class BushMatrix:
     @property
     def order(self) -> int:
         return self.base.order
-
-    def block(self, i: int, j: int) -> LogMatrix:
-        n = self.block_size
-        return LogMatrix(self.phase, self.base.entries[i * n : (i + 1) * n, j * n : (j + 1) * n])
 
     def __repr__(self) -> str:
         return f"BushMatrix(order={self.order}, phase={self.phase}, block_size={self.block_size})"

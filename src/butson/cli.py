@@ -61,7 +61,7 @@ from .matrices import (
     unitary_order,
     verify_hadamard,
 )
-from .numtheory import bent_obstructions
+from .numtheory import bent_obstructions, is_prime
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -215,11 +215,8 @@ def _cmd_covering_radius(args) -> int:
     else:
         result = covering_radius(code, "sampled", samples=args.sample, seed=args.seed)
     upper = None
-    if matrix is not None and matrix.phase % 2 == 1 and matrix.phase > 1:
-        try:
-            upper = leducq_upper_bound(matrix.order, matrix.phase)
-        except ValueError:
-            upper = None
+    if matrix is not None and matrix.phase > 2 and is_prime(matrix.phase):
+        upper = leducq_upper_bound(matrix.order, matrix.phase)
     lower = None
     if matrix is not None and matrix.phase == 3 and args.bent_vector is not None:
         lower = bent_lower_bound(matrix, read_vector(args.bent_vector)).bound
@@ -458,13 +455,7 @@ def main(argv=None) -> int:
         # the reader closed stdout (`| head`): a normal end; devnull takes the final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except FileFormatError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (OSError, ValueError) as e:  # FileFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

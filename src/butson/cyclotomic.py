@@ -102,22 +102,35 @@ def reduction_matrix(k: int) -> np.ndarray:
     """The k x phi(k) integer matrix of _reduction_rows, for batched reductions.
 
     Reducing a batch of coefficient rows C (shape (..., k)) is C @ reduction_matrix(k);
-    check_exact decides whether a dtype holds the result exactly.
+    max_reduction bounds the result and check_exact decides whether a dtype holds it.
     """
     m = np.array(_reduction_rows(k), dtype=np.int64)
     m.flags.writeable = False
     return m
 
 
+@lru_cache(maxsize=None)
+def max_reduction(k: int) -> int:
+    """max|reduction_matrix(k)|: reducing coefficients whose magnitudes sum to s
+    gives no coefficient past max_reduction(k) * s."""
+    return int(np.abs(reduction_matrix(k)).max())
+
+
+def exact_limit(dtype) -> int:
+    """Integers of smaller magnitude are exact in dtype: floats hold them below
+    2**(mantissa bits + 1); signed ints are held two bits short of their width
+    (2**62 for int64), which leaves headroom for one more addition."""
+    dtype = np.dtype(dtype)
+    return 2 ** (np.finfo(dtype).nmant + 1 if dtype.kind == "f" else np.iinfo(dtype).bits - 2)
+
+
 def check_exact(bound: int, dtype) -> None:
     """The one exactness guard: raise ValueError unless every integer of magnitude
-    up to bound, result or partial sum, is exact in dtype.  Floats hold integers
-    below 2**(mantissa bits + 1); signed ints are held two bits short of their
-    width (2**62 for int64), which leaves headroom for one more addition."""
-    dtype = np.dtype(dtype)
-    bits = np.finfo(dtype).nmant + 1 if dtype.kind == "f" else np.iinfo(dtype).bits - 2
-    if bound >= 2**bits:
-        raise ValueError(f"{bound} passes the exact integer range of {dtype}, 2**{bits}")
+    up to bound, result or partial sum, is below exact_limit(dtype)."""
+    limit = exact_limit(dtype)
+    if bound >= limit:
+        bits = limit.bit_length() - 1
+        raise ValueError(f"{bound} passes the exact integer range of {np.dtype(dtype)}, 2**{bits}")
 
 
 def reduce_coeffs(coeffs: Sequence[int], k: int) -> tuple[int, ...]:

@@ -10,7 +10,7 @@ One kernel, count_tensor, produces every count tensor here: A H*, A B and
 H H* alike, as k float32 matmuls of one-hot stacks, (n x kn)(kn x n) each,
 in O(k n^2) memory.  Every count is at most the row width n, so the matmuls
 are exact integer arithmetic while n < 2**24, and reducing a count tensor
-in int64 is exact while max|reduction_matrix(k)| * n < 2**62; the kernel
+in int64 is exact while max_reduction(k) * n < 2**62; the kernel
 raises ValueError outside those bounds through cyclotomic.check_exact.
 row_counts is the one per-row bincount, for check_bent's single product
 Hx and the Bush block sums.  counts_match is the one way to compare a count
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycInt, check_exact, reduction_matrix
+from .cyclotomic import CycInt, check_exact, exact_limit, max_reduction, reduction_matrix
 
 
 class LogMatrix:
@@ -234,12 +234,12 @@ def count_tensor(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     the counts of (A, B) give A B*, those of (A, -B^T) give A B.  This is
     the one count kernel: k float32 matmuls of one-hot stacks, exact because
     every count is at most the row width.  Reducing an entry, whose k counts
-    sum to the width, moves no coefficient past max|reduction_matrix(k)| times
-    the width, so that is checked against int64 first.
+    sum to the width, moves no coefficient past max_reduction(k) times the
+    width, so that is checked against int64 first.
     """
     a, b = np.asarray(a), np.asarray(b)
     width = a.shape[1]
-    check_exact(int(np.abs(reduction_matrix(k)).max()) * width, np.int64)
+    check_exact(max_reduction(k) * width, np.int64)
     check_exact(width, np.float32)
     return _times_unit(_one_hot(a % k, k, np.float32), b, k)
 
@@ -342,12 +342,8 @@ def is_unbiased(a: LogMatrix, b: LogMatrix) -> CycInt | None:
 
 def _coeff_dtype(bound: int):
     """Matmul dtype for coefficients whose partial sums stay below bound in magnitude:
-    float64 while check_exact allows it (below 2**53), else Python ints."""
-    try:
-        check_exact(bound, np.float64)
-    except ValueError:
-        return object
-    return np.float64
+    float64 while that is exact (below 2**53), else Python ints."""
+    return np.float64 if bound < exact_limit(np.float64) else object
 
 
 def unitary_order(h: LogMatrix, max_t: int) -> int | None:
@@ -369,7 +365,6 @@ def unitary_order(h: LogMatrix, max_t: int) -> int | None:
     root = isqrt(n)
     square = root * root == n
     r = reduction_matrix(k)
-    r_max = int(np.abs(r).max())
     h_conj = (-h.entries.T) % k  # P H = P (H*)*
 
     def canonical(c: np.ndarray) -> np.ndarray:
@@ -381,8 +376,8 @@ def unitary_order(h: LogMatrix, max_t: int) -> int | None:
     scale = 0  # accumulated exponent: true power is p * n**scale
     for t in range(1, max_t + 1):
         if t > 1:
-            # an entry of P H sums k * n coefficients of P; reducing it scales by <= r_max
-            bound = r_max * k * n * int(np.abs(p).max())
+            # an entry of P H sums k * n coefficients of P; reducing scales it by <= max_reduction(k)
+            bound = max_reduction(k) * k * n * int(np.abs(p).max())
             left = p.transpose(0, 2, 1).astype(_coeff_dtype(bound))
             p = canonical(_times_unit(left, h_conj, k))
         # divide out a factor of n when every reduced coefficient allows it

@@ -176,9 +176,11 @@ def test_guard_fires_at_the_float_mantissa_without_allocating():
     big = int(np.abs(reduction_matrix(105)).max())
     assert big > 1
     n = isqrt((2**24 - 1) // big)
-    check_exact(big * n * n, np.float32)
-    with pytest.raises(ValueError):
-        check_exact(big * (n + 1) ** 2, np.float32)
+    check_exact(bent._verdict_bound(n, 105), np.float32)
+    with pytest.raises(ValueError, match="exact integer range"):
+        check_exact(bent._verdict_bound(n + 1, 105), np.float32)
+    with pytest.raises(ValueError, match="exact integer range"):
+        bent._verdicts(np.broadcast_to(np.float32(0), (105, n + 1, 1)), x(n + 1)[:, :1], 105)
 
 
 def test_index_range_guard_and_digits():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import butson
 from butson import matrices
 from butson.bush import bush_circulant
-from butson.cyclotomic import CycInt, check_exact, reduction_matrix
+from butson.cyclotomic import CycInt, reduction_matrix
 from butson.matrices import (
     LogMatrix,
     character_table,
@@ -66,7 +66,7 @@ def test_counts_match_compares_in_the_ring():
     assert not counts_match(np.array([[[1, 0, 0], [0, 1, 0]]]), 3, 1)  # off-diagonal zeta_3
 
 
-def test_exactness_guards_raise_before_allocating():
+def test_exactness_guards_raise_before_allocating(monkeypatch):
     # zero-stride views: neither shape costs memory, and the guards run first
     wide = np.broadcast_to(np.int8(0), (1, 2**24))
     with pytest.raises(ValueError, match=r"2\*\*24"):
@@ -75,8 +75,11 @@ def test_exactness_guards_raise_before_allocating():
     assert int(np.abs(reduction_matrix(105)).max()) == 2  # so 2 * 2**61 reaches 2**62
     with pytest.raises(ValueError, match="int64"):
         count_tensor(huge, huge, 105)
-    check_exact(2 * (2**24 - 1), np.int64)  # the widest table both bounds allow
-    check_exact(2**24 - 1, np.float32)
+    # the widest table both guards allow reaches the kernel; with zero rows only
+    # the one-hot column index (128 MiB) is allocated
+    monkeypatch.setattr(matrices, "_times_unit", lambda left, b, k: left.shape)
+    widest = np.broadcast_to(np.int8(0), (0, 2**24 - 1))
+    assert count_tensor(widest, widest, 105) == (0, 105, 2**24 - 1)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB and RLIMIT_AS is enforced on Linux")
