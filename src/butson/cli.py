@@ -409,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     strategy = p.add_mutually_exclusive_group()
     strategy.add_argument("--exact", action="store_true",
                           help="exhaustive ambient scan (the default)")
-    strategy.add_argument("--sample", type=int, default=None, metavar="N",
+    strategy.add_argument("--sample", type=_positive_int, default=None, metavar="N",
                           help="sampled lower bound from N seeded draws")
     p.add_argument("--budget", type=int, default=2**30)
     p.add_argument("--workers", type=_positive_int, default=1)

@@ -4,8 +4,12 @@ A Z_k code of length n is a nonempty set of vectors in Z_k^n.  From a
 Hadamard matrix H in log form we take R_H, the rows of L(H), and the
 translate-closed code C_H = union over alpha of (R_H + alpha 1).  The
 covering radius r(C) = max over ambient x of min over codewords of the
-Hamming distance is computed by exhaustive scan with single-coordinate
-distance updates, so each ambient vector costs O(|C|) instead of O(n |C|).
+Hamming distance is computed by an exhaustive scan in blocks.  Ambient index
+p k^s + j splits into a prefix p on the first n - s digits and a suffix j on
+the last s; one table holds the distances from all k^s suffixes to every
+codeword, so an ambient vector costs one addition and one comparison per
+codeword on top of its prefix's distances.  The sampled radius reduces blocks
+of seeded draws through the same distance kernel.
 
 Exact arithmetic backs the bound computations: the upper bound
 (q-1)n/q - sqrt(n)/q and the phase-3 lower bound ceil((2/3)(n - sqrt(n)))
@@ -27,6 +31,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .bent import check_bent, fan_out, index_digits
+from .cyclotomic import check_exact, exact_limit
 from .matrices import LogMatrix, LogVector, NotHadamardError, verify_hadamard
 from .numtheory import is_prime
 
@@ -107,43 +112,43 @@ def min_distance(c: ZkCode) -> int:
     return c._min_distance
 
 
+# (codeword, vector) pairs of one distance block: the suffix table, a block of
+# prefixes in the exhaustive scan, a block of draws in the sampled one
+_CELLS = 1 << 16
+
+
 class CoveringRadiusResult(NamedTuple):
     value: int
     exact: bool
 
 
-def _column_tables(words: np.ndarray, k: int) -> list[list[np.ndarray]]:
-    n = words.shape[1]
-    return [[(words[:, i] == v).astype(np.int64) for v in range(k)] for i in range(n)]
+def _distances(words: np.ndarray, x: np.ndarray, dtype) -> np.ndarray:
+    """(|C|, B) Hamming distances from every row of words to the B columns of x,
+    summed one coordinate at a time so no (|C|, n, B) temporary exists."""
+    out = np.zeros((words.shape[0], x.shape[1]), dtype=dtype)
+    x = x.astype(words.dtype)
+    for j in range(words.shape[1]):
+        out += words[:, j, None] != x[j]
+    return out
 
 
-def _scan_radius_range(words: np.ndarray, k: int, start: int, stop: int) -> int:
+def _scan_radius_range(start: int, stop: int, head: np.ndarray, table: np.ndarray, k: int) -> int:
     """Largest min-distance over ambient indices [start, stop), lexicographic.
 
-    The distance vector to all codewords is maintained under single-digit
-    odometer increments: changing coordinate i from a to b adjusts distances
-    by eq[i][a] - eq[i][b].  Carries touch one digit each, so the amortized
-    work per ambient vector is O(|C|).
+    Index p k^s + j has prefix p on the first n - s digits, the columns of head,
+    and suffix j on the last s, whose distances to every codeword are the
+    columns of table.  Prefixes go in blocks of at most _CELLS (codeword,
+    vector) pairs; the block's flattened indices are clipped to [start, stop).
     """
-    m, n = words.shape
-    eq = _column_tables(words, k)
-    x = index_digits([start], k, n)[:, 0]
-    digits = x.tolist()
-    dist = (words != x).sum(axis=1)
-    best = int(dist.min())
-    for _ in range(stop - start - 1):
-        i = n - 1
-        while digits[i] == k - 1:
-            dist += eq[i][k - 1]
-            dist -= eq[i][0]
-            digits[i] = 0
-            i -= 1
-        dist += eq[i][digits[i]]
-        digits[i] += 1
-        dist -= eq[i][digits[i]]
-        d = int(dist.min())
-        if d > best:
-            best = d
+    size = table.shape[1]
+    step = max(1, _CELLS // table.size)
+    last = -(-stop // size)
+    best = 0
+    for p in range(start // size, last, step):
+        prefix = index_digits(np.arange(p, min(p + step, last)), k, head.shape[1])
+        block = table[:, None, :] + _distances(head, prefix, table.dtype)[:, :, None]
+        mins = block.min(axis=0).reshape(-1)[max(start - p * size, 0) : stop - p * size]
+        best = max(best, int(mins.max()))
     return best
 
 
@@ -164,26 +169,33 @@ def covering_radius(
     seeded generator and returns the largest observed min-distance, which is
     a lower bound on the radius and is flagged exact=False.  Multi-worker
     scans partition the ambient space into contiguous index ranges and reduce
-    by max, so the result does not depend on the worker count.
+    by max, so the result does not depend on the worker count.  Distances and
+    their sums are at most length, held in int16 or int32 under check_exact.
     """
     k, n = c.modulus, c.length
+    dtype = np.int16 if n < exact_limit(np.int16) else np.int32
+    check_exact(n, dtype)
+    words = c.word_array().astype(np.min_scalar_type(k - 1))
     if strategy == "exhaustive":
         total = k**n
         if total > budget:
             raise BudgetExceededError(
                 f"ambient space {k}^{n} = {total} vectors exceeds budget {budget}"
             )
-        value = max(fan_out(partial(_scan_radius_range, c.word_array(), k), total, workers))
-        return CoveringRadiusResult(value, True)
+        s = max((s for s in range(n + 1) if len(words) * k**s <= _CELLS), default=0)
+        table = _distances(words[:, n - s :], index_digits(np.arange(k**s), k, s), dtype)
+        scan = partial(_scan_radius_range, head=words[:, : n - s], table=table, k=k)
+        return CoveringRadiusResult(max(fan_out(scan, total, workers)), True)
     if strategy == "sampled":
+        if samples < 1:
+            raise ValueError(f"samples must be positive, got {samples}")
         rng = random.Random(seed)
-        words = c.word_array()
+        step = max(1, _CELLS // len(words))
         best = 0
-        for _ in range(samples):
-            x = np.array([rng.randrange(k) for _ in range(n)], dtype=np.int64)
-            d = int((words != x).sum(axis=1).min())
-            if d > best:
-                best = d
+        for lo in range(0, samples, step):
+            draws = [rng.randrange(k) for _ in range(min(step, samples - lo) * n)]
+            x = np.array(draws).reshape(-1, n).T
+            best = max(best, int(_distances(words, x, dtype).min(axis=0).max()))
         return CoveringRadiusResult(best, False)
     raise ValueError(f"unknown strategy {strategy!r}; use 'exhaustive' or 'sampled'")
 
@@ -265,11 +277,12 @@ def _ceil_two_thirds_gap(n: int) -> int:
 
 
 class BentBound(NamedTuple):
-    """Lower bound on r(C_H) from a bent vector, with the exact distance
-    from the vector to every codeword of C_H."""
+    """Lower bound on r(C_H) from a bent vector x, with the witness -x and its
+    exact distance to every codeword of C_H."""
 
     bound: int
     distances: tuple[int, ...]
+    witness: tuple[int, ...]
 
     @property
     def min_distance(self) -> int:
@@ -279,12 +292,13 @@ class BentBound(NamedTuple):
 def bent_lower_bound(h: LogMatrix, x: LogVector) -> BentBound:
     """Certified lower bound ceil((2/3)(n - sqrt(n))) <= r(C_H) for phase 3.
 
-    A bent vector has |<x, r>|^2 = n against every row r, hence against every
-    word of C_H (translates only rotate the inner product by a root of
-    unity), so R<x, r> <= sqrt(n) and the distance identity puts x at
-    distance at least (2/3)(n - sqrt(n)) from the whole code.  The returned
-    distances are computed through the exact rational real parts, one per
-    codeword of C_H in code order.
+    Entry i of Hx is sum_j zeta^(h_ij + x_j) = <r_i, -x> for row r_i, so a bent
+    x has |<r, -x>|^2 = n against every row, hence against every word of C_H
+    (translates only rotate the inner product by a root of unity).  Then
+    R<w, -x> <= sqrt(n) and the distance identity puts the witness -x at
+    distance at least (2/3)(n - sqrt(n)) from the whole code.  x itself can be
+    a codeword.  The returned distances are from the witness, computed through
+    the exact rational real parts, one per codeword of C_H in code order.
     """
     if h.phase != 3:
         raise ValueError(f"the distance identity needs phase 3, got {h.phase}")
@@ -293,8 +307,9 @@ def bent_lower_bound(h: LogMatrix, x: LogVector) -> BentBound:
         raise ValueError("x is not a bent vector for h")
     n = h.order
     _, c_code = code_from_matrix(h)
-    distances = tuple(ternary_distance(x.entries, w) for w in c_code.words)
-    return BentBound(_ceil_two_thirds_gap(n), distances)
+    witness = tuple(-e % 3 for e in x.entries)
+    distances = tuple(ternary_distance(witness, w) for w in c_code.words)
+    return BentBound(_ceil_two_thirds_gap(n), distances, witness)
 
 
 def is_self_complementary(c: ZkCode) -> bool:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from butson.bent import _MODES, ksw_vector
 from butson.cli import _build_parser, main
 from butson.fileio import read_matrix, read_vector, write_matrix, write_vector
@@ -179,6 +181,13 @@ def test_covering_radius_sampled_is_seed_reproducible(capsys, tmp_path):
     payload = json.loads(jout)
     assert payload["exact"] is False
     assert payload["radius_or_bound"] <= 5
+
+
+@pytest.mark.parametrize("count", ["0", "-5", "two"])
+def test_covering_radius_sample_count_must_be_positive(capsys, count):
+    code, out, err = run(capsys, ["covering-radius", "--rm", "2,2", "--sample", count])
+    assert code == 2 and out == ""
+    assert "usage:" in err and "--sample" in err
 
 
 def test_covering_radius_source_flags_are_exclusive(capsys, tmp_path):

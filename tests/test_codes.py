@@ -1,15 +1,19 @@
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 from functools import lru_cache
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import covering_radius_brute
 
+from butson import codes
 from butson.codes import (
     BentBound,
     BudgetExceededError,
@@ -185,6 +189,103 @@ def test_covering_radius_sampled_lower_bound():
         pass
 
 
+def test_covering_radius_sampled_rejects_a_non_positive_count():
+    c = ZkCode(3, [(0, 1, 2)])
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            covering_radius(c, "sampled", samples=samples)
+
+
+# the largest n per modulus keeps k**n <= 4096 for the brute-force oracle
+_MAX_LENGTH = {2: 7, 3: 7, 4: 6, 5: 5}
+
+
+@st.composite
+def _code_and_cells(draw):
+    """A small code and a distance-block cap that fixes the suffix length s, 0 <= s <= n."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, _MAX_LENGTH[k]))
+    word = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    c = ZkCode(k, draw(st.lists(word, min_size=1, max_size=12)))
+    s = draw(st.integers(0, n))
+    table = len(c) * k**s
+    cells = table + draw(st.integers(0, table * (k - 1) - 1 if s < n else 4 * table))
+    return c, s, cells
+
+
+def _min_distances(c: ZkCode) -> np.ndarray:
+    """Min distance to c of every ambient vector, in index (lexicographic) order."""
+    ambient = np.array(list(itertools.product(range(c.modulus), repeat=c.length)))
+    return (ambient[:, None, :] != c.word_array()[None]).sum(axis=2).min(axis=1)
+
+
+def _sampled_loop(c: ZkCode, samples: int, seed: int) -> int:
+    """The per-draw loop the blocked sampler replaced."""
+    rng = random.Random(seed)
+    words = c.word_array()
+    best = 0
+    for _ in range(samples):
+        x = np.array([rng.randrange(c.modulus) for _ in range(c.length)], dtype=np.int64)
+        best = max(best, int((words != x).sum(axis=1).min()))
+    return best
+
+
+@settings(max_examples=60, deadline=None)
+@given(_code_and_cells(), st.data())
+def test_blocked_scan_matches_brute_force(case, data):
+    c, s, cells = case
+    k, n = c.modulus, c.length
+    total = k**n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "_CELLS", cells)
+        assert covering_radius(c) == (covering_radius_brute(c.words, k), True)
+        scans = []
+        mp.setattr(codes, "fan_out", lambda scan, total, workers: scans.append(scan) or [0])
+        covering_radius(c)
+        scan = scans[0]
+        assert scan.keywords["table"].shape == (len(c), k**s)
+        # the range scan on arbitrary bounds, aligned to k**s or not
+        mins = _min_distances(c)
+        for _ in range(3):
+            start = data.draw(st.integers(0, total - 1))
+            stop = data.draw(st.integers(start + 1, total))
+            assert scan(start, stop) == mins[start:stop].max()
+        for seed in range(3):
+            samples = data.draw(st.integers(1, 40))
+            got = covering_radius(c, "sampled", samples=samples, seed=seed)
+            assert got == (_sampled_loop(c, samples, seed), False)
+
+
+@settings(max_examples=8, deadline=None)
+@given(_code_and_cells())
+def test_blocked_scan_is_the_same_at_two_workers(case):
+    c, _, cells = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "_CELLS", cells)
+        assert covering_radius(c, workers=2) == covering_radius(c, workers=1)
+
+
+def test_distance_dtype_is_guarded_before_any_allocation(monkeypatch):
+    # zero-row, zero-stride words: the guard reads only the length, and a length it
+    # lets through gets as far as the strategy check without allocating
+    def stub(n):
+        return SimpleNamespace(modulus=2, length=n,
+                               word_array=lambda: np.broadcast_to(np.int64(0), (0, n)))
+    for strategy in ("exhaustive", "sampled"):
+        with pytest.raises(ValueError, match=r"int32, 2\*\*30"):
+            covering_radius(stub(2**30), strategy)
+    with pytest.raises(ValueError, match="unknown strategy"):
+        covering_radius(stub(2**30 - 1), "guess")
+    # distances stay int16 while the length is below its exact range
+    seen = []
+    distances = codes._distances
+    monkeypatch.setattr(codes, "_distances",
+                        lambda words, x, dtype: seen.append(dtype) or distances(words, x, dtype))
+    for n in (2**14 - 1, 2**14):
+        covering_radius(ZkCode(2, [(0,) * n]), "sampled", samples=1)
+    assert seen == [np.int16, np.int32]
+
+
 def test_leducq_upper_bound_values():
     b9 = leducq_upper_bound(9, 3)
     assert b9.floor == 5
@@ -244,8 +345,9 @@ def test_bent_lower_bound_f9():
     assert bound.min_distance >= 4
     _, c_code = code_from_matrix(h)
     assert len(bound.distances) == len(c_code)
+    assert bound.witness == tuple(-e % 3 for e in x.entries)
     for d, w in zip(bound.distances, c_code.words):
-        assert d == hamming_distance(x.entries, w)
+        assert d == hamming_distance(bound.witness, w)
 
 
 def test_bent_lower_bound_sandwich():
@@ -288,7 +390,20 @@ def test_bent_lower_bound_distances_are_hamming_distances(case):
     h, x = case
     _, c_code = code_from_matrix(h)
     got = bent_lower_bound(h, x)
-    assert got.distances == tuple(hamming_distance(x.entries, w) for w in c_code.words)
+    assert got.distances == tuple(hamming_distance(got.witness, w) for w in c_code.words)
+    assert got.min_distance >= got.bound
+
+
+def test_bent_lower_bound_witness_is_the_negated_vector():
+    # F(C_3) with its last column times zeta: x = (0, 0, 1) is bent and is itself a
+    # word of C_H, while -x lies at distance >= the bound from the whole code
+    h = LogMatrix(3, [[0, 0, 1], [0, 1, 0], [0, 2, 2]])
+    x = LogVector(3, (0, 0, 1))
+    _, c_code = code_from_matrix(h)
+    assert x.entries in c_code
+    got = bent_lower_bound(h, x)
+    assert got.witness == (0, 0, 2)
+    assert got.bound == 1 and got.min_distance == 1
 
 
 def test_bent_lower_bound_rejections():
