@@ -8,14 +8,14 @@ non-square n, so instead of the norm-1 scalar itself the certificate stores
 the cyclotomic integer (Hx)_i conj(x_i) (or (Hx)_i x_i), whose constancy
 across i is the defining identity and whose norm must be n.
 
-The search enumerates candidates as base-k counters, most significant digit
-first, and certifies them in batches: a fixed (k n, k n) incidence matrix of
-H times the batch's one-hot stack gives the exponent counts of every entry of
-every Hx in one float32 matmul, and _verdicts reduces their autocorrelations
-exactly (cyclotomic.check_exact bounds the range); check_bent runs the same
-verdicts on a batch of one.  fan_out, shared with the covering-radius scan,
-runs index chunks inline or over one pool and merges by index, so output is
-identical for every worker count.
+Every exhaustive scan of Z_k^n, here and in codes, sums a table contrib[j, v,
+f], what x_j = v adds to output f, over prefix blocks and a suffix table
+(suffix_table, digit_blocks).  The search's sums are the exponent counts of
+every entry of Hx, and _verdicts reduces their autocorrelations exactly
+(cyclotomic.check_exact bounds the range); check_bent runs the same verdicts
+on a batch of one.  fan_out, shared with the covering-radius scan, runs index
+chunks inline or over one pool and merges by index, so output is identical
+for every worker count.
 """
 
 from __future__ import annotations
@@ -44,10 +44,7 @@ from .matrices import (
 from .numtheory import dual_entry_ambient_phase, is_self_conjugate
 
 _MODES = ("any", "self_dual", "conjugate_self_dual")
-# Multiply-adds of one batch's count matmul: OpenBLAS keeps a matmul this small on
-# one thread (threaded ones in pool workers oversubscribe the CPUs and stall), and
-# each array of a batch stays below 2**20 / n bytes.
-_BATCH_MACS = 1 << 18
+_CELLS = 1 << 16  # cells of one block of digit sums and of the suffix table, times their weight
 _CHUNK_MIN, _CHUNK_CAP = 1 << 10, 1 << 16  # fan_out chunk: worth a pool round trip, quick to stream
 
 
@@ -90,6 +87,44 @@ def index_digits(indices, k: int, length: int) -> np.ndarray:
     (length, len(indices)).  Place values past int64 clamp to its maximum, quotient 0."""
     places = [min(k**p, 2**63 - 1) for p in range(length - 1, -1, -1)]
     return np.asarray(indices, dtype=np.int64)[None, :] // np.array(places, dtype=np.int64)[:, None] % k
+
+
+def block_size(cells: int, weight: int = 1) -> int:
+    """How many times `cells` sums fit in _CELLS when each sum weighs `weight` cells (at least 1)."""
+    return max(1, _CELLS // (weight * cells))
+
+
+def digit_sum(contrib: np.ndarray, x: np.ndarray, dtype) -> np.ndarray:
+    """(F, B) sums over j of contrib[j, x[j, b]], added one coordinate at a time
+    as gathered (B, F) rows, the fastest way, with no (n, F, B) temporary."""
+    out = np.zeros((x.shape[1], contrib.shape[2]), dtype=dtype)
+    for j, row in enumerate(x):
+        out += contrib[j].take(row, axis=0)
+    return out.T.copy()
+
+
+def suffix_table(contrib: np.ndarray, dtype, weight: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """(head, table): contrib of the first n - s coordinates, and the (F, k**s) digit
+    sums of every suffix on the last s, for the largest s with k**s <= block_size(F, weight)."""
+    n, k, f = contrib.shape
+    fit = block_size(f, weight)
+    s = max(s for s in range(n + 1) if k**s <= fit)
+    return contrib[: n - s], digit_sum(contrib[n - s :], index_digits(np.arange(k**s), k, s), dtype)
+
+
+def digit_blocks(start: int, stop: int, head: np.ndarray, table: np.ndarray,
+                 weight: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+    """(first index, (F, B) digit sums) of blocks of indices [start, stop), in order.
+    Index p k**s + j sums prefix p on the digits of head and column j of table; a
+    block takes at most block_size whole prefixes and is clipped to [start, stop)."""
+    size = table.shape[1]
+    step = block_size(table.size, weight)
+    last = -(-stop // size)
+    for p in range(start // size, last, step):
+        prefix = index_digits(np.arange(p, min(p + step, last)), head.shape[1], head.shape[0])
+        sums = (digit_sum(head, prefix, table.dtype)[:, :, None] + table[:, None, :]).reshape(len(table), -1)
+        lo = max(start, p * size)
+        yield lo, sums[:, lo - p * size : stop - p * size]
 
 
 def _verdict_bound(n: int, k: int) -> int:
@@ -241,39 +276,29 @@ def fan_out(scan, total: int, workers: int = 1) -> Iterator:
         yield from pool.imap(_run_chunk, bounds)
 
 
-def _incidence(h: LogMatrix) -> np.ndarray:
-    """(k n, k n) float32 0/1 matrix M with M @ one_hot(x) = the exponent counts of Hx.
-
-    Entry ((t, i), (s, j)) is 1 iff h[i, j] + s = t mod k: a coordinate
-    x_j = s puts the term zeta^(h[i, j] + s) into row i.
-    """
+def _count_table(h: LogMatrix) -> np.ndarray:
+    """float32 contrib[j, v, (t, i)] = [h_ij + v = t mod k]: x_j = v puts zeta^t into
+    (Hx)_i, so the digit sums of x are the (k, n) exponent counts of Hx."""
     k, n = h.phase, h.order
-    inc = np.zeros((k, n, k, n), dtype=np.float32)
-    i, s, j = np.ix_(np.arange(n), np.arange(k), np.arange(n))
-    inc[(h.entries[i, j] + s) % k, i, s, j] = 1
-    return inc.reshape(k * n, k * n)
+    s = np.arange(k)
+    contrib = (h.entries.T[:, None, None, :] + s[:, None, None]) % k == s[:, None]
+    return contrib.astype(np.float32).reshape(n, k, k * n)
 
 
-def _batch_counts(inc: np.ndarray, x: np.ndarray, k: int) -> np.ndarray:
-    """counts[t, i, b] of the candidates x[:, b]: one float32 matmul, exact as counts are at most n."""
-    one_hot = (x == np.arange(k)[:, None, None]).astype(np.float32).reshape(inc.shape[1], -1)
-    return (inc @ one_hot).reshape(k, x.shape[0], -1)
-
-
-def _scan_bent(start: int, stop: int, inc: np.ndarray, k: int, flag: int, memo: dict) -> list:
-    """Hits among candidate indices [start, stop), certified in batches of at most _BATCH_MACS."""
-    n = inc.shape[0] // k
-    step = max(1, _BATCH_MACS // inc.size)
+def _scan_bent(start: int, stop: int, head: np.ndarray, table: np.ndarray, flag: int, memo: dict) -> list:
+    """Hits among candidate indices [start, stop), certified one block of counts at a
+    time.  Blocks and the table weigh k cells per count: _verdicts makes k products of each."""
+    k = head.shape[1]
+    n = len(table) // k
     hits = []
-    for lo in range(start, stop, step):
-        index = np.arange(lo, min(lo + step, stop), dtype=np.int64)
-        x = index_digits(index, k, n)
-        counts = _batch_counts(inc, x, k)
+    for lo, sums in digit_blocks(start, stop, head, table, k):
+        counts = sums.reshape(k, n, -1)
+        x = index_digits(np.arange(lo, lo + counts.shape[2]), k, n)
         flags = _verdicts(counts, x, k)
         for b in np.flatnonzero(flags[flag]):
             vector = tuple(x[:, b].tolist())
             cert = _build_certificate(k, n, vector, counts[:, :, b], [f[b] for f in flags], memo)
-            hits.append(SearchHit(int(index[b]), LogVector(k, vector), cert))
+            hits.append(SearchHit(lo + int(b), LogVector(k, vector), cert))
     return hits
 
 
@@ -301,7 +326,8 @@ def search_bent(h: LogMatrix, mode: str = "any", budget: int | None = None,
     if total >= 2**63:
         raise ValueError(f"{total} candidates pass the int64 index range; give a budget")
     check_exact(_verdict_bound(n, k), np.float32)
-    scan = partial(_scan_bent, inc=_incidence(h), k=k, flag=_MODES.index(mode), memo={})
+    head, table = suffix_table(_count_table(h), np.float32, k)
+    scan = partial(_scan_bent, head=head, table=table, flag=_MODES.index(mode), memo={})
     for hits in fan_out(scan, total, workers):
         yield from hits
 

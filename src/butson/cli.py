@@ -12,7 +12,10 @@ Subcommands
 
 Exit codes: 0 on success, 1 when a mathematical check comes out false
 (verification fails, an obstruction fires, no order found), 2 on usage or
-I/O errors.  All numeric output is exact; rationals are rendered as a/b.
+I/O errors and on input that fails a command's precondition: a non-Hadamard
+matrix exits 1 from verify, which decides that property, and 2 from
+bent-check, bent-search, order and covering-radius --code-from, which need
+it.  All numeric output is exact; rationals are rendered as a/b.
 Given a fixed seed and inputs, output bytes are reproducible, including
 under --workers changes.
 """

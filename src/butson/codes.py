@@ -4,12 +4,11 @@ A Z_k code of length n is a nonempty set of vectors in Z_k^n.  From a
 Hadamard matrix H in log form we take R_H, the rows of L(H), and the
 translate-closed code C_H = union over alpha of (R_H + alpha 1).  The
 covering radius r(C) = max over ambient x of min over codewords of the
-Hamming distance is computed by an exhaustive scan in blocks.  Ambient index
-p k^s + j splits into a prefix p on the first n - s digits and a suffix j on
-the last s; one table holds the distances from all k^s suffixes to every
-codeword, so an ambient vector costs one addition and one comparison per
-codeword on top of its prefix's distances.  The sampled radius reduces blocks
-of seeded draws through the same distance kernel.
+Hamming distance is computed by an exhaustive scan through the digit-sum
+kernel of bent: coordinate j with value v adds [w_j != v] to the distance of
+every codeword w, so an ambient vector costs one addition and one comparison
+per codeword on top of its prefix's distances.  The sampled radius sums the
+same table over blocks of seeded draws.
 
 Exact arithmetic backs the bound computations: the upper bound
 (q-1)n/q - sqrt(n)/q and the phase-3 lower bound ceil((2/3)(n - sqrt(n)))
@@ -30,7 +29,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .bent import check_bent, fan_out, index_digits
+from .bent import block_size, check_bent, digit_blocks, digit_sum, fan_out, index_digits, suffix_table
 from .cyclotomic import check_exact, exact_limit
 from .matrices import LogMatrix, LogVector, NotHadamardError, verify_hadamard
 from .numtheory import is_prime
@@ -112,44 +111,14 @@ def min_distance(c: ZkCode) -> int:
     return c._min_distance
 
 
-# (codeword, vector) pairs of one distance block: the suffix table, a block of
-# prefixes in the exhaustive scan, a block of draws in the sampled one
-_CELLS = 1 << 16
-
-
 class CoveringRadiusResult(NamedTuple):
     value: int
     exact: bool
 
 
-def _distances(words: np.ndarray, x: np.ndarray, dtype) -> np.ndarray:
-    """(|C|, B) Hamming distances from every row of words to the B columns of x,
-    summed one coordinate at a time so no (|C|, n, B) temporary exists."""
-    out = np.zeros((words.shape[0], x.shape[1]), dtype=dtype)
-    x = x.astype(words.dtype)
-    for j in range(words.shape[1]):
-        out += words[:, j, None] != x[j]
-    return out
-
-
-def _scan_radius_range(start: int, stop: int, head: np.ndarray, table: np.ndarray, k: int) -> int:
-    """Largest min-distance over ambient indices [start, stop), lexicographic.
-
-    Index p k^s + j has prefix p on the first n - s digits, the columns of head,
-    and suffix j on the last s, whose distances to every codeword are the
-    columns of table.  Prefixes go in blocks of at most _CELLS (codeword,
-    vector) pairs; the block's flattened indices are clipped to [start, stop).
-    """
-    size = table.shape[1]
-    step = max(1, _CELLS // table.size)
-    last = -(-stop // size)
-    best = 0
-    for p in range(start // size, last, step):
-        prefix = index_digits(np.arange(p, min(p + step, last)), k, head.shape[1])
-        block = table[:, None, :] + _distances(head, prefix, table.dtype)[:, :, None]
-        mins = block.min(axis=0).reshape(-1)[max(start - p * size, 0) : stop - p * size]
-        best = max(best, int(mins.max()))
-    return best
+def _scan_radius_range(start: int, stop: int, head: np.ndarray, table: np.ndarray) -> int:
+    """Largest min-distance over ambient indices [start, stop), lexicographic."""
+    return max(int(sums.min(axis=0).max()) for _, sums in digit_blocks(start, stop, head, table))
 
 
 def covering_radius(
@@ -175,27 +144,27 @@ def covering_radius(
     k, n = c.modulus, c.length
     dtype = np.int16 if n < exact_limit(np.int16) else np.int32
     check_exact(n, dtype)
-    words = c.word_array().astype(np.min_scalar_type(k - 1))
+    # contrib[j, v, w] = [w_j != v]: the distance coordinate j adds to codeword w
+    contrib = (c.word_array().T[:, None, :] != np.arange(k)[:, None]).astype(dtype)
     if strategy == "exhaustive":
         total = k**n
         if total > budget:
             raise BudgetExceededError(
                 f"ambient space {k}^{n} = {total} vectors exceeds budget {budget}"
             )
-        s = max((s for s in range(n + 1) if len(words) * k**s <= _CELLS), default=0)
-        table = _distances(words[:, n - s :], index_digits(np.arange(k**s), k, s), dtype)
-        scan = partial(_scan_radius_range, head=words[:, : n - s], table=table, k=k)
+        head, table = suffix_table(contrib, dtype)
+        scan = partial(_scan_radius_range, head=head, table=table)
         return CoveringRadiusResult(max(fan_out(scan, total, workers)), True)
     if strategy == "sampled":
         if samples < 1:
             raise ValueError(f"samples must be positive, got {samples}")
         rng = random.Random(seed)
-        step = max(1, _CELLS // len(words))
+        step = block_size(len(c))
         best = 0
         for lo in range(0, samples, step):
             draws = [rng.randrange(k) for _ in range(min(step, samples - lo) * n)]
             x = np.array(draws).reshape(-1, n).T
-            best = max(best, int(_distances(words, x, dtype).min(axis=0).max()))
+            best = max(best, int(digit_sum(contrib, x, dtype).min(axis=0).max()))
         return CoveringRadiusResult(best, False)
     raise ValueError(f"unknown strategy {strategy!r}; use 'exhaustive' or 'sampled'")
 

@@ -1,6 +1,7 @@
-"""The batched bent-certificate kernel and the fan_out driver: exactness
-against a CycInt loop and the float oracle, batch and chunk boundaries,
-worker invariance, the exactness guards and the bent-search CLI contract."""
+"""The batched bent-certificate kernel, the digit-sum kernel and the fan_out
+driver: exactness against a CycInt loop, brute-force sums and the float oracle,
+block and chunk boundaries, worker invariance, the exactness guards and the
+bent-search CLI contract."""
 
 from __future__ import annotations
 
@@ -94,7 +95,7 @@ def test_batched_kernel_matches_ring_reference_and_float_oracle(case):
     h, xs = case
     k, n = h.phase, h.order
     x = np.array(xs, dtype=np.int64).T  # candidates are columns
-    counts = bent._batch_counts(bent._incidence(h), x, k)
+    counts = bent.digit_sum(bent._count_table(h), x, np.float32).reshape(k, n, -1)
     flags = bent._verdicts(counts, x, k)
     hx = unit_matrix(h.entries, k) @ unit_matrix(x, k)  # column b is H x_b in floats
     for b, vec in enumerate(xs):
@@ -110,6 +111,45 @@ def test_batched_kernel_matches_ring_reference_and_float_oracle(case):
         assert cert.dual == tuple(z)
 
 
+@st.composite
+def _table_and_cap(draw):
+    """A small contribution table, a block weight, and a _CELLS cap that fixes the
+    suffix length s, 0 <= s <= n."""
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, {2: 8, 3: 5, 4: 4}[k]))
+    f = draw(st.integers(1, 5))
+    weight = draw(st.integers(1, 3))
+    cells = st.lists(st.integers(-50, 50), min_size=n * k * f, max_size=n * k * f)
+    contrib = np.array(draw(cells), dtype=np.int64).reshape(n, k, f)
+    s = draw(st.integers(0, n))
+    table = weight * f * k**s
+    cap = table + draw(st.integers(0, table * (k - 1) - 1 if s < n else 4 * table))
+    return contrib, weight, s, cap
+
+
+@settings(max_examples=150, deadline=None)
+@given(_table_and_cap(), st.data())
+def test_digit_blocks_tile_the_range_with_brute_force_sums(case, data):
+    contrib, weight, s, cap = case
+    n, k, f = contrib.shape
+    start = data.draw(st.integers(0, k**n - 1))
+    stop = data.draw(st.integers(start + 1, k**n))
+    x = index_digits(np.arange(k**n), k, n)
+    brute = contrib[np.arange(n)[:, None], x].sum(axis=0).T  # column i: sum_j contrib[j, x_j] of index i
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bent, "_CELLS", cap)
+        head, table = bent.suffix_table(contrib, np.int64, weight)
+        assert len(head) == n - s and table.shape == (f, k**s) and table.dtype == np.int64
+        tail = np.arange(n - s, n)[:, None]  # the last s coordinates of the indices below k**s
+        assert (table == contrib[tail, x[n - s :, : k**s]].sum(axis=0).T).all()
+        at = start
+        for first, sums in bent.digit_blocks(start, stop, head, table, weight):
+            assert first == at and 1 <= sums.shape[1] <= bent.block_size(table.size, weight) * k**s
+            assert (sums == brute[:, at : at + sums.shape[1]]).all()
+            at += sums.shape[1]
+        assert at == stop
+
+
 def test_ksw_search_hits_match_check_bent():
     h = character_table([3, 3])
     hits = list(search_bent(h, mode="conjugate_self_dual", workers=2))
@@ -122,7 +162,8 @@ def test_ksw_search_hits_match_check_bent():
 @pytest.mark.parametrize("mode", ["any", "conjugate_self_dual"])
 def test_budgets_off_the_batch_grid(mode):
     h = character_table([3, 3])
-    step = bent._BATCH_MACS // (3 * 9) ** 2
+    _, table = bent.suffix_table(bent._count_table(h), np.float32, 3)
+    step = bent.block_size(table.size, 3) * table.shape[1]  # candidates of one block
     full = list(search_bent(h, mode=mode))
     for budget in (1, step - 1, step, step + 1, 2 * step + 1, 3**8 - 1, 3**9 - 1):
         want = [hit for hit in full if hit.index < budget]
@@ -147,7 +188,7 @@ def test_hit_streams_byte_identical_across_workers(capsys, tmp_path, orders, mod
 
 
 def test_two_matrices_in_one_process():
-    # same n and k, different incidence: nothing may carry over between searches
+    # same n and k, different count table: nothing may carry over between searches
     first = character_table([3, 3])
     second = first.monomial_transform([1, 0, 2, 3, 4, 5, 6, 7, 8], [0, 1, 0, 2, 0, 0, 1, 0, 0],
                                       [0, 1, 2, 3, 4, 5, 6, 8, 7], [2, 0, 0, 0, 1, 0, 0, 0, 0])

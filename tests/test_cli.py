@@ -264,3 +264,29 @@ def test_parser_defaults_to_one_worker_and_takes_the_search_modes():
     assert parser.parse_args(["covering-radius", "--rm", "3,2"]).workers == 1
     for mode in _MODES:
         assert parser.parse_args(["bent-search", "m.bh", "--mode", mode]).mode == mode
+
+
+NOT_HADAMARD = "BH 3 3\n0 0 0\n0 1 2\n0 2 2\n"  # rows 1 and 2 are not orthogonal
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["bent-check", "h.bh", "x.vec"], 2),
+    (["bent-search", "h.bh"], 2),
+    (["order", "h.bh"], 2),
+    (["covering-radius", "--code-from", "h.bh"], 2),
+    (["verify", "hadamard", "h.bh"], 1),
+    (["verify", "bush", "h.bh"], 1),
+    (["verify", "unbiased", "h.bh", "h.bh"], 1),
+])
+def test_exit_code_of_a_non_hadamard_matrix(capsys, tmp_path, argv, code):
+    # a verify subcommand decides the property (1 when false); the others need a
+    # Butson Hadamard matrix as a precondition and reject any other input (2)
+    files = {"h.bh": NOT_HADAMARD, "x.vec": "VEC 3 3\n0 0 0\n"}
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    got, out, err = run(capsys, [str(tmp_path / a) if a in files else a for a in argv])
+    assert got == code
+    if code == 1:
+        assert ": false" in out and not err
+    else:
+        assert not out and err.startswith("error: ")

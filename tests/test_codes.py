@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from oracles import covering_radius_brute
 
-from butson import codes
+from butson import bent, codes
 from butson.codes import (
     BentBound,
     BudgetExceededError,
@@ -237,7 +237,7 @@ def test_blocked_scan_matches_brute_force(case, data):
     k, n = c.modulus, c.length
     total = k**n
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "_CELLS", cells)
+        mp.setattr(bent, "_CELLS", cells)
         assert covering_radius(c) == (covering_radius_brute(c.words, k), True)
         scans = []
         mp.setattr(codes, "fan_out", lambda scan, total, workers: scans.append(scan) or [0])
@@ -261,7 +261,7 @@ def test_blocked_scan_matches_brute_force(case, data):
 def test_blocked_scan_is_the_same_at_two_workers(case):
     c, _, cells = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(codes, "_CELLS", cells)
+        mp.setattr(bent, "_CELLS", cells)
         assert covering_radius(c, workers=2) == covering_radius(c, workers=1)
 
 
@@ -278,9 +278,9 @@ def test_distance_dtype_is_guarded_before_any_allocation(monkeypatch):
         covering_radius(stub(2**30 - 1), "guess")
     # distances stay int16 while the length is below its exact range
     seen = []
-    distances = codes._distances
-    monkeypatch.setattr(codes, "_distances",
-                        lambda words, x, dtype: seen.append(dtype) or distances(words, x, dtype))
+    digit_sum = codes.digit_sum
+    monkeypatch.setattr(codes, "digit_sum",
+                        lambda contrib, x, dtype: seen.append(dtype) or digit_sum(contrib, x, dtype))
     for n in (2**14 - 1, 2**14):
         covering_radius(ZkCode(2, [(0,) * n]), "sampled", samples=1)
     assert seen == [np.int16, np.int32]
