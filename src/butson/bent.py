@@ -14,13 +14,14 @@ f], what x_j = v adds to output f, over prefix blocks and a suffix table
 every entry of Hx, and _verdicts reduces their autocorrelations exactly
 (cyclotomic.check_exact bounds the range); check_bent runs the same verdicts
 on a batch of one.  fan_out, shared with the covering-radius scan, runs index
-chunks inline or over one pool and merges by index, so output is identical
-for every worker count.
+chunks inline, or in a spawn pool once their measured cost pays for one, and
+merges by index, so output is identical for every worker count and path.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import time
 from functools import partial
 from math import gcd, isqrt, lcm
 from typing import Iterator, NamedTuple
@@ -45,7 +46,8 @@ from .numtheory import dual_entry_ambient_phase, is_self_conjugate
 
 _MODES = ("any", "self_dual", "conjugate_self_dual")
 _CELLS = 1 << 16  # cells of one block of digit sums and of the suffix table, times their weight
-_CHUNK_MIN, _CHUNK_CAP = 1 << 10, 1 << 16  # fan_out chunk: worth a pool round trip, quick to stream
+_CHUNK = 1 << 16  # fan_out chunk: quick to stream, worth a pool round trip
+_POOL_SECONDS = 1.0  # measured inline work left that pays for a spawn pool (two start in 0.25-0.4 s)
 
 
 class BentCertificate(NamedTuple):
@@ -259,21 +261,24 @@ def _run_chunk(bounds: tuple[int, int]):
 
 
 def fan_out(scan, total: int, workers: int = 1) -> Iterator:
-    """scan(start, stop) over contiguous chunks of [0, total), yielded in index order.
+    """scan(start, stop) over _CHUNK-sized chunks of [0, total), yielded in index order.
 
-    One worker runs _CHUNK_CAP-sized chunks inline and lazily.  More share
-    one fork pool that receives scan once per process, with up to 8 chunks
-    per worker within [_CHUNK_MIN, _CHUNK_CAP].  Callers merge in index order
-    (bent search concatenates, the radius scan takes the max), so results
-    never depend on workers.
-    """
-    size = _CHUNK_CAP if workers <= 1 else min(_CHUNK_CAP, max(_CHUNK_MIN, -(-total // (8 * workers))))
-    bounds = ((lo, min(lo + size, total)) for lo in range(0, total, size))
-    if workers <= 1:
-        yield from (scan(lo, hi) for lo, hi in bounds)
-        return
-    with multiprocessing.get_context("fork").Pool(workers, _install_scan, (scan,)) as pool:
-        yield from pool.imap(_run_chunk, bounds)
+    Chunks run inline, and only the scan calls are timed.  Once workers > 1
+    and the time per chunk times the chunks left passes _POOL_SECONDS, the
+    rest go to one spawn pool of at most `workers` processes, which receive
+    scan once each.  Callers merge in index order (bent search concatenates,
+    the radius scan takes the max), so results never depend on the path."""
+    bounds = ((lo, min(lo + _CHUNK, total)) for lo in range(0, total, _CHUNK))
+    chunks, spent = -(-total // _CHUNK), 0.0
+    for done, (lo, hi) in enumerate(bounds, 1):
+        clock = time.perf_counter()
+        result = scan(lo, hi)
+        spent += time.perf_counter() - clock
+        yield result
+        if workers > 1 and spent * (chunks - done) > _POOL_SECONDS * done:
+            spawn = multiprocessing.get_context("spawn")
+            with spawn.Pool(min(workers, chunks - done), _install_scan, (scan,)) as pool:
+                yield from pool.imap(_run_chunk, bounds)
 
 
 def _count_table(h: LogMatrix) -> np.ndarray:

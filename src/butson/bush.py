@@ -81,8 +81,9 @@ def verify_projector_algebra(p: int) -> bool:
     """Exactly verify the four projector identities for all residues a, b.
 
     R_a* = R_a, R_a^2 = p R_a, R_a R_b = 0 for a != b, and
-    sum_a R_a^2 = p^2 I.  Everything is CycInt arithmetic; p is capped at 13
-    because the check is cubic in p per pair.
+    sum_a R_a^2 = p^2 I.  Each product is an exact exponent-count tensor from
+    product_counts, compared with its target by counts_match in Z[zeta_p]; p is
+    capped at 13 because the check is cubic in p per pair.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")

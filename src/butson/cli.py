@@ -213,6 +213,11 @@ def _cmd_covering_radius(args) -> int:
     else:
         q, m = args.rm
         code = reed_muller_1(q, m)
+    lower = None
+    if args.bent_vector is not None:
+        if matrix is None or matrix.phase != 3:
+            raise FileFormatError("<args>", None, "--bent-vector needs --code-from with a phase-3 matrix")
+        lower = bent_lower_bound(matrix, read_vector(args.bent_vector)).bound
     if args.sample is None:
         result = covering_radius(code, "exhaustive", budget=args.budget, workers=args.workers)
     else:
@@ -220,9 +225,6 @@ def _cmd_covering_radius(args) -> int:
     upper = None
     if matrix is not None and matrix.phase > 2 and is_prime(matrix.phase):
         upper = leducq_upper_bound(matrix.order, matrix.phase)
-    lower = None
-    if matrix is not None and matrix.phase == 3 and args.bent_vector is not None:
-        lower = bent_lower_bound(matrix, read_vector(args.bent_vector)).bound
     premises = {
         "self_complementary": is_self_complementary(code),
         "strength_2": has_strength_2(code),
@@ -343,6 +345,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="butson", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
+    workers_help = ("most processes a scan may use (default 1); a pool starts only once the "
+                    "scan's measured remaining cost passes about a second")
 
     construct = sub.add_parser("construct", help="build matrices, vectors, and codes")
     csub = construct.add_subparsers(dest="what", required=True)
@@ -400,8 +404,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bent-search", help="stream bent vectors over the full candidate space")
     p.add_argument("matrix")
     p.add_argument("--mode", choices=_MODES, default="any")
-    p.add_argument("--budget", type=int, default=None, help="max candidates to scan")
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--budget", type=_positive_int, default=None, help="max candidates to scan")
+    p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
     _add_json(p)
     p.set_defaults(func=_cmd_bent_search)
 
@@ -415,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     strategy.add_argument("--sample", type=_positive_int, default=None, metavar="N",
                           help="sampled lower bound from N seeded draws")
     p.add_argument("--budget", type=int, default=2**30)
-    p.add_argument("--workers", type=_positive_int, default=1)
+    p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bent-vector", default=None, help="vector file for the phase-3 lower bound")
     _add_json(p)

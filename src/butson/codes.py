@@ -12,10 +12,10 @@ same table over blocks of seeded draws.
 
 Exact arithmetic backs the bound computations: the upper bound
 (q-1)n/q - sqrt(n)/q and the phase-3 lower bound ceil((2/3)(n - sqrt(n)))
-are evaluated as rational/surd expressions with integer floors and ceilings
-decided by integer-square comparisons, never by floating point.  For phase 3
-the Hamming distance between log vectors is also available through the
-identity d(L(v), L(w)) = (2/3)(n - R<v, w>), where the real part of the
+are evaluated as rational/surd expressions whose floors and ceilings come
+from one integer square root (_floor_surd), never from floating point.  For
+phase 3 the Hamming distance between log vectors is also available through
+the identity d(L(v), L(w)) = (2/3)(n - R<v, w>), where the real part of the
 inner product z = s0 + s1 zeta + s2 zeta^2 is the rational s0 - (s1+s2)/2.
 """
 
@@ -24,7 +24,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from functools import partial
-from math import ceil, isqrt
+from math import isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -184,26 +184,13 @@ class LeducqBound(NamedTuple):
 def leducq_upper_bound(n: int, q: int) -> LeducqBound:
     """Upper bound (q-1)n/q - sqrt(n)/q on the covering radius of a
     self-complementary strength-2 code from a BH(n, q), q an odd prime.
-
-    The floor is exact: with T = (q-1)n the bound is (T - sqrt(n))/q, and
-    floor((T - sqrt(n))/q) = m iff mq <= T - sqrt(n), decided by comparing
-    (T - mq)^2 against n in integers.
-    """
+    The floor is exact, by _floor_surd."""
     if not is_prime(q) or q == 2:
         raise ValueError(f"q must be an odd prime, got {q}")
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     t = (q - 1) * n
-    s = isqrt(n)
-    if s * s == n:
-        fl = (t - s) // q
-    else:
-        # (t - s - 1)/q < value < (t - s)/q, so the floor is one of two
-        # adjacent integers; m <= value iff t - mq > sqrt(n), an integer
-        # comparison of squares (equality impossible for non-square n)
-        hi = (t - s) // q
-        fl = hi if t - hi * q >= 0 and (t - hi * q) ** 2 > n else hi - 1
-    return LeducqBound(Fraction(t, q), Fraction(-1, q), n, fl)
+    return LeducqBound(Fraction(t, q), Fraction(-1, q), n, _floor_surd(t, -1, n, q))
 
 
 def ternary_real_inner(v: Sequence[int], w: Sequence[int]) -> Fraction:
@@ -229,20 +216,19 @@ def ternary_distance(v: Sequence[int], w: Sequence[int]) -> int:
     return int(d)
 
 
+def _floor_surd(a: int, b: int, n: int, c: int) -> int:
+    """Exact floor((a + b sqrt(n)) / c) for c > 0: b sqrt(n) lies in [r, r + 1)
+    for r = isqrt(b**2 n) when b >= 0, and its floor is -ceil(sqrt(b**2 n)) when
+    b < 0; floor division by c then ignores the fractional part."""
+    r = isqrt(b * b * n)
+    if b < 0:
+        r = -(r + (r * r != b * b * n))
+    return (a + r) // c
+
+
 def _ceil_two_thirds_gap(n: int) -> int:
-    """Exact ceil((2/3)(n - sqrt(n))), by integer-square comparison when
-    sqrt(n) is irrational."""
-    s = isqrt(n)
-    if s * s == n:
-        return ceil(Fraction(2 * (n - s), 3))
-    # (2/3)(n - s - 1) < value < (2/3)(n - s), so the ceiling is one of two
-    # adjacent integers; m >= value iff 2 sqrt(n) >= 2n - 3m, an integer
-    # comparison of squares (equality impossible for non-square n)
-    hi = ceil(Fraction(2 * (n - s), 3))
-    lo = hi - 1
-    if 2 * n - 3 * lo <= 0 or (2 * n - 3 * lo) ** 2 < 4 * n:
-        return lo
-    return hi
+    """Exact ceil((2/3)(n - sqrt(n))) = -floor((-2n + 2 sqrt(n)) / 3)."""
+    return -_floor_surd(-2 * n, 2, n, 3)
 
 
 class BentBound(NamedTuple):

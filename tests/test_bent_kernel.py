@@ -6,6 +6,7 @@ bent-search CLI contract."""
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -150,8 +151,22 @@ def test_digit_blocks_tile_the_range_with_brute_force_sums(case, data):
         assert at == stop
 
 
-def test_ksw_search_hits_match_check_bent():
+class _NoProcesses:
+    def __getattr__(self, name):
+        raise AssertionError(f"a scan under the pool cost used multiprocessing.{name}")
+
+
+def _force_pool(monkeypatch, chunk: int) -> None:
+    """Every fan_out chunk after the first goes to the spawn pool; only the parent reads these."""
+    monkeypatch.setattr(bent, "_CHUNK", chunk)
+    monkeypatch.setattr(bent, "_POOL_SECONDS", 0)
+
+
+def test_ksw_search_hits_match_check_bent(monkeypatch):
     h = character_table([3, 3])
+    # 39 chunks of a 3^9 scan measure far under _POOL_SECONDS: no process starts at 2 workers
+    monkeypatch.setattr(bent, "_CHUNK", 512)
+    monkeypatch.setattr(bent, "multiprocessing", _NoProcesses())
     hits = list(search_bent(h, mode="conjugate_self_dual", workers=2))
     assert len(hits) == 66
     assert ksw_vector(3, 2) in {hit.vector for hit in hits}
@@ -160,7 +175,7 @@ def test_ksw_search_hits_match_check_bent():
 
 
 @pytest.mark.parametrize("mode", ["any", "conjugate_self_dual"])
-def test_budgets_off_the_batch_grid(mode):
+def test_budgets_off_the_batch_grid(monkeypatch, mode):
     h = character_table([3, 3])
     _, table = bent.suffix_table(bent._count_table(h), np.float32, 3)
     step = bent.block_size(table.size, 3) * table.shape[1]  # candidates of one block
@@ -169,6 +184,19 @@ def test_budgets_off_the_batch_grid(mode):
         want = [hit for hit in full if hit.index < budget]
         assert list(search_bent(h, mode=mode, budget=budget)) == want
         assert list(search_bent(h, mode=mode, budget=budget, workers=3)) == want
+    _force_pool(monkeypatch, 1000)  # chunks off the block grid, served by spawned workers
+    for workers in (2, 3):
+        assert list(search_bent(h, mode=mode, budget=3**9 - 1, workers=workers)) == [
+            hit for hit in full if hit.index < 3**9 - 1]
+
+
+def test_closing_the_stream_stops_the_pool(monkeypatch):
+    _force_pool(monkeypatch, 512)
+    hits = search_bent(character_table([3, 3]), mode="conjugate_self_dual", workers=2)
+    assert next(hit for hit in hits if hit.index >= 512).index == 770  # past the inline chunk
+    assert len(multiprocessing.active_children()) == 2
+    hits.close()
+    assert multiprocessing.active_children() == []
 
 
 def _cli_stdout(capsys, argv):
@@ -185,6 +213,32 @@ def test_hit_streams_byte_identical_across_workers(capsys, tmp_path, orders, mod
     assert outs[1] == outs[2] == outs[3]
     assert len(outs[1].splitlines()) == {"any": 448, "conjugate_self_dual": 66}[mode]
     assert {json.loads(line)["index"] for line in outs[1].splitlines()}
+
+
+def test_forced_pool_under_python_m_matches_one_worker(capsys, tmp_path):
+    # the CLI as `python -m butson` runs it, with the pool forced; spawned workers
+    # must not re-run the CLI, so stdout is the one-worker stream exactly once
+    path = tmp_path / "h.bh"
+    write_matrix(character_table([3, 3]), path)
+    argv = ["bent-search", str(path), "--mode", "conjugate_self_dual", "--json"]
+    want = _cli_stdout(capsys, argv)
+    script = "\n".join([
+        "import multiprocessing, runpy, sys",
+        "from butson import bent",
+        "bent._CHUNK, bent._POOL_SECONDS = 1000, 0",
+        "methods, get_context = [], multiprocessing.get_context",
+        "multiprocessing.get_context = lambda method: methods.append(method) or get_context(method)",
+        f"sys.argv = {['butson', *argv, '--workers', '3']!r}",
+        "try:",
+        "    runpy.run_module('butson', run_name='__main__', alter_sys=True)",
+        "finally:",
+        "    print(methods, file=sys.stderr)",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode == 0
+    assert proc.stdout.decode() == want
+    assert proc.stderr == b"['spawn']\n"
 
 
 def test_two_matrices_in_one_process():
@@ -256,6 +310,16 @@ def test_workers_must_be_positive(capsys, tmp_path, command, workers):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "usage:" in captured.err and "--workers" in captured.err
+
+
+@pytest.mark.parametrize("budget", ["0", "-5", "two"])
+def test_search_budget_must_be_positive(capsys, tmp_path, budget):
+    path = tmp_path / "f3.bh"
+    write_matrix(fourier_matrix(3), path)
+    assert main(["bent-search", str(path), "--budget", budget]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "--budget" in captured.err
 
 
 def test_broken_stdout_pipe_is_a_normal_end(tmp_path):

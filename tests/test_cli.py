@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from butson import cli
 from butson.bent import _MODES, ksw_vector
 from butson.cli import _build_parser, main
 from butson.fileio import read_matrix, read_vector, write_matrix, write_vector
@@ -165,6 +166,18 @@ def test_covering_radius_bent_vector_lower_bound(capsys, tmp_path):
     payload = json.loads(out)
     assert payload["lower_bound"] == 4
     assert payload["radius_or_bound"] == 5
+
+
+@pytest.mark.parametrize("source", [["--rm", "3,2"], ["--code-from", "{f5}"]])
+def test_covering_radius_bent_vector_needs_a_phase_3_matrix(capsys, tmp_path, monkeypatch, source):
+    mpath, vpath = tmp_path / "f5.bh", tmp_path / "x.vec"
+    write_matrix(fourier_matrix(5), mpath)
+    write_vector(ksw_vector(3, 2), vpath)  # length 9: F(C_5) would reject it, if it were read
+    monkeypatch.setattr(cli, "covering_radius", None)  # the usage error comes before any scan
+    argv = ["covering-radius", *(a.format(f5=mpath) for a in source), "--bent-vector", str(vpath)]
+    code, out, err = run(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: <args>: --bent-vector needs --code-from with a phase-3 matrix\n"
 
 
 def test_covering_radius_sampled_is_seed_reproducible(capsys, tmp_path):

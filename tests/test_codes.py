@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 from types import SimpleNamespace
@@ -140,13 +142,17 @@ def test_covering_radius_matches_brute_force():
         assert covering_radius(c).value == covering_radius_brute(c.words, k)
 
 
-def test_covering_radius_worker_invariance():
+def test_covering_radius_worker_invariance(monkeypatch):
     rng = random.Random(13)
     for _ in range(5):
         words = [tuple(rng.randrange(3) for _ in range(5)) for _ in range(4)]
         single = covering_radius(ZkCode(3, words), workers=1)
         double = covering_radius(ZkCode(3, words), workers=2)
         assert single == double
+    # forced pool: the first 50-vector chunk runs inline, the other four in two spawned workers
+    monkeypatch.setattr(bent, "_CHUNK", 50)
+    monkeypatch.setattr(bent, "_POOL_SECONDS", 0)
+    assert covering_radius(ZkCode(3, words), workers=2) == single
 
 
 def test_covering_radius_budget_guard():
@@ -298,6 +304,17 @@ def test_leducq_upper_bound_values():
             raise AssertionError("expected ValueError")
         except ValueError:
             pass
+
+
+@given(st.integers(-10**6, 10**6), st.integers(-10**3, 10**3), st.integers(0, 10**6),
+       st.integers(1, 10**3))
+def test_floor_surd_matches_decimal(a, b, n, c):
+    # (a + b sqrt(n)) / c is rational with denominator <= c, or irrational and at
+    # least 1e-10 from every integer here; 50 digits resolve both
+    with localcontext() as ctx:
+        ctx.prec = 50
+        value = (a + b * Decimal(n).sqrt()) / c
+    assert codes._floor_surd(a, b, n, c) == math.floor(value)
 
 
 def test_leducq_floor_matches_float():
