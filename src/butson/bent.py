@@ -21,8 +21,13 @@ merges by index, so output is identical for every worker count and path.
 from __future__ import annotations
 
 import multiprocessing
+import os
+import pickle
+import tempfile
 import time
+from collections import deque
 from functools import partial
+from itertools import islice
 from math import gcd, isqrt, lcm
 from typing import Iterator, NamedTuple
 
@@ -135,15 +140,17 @@ def _verdict_bound(n: int, k: int) -> int:
     return max_reduction(k) * n * n
 
 
-def _verdicts(counts: np.ndarray, x: np.ndarray, k: int) -> tuple[np.ndarray, ...]:
+def _verdicts(counts: np.ndarray, x: np.ndarray | int, k: int) -> tuple[np.ndarray, ...]:
     """Exact (bent, self_dual, conjugate_self_dual) flags of a batch of candidates.
 
-    counts[t, i, b] is the number of terms of (H x_b)_i equal to zeta^t, x[:, b]
-    is candidate b.  Bent: each entry's autocorrelations d_t = sum_s counts[s]
-    counts[s - t], the coefficients of z conj(z), reduce to n, in one matmul of
-    reduction_matrix(k)[s - u] with the products counts[s] counts[u].  Dual
-    checks, on bent candidates only: (Hx)_i times zeta^(-x_i), or zeta^(x_i),
-    reduces to the same element for every i.  Arithmetic stays in counts.dtype.
+    counts[t, i, b] is the number of terms of (H x_b)_i equal to zeta^t.  x[:, b]
+    is candidate b, or x is an int and candidate b is the vector of index x + b,
+    whose digits are computed for bent candidates only.  Bent: each entry's
+    autocorrelations d_t = sum_s counts[s] counts[s - t], the coefficients of
+    z conj(z), reduce to n, in one matmul of reduction_matrix(k)[s - u] with the
+    products counts[s] counts[u].  Dual checks, on bent candidates only: (Hx)_i
+    times zeta^(-x_i), or zeta^(x_i), reduces to the same element for every i.
+    Arithmetic stays in counts.dtype.
     """
     _, n, size = counts.shape
     check_exact(_verdict_bound(n, k), counts.dtype)
@@ -155,7 +162,8 @@ def _verdicts(counts: np.ndarray, x: np.ndarray, k: int) -> tuple[np.ndarray, ..
     sd, csd = np.zeros_like(bent), np.zeros_like(bent)
     hit = np.flatnonzero(bent)
     if hit.size:
-        c, shift = counts[:, :, hit], x[None, :, hit]
+        digits = index_digits(x + hit, k, n) if isinstance(x, int) else x[:, hit]
+        c, shift = counts[:, :, hit], digits[None]
         for flags, rot in ((sd, s[:, None, None] + shift), (csd, s[:, None, None] - shift)):
             unit = (r.T @ np.take_along_axis(c, rot % k, axis=0).reshape(k, -1)).reshape(-1, n, hit.size)
             flags[hit] = (unit == unit[:, :1]).all(axis=(0, 1))
@@ -251,9 +259,10 @@ class SearchHit(NamedTuple):
 _scan = None  # a pool worker's scan, installed once per process
 
 
-def _install_scan(scan) -> None:
+def _install_scan(path: str) -> None:
     global _scan
-    _scan = scan
+    with open(path, "rb") as f:
+        _scan = pickle.load(f)
 
 
 def _run_chunk(bounds: tuple[int, int]):
@@ -276,9 +285,33 @@ def fan_out(scan, total: int, workers: int = 1) -> Iterator:
         spent += time.perf_counter() - clock
         yield result
         if workers > 1 and spent * (chunks - done) > _POOL_SECONDS * done:
-            spawn = multiprocessing.get_context("spawn")
-            with spawn.Pool(min(workers, chunks - done), _install_scan, (scan,)) as pool:
-                yield from pool.imap(_run_chunk, bounds)
+            yield from _pooled(scan, bounds, min(workers, chunks - done))
+
+
+def _pooled(scan, bounds: Iterator[tuple[int, int]], processes: int) -> Iterator:
+    """scan over bounds in a spawn pool, yielded in order, at most two chunks per
+    process ahead.  Workers read scan from a file, not from their start-up data:
+    the parent writes that data into a pipe whose read end it holds, so a worker
+    that dies before reading it all (say it cannot re-import the main script)
+    would block the write once the data outgrows the pipe.  Dead workers raise
+    BrokenProcessPool; closing the stream cancels the chunks not yet started and
+    waits for the workers."""
+    from concurrent.futures import ProcessPoolExecutor  # 15-20 ms of imports that only a pool needs
+
+    spawn = multiprocessing.get_context("spawn")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "scan.pickle")
+        with open(path, "wb") as f:
+            pickle.dump(scan, f)
+        pool = ProcessPoolExecutor(processes, spawn, initializer=_install_scan, initargs=(path,))
+        try:
+            ahead = deque(pool.submit(_run_chunk, b) for b in islice(bounds, 2 * processes))
+            while ahead:
+                result = ahead.popleft().result()
+                ahead.extend(pool.submit(_run_chunk, b) for b in islice(bounds, 1))
+                yield result
+        finally:
+            pool.shutdown(cancel_futures=True)
 
 
 def _count_table(h: LogMatrix) -> np.ndarray:
@@ -298,12 +331,13 @@ def _scan_bent(start: int, stop: int, head: np.ndarray, table: np.ndarray, flag:
     hits = []
     for lo, sums in digit_blocks(start, stop, head, table, k):
         counts = sums.reshape(k, n, -1)
-        x = index_digits(np.arange(lo, lo + counts.shape[2]), k, n)
-        flags = _verdicts(counts, x, k)
-        for b in np.flatnonzero(flags[flag]):
-            vector = tuple(x[:, b].tolist())
+        flags = _verdicts(counts, lo, k)
+        found = np.flatnonzero(flags[flag])
+        if not found.size:
+            continue
+        for b, vector in zip(found.tolist(), index_digits(lo + found, k, n).T.tolist()):
             cert = _build_certificate(k, n, vector, counts[:, :, b], [f[b] for f in flags], memo)
-            hits.append(SearchHit(lo + int(b), LogVector(k, vector), cert))
+            hits.append(SearchHit(lo + b, LogVector(k, vector), cert))
     return hits
 
 

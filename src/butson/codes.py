@@ -8,7 +8,9 @@ Hamming distance is computed by an exhaustive scan through the digit-sum
 kernel of bent: coordinate j with value v adds [w_j != v] to the distance of
 every codeword w, so an ambient vector costs one addition and one comparison
 per codeword on top of its prefix's distances.  The sampled radius sums the
-same table over blocks of seeded draws.
+same table over blocks of seeded draws: the values random.Random(seed).randrange
+(modulus) gives, coordinate by coordinate, read in bulk from the generator's
+32-bit words, so the modulus must be below 2**32.
 
 Exact arithmetic backs the bound computations: the upper bound
 (q-1)n/q - sqrt(n)/q and the phase-3 lower bound ceil((2/3)(n - sqrt(n)))
@@ -25,7 +27,7 @@ import random
 from fractions import Fraction
 from functools import partial
 from math import isqrt
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -121,6 +123,27 @@ def _scan_radius_range(start: int, stop: int, head: np.ndarray, table: np.ndarra
     return max(int(sums.min(axis=0).max()) for _, sums in digit_blocks(start, stop, head, table))
 
 
+def _randrange_blocks(rng: random.Random, k: int, sizes: Iterable[int]) -> Iterator[np.ndarray]:
+    """rng.randrange(k) drawn sizes[0], sizes[1], ... values at a time, the same values
+    in the same order, read in bulk for 1 < k < 2**32.  randrange(k) keeps the top
+    b = k.bit_length() bits of one 32-bit word of the generator, trying the next word
+    while they reach k; getrandbits(32 m) holds the next m words, least significant
+    first.  Words are read at most 2**14 at a time, so a read adds 64 KiB or so to the
+    block it fills, and words read past one block carry over to the next."""
+    shift = 32 - int(k).bit_length()
+    pool = np.empty(0, np.uint32)
+    for size in sizes:
+        pieces, have = [pool], len(pool)
+        while have < size:
+            m = min(2 * (size - have), 1 << 14)  # 2**(b-1) <= k: half the words or more pass, on average
+            words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4") >> shift
+            pieces.append(words[words < k])
+            have += len(pieces[-1])
+        pool = np.concatenate(pieces)
+        yield pool[:size]
+        pool = pool[size:]
+
+
 def covering_radius(
     c: ZkCode,
     strategy: str = "exhaustive",
@@ -134,39 +157,39 @@ def covering_radius(
 
     The exhaustive strategy scans all modulus**length ambient vectors (guarded
     by `budget`, raising BudgetExceededError otherwise) and returns the exact
-    radius.  The sampled strategy draws `samples` ambient vectors from the
-    seeded generator and returns the largest observed min-distance, which is
-    a lower bound on the radius and is flagged exact=False.  Multi-worker
-    scans partition the ambient space into contiguous index ranges and reduce
-    by max, so the result does not depend on the worker count.  Distances and
-    their sums are at most length, held in int16 or int32 under check_exact.
+    radius.  The sampled strategy draws `samples` ambient vectors, coordinate by
+    coordinate, as random.Random(seed).randrange(modulus) would, and returns the
+    largest observed min-distance, which is a lower bound on the radius and is
+    flagged exact=False; it needs a modulus below 2**32.  Multi-worker scans
+    partition the ambient space into contiguous index ranges and reduce by max,
+    so the result does not depend on the worker count.  Distances and their sums
+    are at most length, held in int16 or int32 under check_exact.  Every
+    argument is checked before anything is allocated.
     """
     k, n = c.modulus, c.length
     dtype = np.int16 if n < exact_limit(np.int16) else np.int32
     check_exact(n, dtype)
-    # contrib[j, v, w] = [w_j != v]: the distance coordinate j adds to codeword w
-    contrib = (c.word_array().T[:, None, :] != np.arange(k)[:, None]).astype(dtype)
-    if strategy == "exhaustive":
-        total = k**n
-        if total > budget:
-            raise BudgetExceededError(
-                f"ambient space {k}^{n} = {total} vectors exceeds budget {budget}"
-            )
-        head, table = suffix_table(contrib, dtype)
-        scan = partial(_scan_radius_range, head=head, table=table)
-        return CoveringRadiusResult(max(fan_out(scan, total, workers)), True)
+    if strategy == "exhaustive" and k**n > budget:
+        raise BudgetExceededError(f"ambient space {k}^{n} = {k**n} vectors exceeds budget {budget}")
     if strategy == "sampled":
         if samples < 1:
             raise ValueError(f"samples must be positive, got {samples}")
-        rng = random.Random(seed)
-        step = block_size(len(c))
-        best = 0
-        for lo in range(0, samples, step):
-            draws = [rng.randrange(k) for _ in range(min(step, samples - lo) * n)]
-            x = np.array(draws).reshape(-1, n).T
-            best = max(best, int(digit_sum(contrib, x, dtype).min(axis=0).max()))
-        return CoveringRadiusResult(best, False)
-    raise ValueError(f"unknown strategy {strategy!r}; use 'exhaustive' or 'sampled'")
+        if k >= 2**32:
+            raise ValueError(f"sampled draws need a modulus below 2**32, got {k}")
+    elif strategy != "exhaustive":
+        raise ValueError(f"unknown strategy {strategy!r}; use 'exhaustive' or 'sampled'")
+    # contrib[j, v, w] = [w_j != v]: the distance coordinate j adds to codeword w
+    contrib = (c.word_array().T[:, None, :] != np.arange(k)[:, None]).astype(dtype)
+    if strategy == "exhaustive":
+        head, table = suffix_table(contrib, dtype)
+        scan = partial(_scan_radius_range, head=head, table=table)
+        return CoveringRadiusResult(max(fan_out(scan, k**n, workers)), True)
+    step = block_size(len(c))
+    sizes = (min(step, samples - lo) * n for lo in range(0, samples, step))
+    best = 0
+    for draws in _randrange_blocks(random.Random(seed), k, sizes):
+        best = max(best, int(digit_sum(contrib, draws.reshape(-1, n).T, dtype).min(axis=0).max()))
+    return CoveringRadiusResult(best, False)
 
 
 class LeducqBound(NamedTuple):

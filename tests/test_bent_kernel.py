@@ -241,6 +241,23 @@ def test_forced_pool_under_python_m_matches_one_worker(capsys, tmp_path):
     assert proc.stderr == b"['spawn']\n"
 
 
+def test_a_pool_whose_workers_cannot_start_raises(tmp_path):
+    # spawned workers re-import the main script, and a script read from stdin has
+    # none to import: every worker dies at start, and the scan raises, not hangs
+    script = "\n".join([
+        "from butson import bent",
+        "from butson.matrices import character_table",
+        "bent._CHUNK, bent._POOL_SECONDS = 512, 0",
+        "hits = bent.search_bent(character_table([3, 3]), mode='conjugate_self_dual', workers=2)",
+        "print(sum(1 for _ in hits))",
+    ])
+    proc = subprocess.run([sys.executable, "-"], input=script.encode(), capture_output=True,
+                          timeout=120, cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)))
+    assert proc.returncode != 0
+    assert proc.stdout == b""
+    assert b"BrokenProcessPool" in proc.stderr
+
+
 def test_two_matrices_in_one_process():
     # same n and k, different count table: nothing may carry over between searches
     first = character_table([3, 3])

@@ -35,7 +35,7 @@ from butson.codes import (
 )
 from butson.bent import ksw_vector, search_bent
 from butson.bush import bush_circulant
-from butson.matrices import LogMatrix, LogVector, fourier_matrix, kronecker
+from butson.matrices import LogMatrix, LogVector, character_table, fourier_matrix, kronecker
 
 BH48 = LogMatrix(8, [[0, 0, 0, 0], [0, 2, 4, 6], [0, 4, 0, 4], [0, 6, 4, 2]])
 
@@ -290,6 +290,67 @@ def test_distance_dtype_is_guarded_before_any_allocation(monkeypatch):
     for n in (2**14 - 1, 2**14):
         covering_radius(ZkCode(2, [(0,) * n]), "sampled", samples=1)
     assert seen == [np.int16, np.int32]
+
+
+class _CountingRandom(random.Random):
+    """random.Random that counts its getrandbits calls."""
+
+    calls = 0
+
+    def getrandbits(self, k):
+        self.calls += 1
+        return super().getrandbits(k)
+
+
+_MODULI = st.one_of(
+    st.integers(2, 300),
+    st.builds(lambda b, d: 2**b + d, st.integers(1, 31), st.integers(0, 1)),
+    st.just(2**32 - 1),
+)
+_SEEDS = st.one_of(st.integers(-1000, 1000), st.integers(2**64, 2**80), st.integers(-(2**80), -(2**64)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_MODULI, _SEEDS, st.integers(1, 100),
+       st.lists(st.one_of(st.integers(0, 300), st.integers(2**14, 2**15)), max_size=4))
+def test_bulk_draws_are_the_randrange_stream(k, seed, first, middle):
+    # the last block passes what the first read can hold, 2 * first words, and
+    # blocks of 2**14 values or more take several reads of at most 2**14 words
+    sizes = [first, *middle, 2 * first + 1]
+    rng = _CountingRandom(seed)
+    blocks = list(codes._randrange_blocks(rng, k, sizes))
+    assert [len(b) for b in blocks] == sizes
+    assert rng.calls >= 2
+    reference = random.Random(seed)
+    assert np.concatenate(blocks).tolist() == [reference.randrange(k) for _ in range(sum(sizes))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_sampled_radius_of_f3_4_matches_the_per_draw_loop(seed):
+    _, c = code_from_matrix(character_table([3, 3, 3, 3]))
+    assert covering_radius(c, "sampled", samples=2000, seed=seed) == (_sampled_loop(c, 2000, seed), False)
+
+
+def test_sampled_modulus_is_guarded_before_any_allocation():
+    # reading the words would build np.arange(modulus); a stub whose words raise
+    # shows where each modulus stops
+    class Reached(Exception):
+        pass
+
+    def stub(k):
+        def words():
+            raise Reached
+        return SimpleNamespace(modulus=k, length=81, word_array=words)
+    for k in (2**32, 2**32 + 1, 2**40, np.uint64(2**32)):
+        with pytest.raises(ValueError, match=r"modulus below 2\*\*32"):
+            covering_radius(stub(k), "sampled")
+    for k in (2**32 - 1, np.uint64(2**32 - 1)):
+        with pytest.raises(Reached):
+            covering_radius(stub(k), "sampled")
+    # a numpy integer modulus draws what the same int draws
+    words = [(0, 1, 2, 0), (1, 1, 1, 2)]
+    assert (covering_radius(ZkCode(np.int64(3), words), "sampled", samples=50, seed=1)
+            == covering_radius(ZkCode(3, words), "sampled", samples=50, seed=1))
 
 
 def test_leducq_upper_bound_values():
