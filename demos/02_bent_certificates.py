@@ -9,7 +9,14 @@ self-dual ones H x = u sqrt(n) conj(x), with u a root of unity times a
 rational scale.  check_bent decides all three properties exactly.
 """
 
-from butson import character_table, check_bent, ksw_vector, search_bent
+from butson import (
+    character_table,
+    check_bent,
+    fourier_matrix,
+    ksw_vector,
+    search_bent,
+    tensor_corollary_check,
+)
 
 # The quadratic form x(c, c') = zeta^(c . c') gives a conjugate self-dual
 # bent vector on the character table of C_k^m for every k and even m.
@@ -30,3 +37,12 @@ for hit in hits[:3]:
     print(f"  {hit.index}: {hit.vector.entries}")
 assert any(hit.vector == x for hit in hits)
 print("the KSW vector is among them.")
+
+# The tensor constructions: phi(H), H read row by row, is conjugate self-dual
+# for H* (x) H*, and phi(M) is self-dual for H (x) conj(H) whenever H M = M H,
+# here with M = H.  Each certificate is exact.
+f3 = fourier_matrix(3)
+cert = tensor_corollary_check(f3, variant=1)
+print("\nphi(F(C_3)) for F(C_3)* (x) F(C_3)*:", cert.kind, "unit", cert.unit)
+cert = tensor_corollary_check(f3, f3, variant=2)
+print("phi(F(C_3)) for F(C_3) (x) conj(F(C_3)):", cert.kind, "unit", cert.unit)

@@ -18,6 +18,8 @@ than assuming it away.
 from butson import (
     bush_circulant,
     bush_modify,
+    bush_quaternary_bents,
+    bush_real_order4,
     check_bent,
     verify_hadamard,
     verify_projector_algebra,
@@ -58,3 +60,10 @@ from butson import LogVector
 chi = LogVector(3, (0, 1, 2, 0, 1, 2, 0, 1, 2))
 print("\ncharacter-patterned vector on the scaled matrix:",
       check_bent(result.matrix, chi).kind)
+
+# Quaternary Bush-type BH(4, 4): each of the 2^2 block-constant vectors with
+# entries zeta_4 or -zeta_4 (log 1 or 3) is self-dual bent for H and
+# conjugate self-dual bent for -H; bush_quaternary_bents certifies both.
+print("\nquaternary bent vectors of the order-4 Bush matrix:")
+for x in bush_quaternary_bents(bush_real_order4()):
+    print(" ", x.entries)

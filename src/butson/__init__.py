@@ -4,8 +4,9 @@ The top level exports the names the demos and the README use; every other
 name is imported from its module (butson.cyclotomic, butson.matrices, ...).
 """
 
-from .bent import check_bent, ksw_vector, search_bent
-from .bush import bush_circulant, bush_modify, verify_projector_algebra
+from .bent import check_bent, ksw_vector, search_bent, tensor_corollary_check
+from .bush import (bush_circulant, bush_modify, bush_quaternary_bents, bush_real_order4,
+                   verify_projector_algebra)
 from .codes import (
     bent_lower_bound,
     code_from_matrix,
@@ -37,6 +38,8 @@ __all__ = [
     "bent_obstructions",
     "bush_circulant",
     "bush_modify",
+    "bush_quaternary_bents",
+    "bush_real_order4",
     "character_table",
     "check_bent",
     "circulant_real_obstruction",
@@ -55,6 +58,7 @@ __all__ = [
     "serialize_matrix",
     "splitting_profile",
     "sylvester_matrix",
+    "tensor_corollary_check",
     "verify_hadamard",
     "verify_projector_algebra",
 ]

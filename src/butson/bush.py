@@ -157,15 +157,13 @@ class BushModification(NamedTuple):
         Empty when both candidates certify as predicted.  Each entry names
         the failed kind, its alpha, and the kind the certificate did prove.
         """
-        out = []
+        out, k = [], self.matrix.phase
         if not self.self_dual_certificate.self_dual:
-            k = self.matrix.phase
             out.append(
                 f"self_dual candidate (alpha={(k + 1) // 2}) certified only as "
                 f"{self.self_dual_certificate.kind}"
             )
         if not self.conjugate_self_dual_certificate.conjugate_self_dual:
-            k = self.matrix.phase
             out.append(
                 f"conjugate_self_dual candidate (alpha={(k - 1) // 2}) certified only as "
                 f"{self.conjugate_self_dual_certificate.kind}"
@@ -199,10 +197,9 @@ def bush_modify(h: BushMatrix, u: Sequence[int]) -> BushModification:
         raise ValueError(f"diagonal scaling requires odd phase, got {k}")
     if len(u) != n:
         raise ValueError(f"need one residue per block row: {n}, got {len(u)}")
-    shifts = np.zeros((n * n,), dtype=np.int64)
-    for i, ui in enumerate(u):
-        shifts[i * n : (i + 1) * n] = ui % k
-    modified = LogMatrix(k, (h.base.entries + shifts[:, None] * _diag_block_mask(n)) % k)
+    block = np.arange(n * n) // n  # block row of each row, block column of each column
+    shifts = np.asarray(u, dtype=np.int64)[block]
+    modified = LogMatrix(k, h.base.entries + shifts[:, None] * (block[:, None] == block))
     if not verify_hadamard(modified):
         raise BushStructureError(f"diagonal scaling by {tuple(u)} broke the Hadamard property")
     candidates = []
@@ -211,12 +208,6 @@ def bush_modify(h: BushMatrix, u: Sequence[int]) -> BushModification:
         candidates.append((x, check_bent(modified, x)))
     (x_sd, cert_sd), (x_csd, cert_csd) = candidates
     return BushModification(modified, x_sd, x_csd, cert_sd, cert_csd)
-
-
-def _diag_block_mask(n: int) -> np.ndarray:
-    """0/1 matrix of shape (n^2, n^2) marking the diagonal blocks."""
-    eye = np.eye(n, dtype=np.int64)
-    return np.kron(eye, np.ones((n, n), dtype=np.int64))
 
 
 def bush_quaternary_bents(h: BushMatrix) -> Iterator[LogVector]:

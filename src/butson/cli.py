@@ -11,11 +11,11 @@ Subcommands
     bush                                           block-circulant family, optional algebra check
 
 Exit codes: 0 on success, 1 when a mathematical check comes out false
-(verification fails, an obstruction fires, no order found), 2 on usage or
-I/O errors and on input that fails a command's precondition: a non-Hadamard
-matrix exits 1 from verify, which decides that property, and 2 from
-bent-check, bent-search, order and covering-radius --code-from, which need
-it.  All numeric output is exact; rationals are rendered as a/b.
+(verification fails, an obstruction fires, no order found), 2 on usage or I/O
+errors, on instances too large to allocate and on input that fails a command's
+precondition: a non-Hadamard matrix exits 1 from verify, which decides that
+property, and 2 from bent-check, bent-search, order and covering-radius
+--code-from, which need it.  Numeric output is exact; rationals print as a/b.
 Given a fixed seed and inputs, output bytes are reproducible, including
 under --workers changes.
 """
@@ -462,7 +462,7 @@ def main(argv=None) -> int:
         # the reader closed stdout (`| head`): a normal end; devnull takes the final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (OSError, ValueError) as e:  # FileFormatError is a ValueError
+    except (OSError, ValueError, MemoryError) as e:  # FileFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
 

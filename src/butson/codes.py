@@ -1,24 +1,26 @@
 """Z_k codes attached to Butson Hadamard matrices and their covering radii.
 
-A Z_k code of length n is a nonempty set of vectors in Z_k^n.  From a
-Hadamard matrix H in log form we take R_H, the rows of L(H), and the
-translate-closed code C_H = union over alpha of (R_H + alpha 1).  The
-covering radius r(C) = max over ambient x of min over codewords of the
-Hamming distance is computed by an exhaustive scan through the digit-sum
-kernel of bent: coordinate j with value v adds [w_j != v] to the distance of
-every codeword w, so an ambient vector costs one addition and one comparison
-per codeword on top of its prefix's distances.  The sampled radius sums the
-same table over blocks of seeded draws: the values random.Random(seed).randrange
-(modulus) gives, coordinate by coordinate, read in bulk from the generator's
-32-bit words, so the modulus must be below 2**32.
+A Z_k code of length n is a nonempty set of vectors in Z_k^n, held in a ZkCode
+as one read-only int64 array.  From a Hadamard matrix H in log form we take
+R_H, the rows of L(H), and the translate-closed code C_H = union over alpha of
+(R_H + alpha 1).  The covering radius r(C) = max over ambient x of min over
+codewords of the Hamming distance is computed by an exhaustive scan through
+the digit-sum kernel of bent: coordinate j with value v adds [w_j != v] to the
+distance of every codeword w, so an ambient vector costs one addition and one
+comparison per codeword on top of its prefix's distances.  The sampled radius
+sums the same table over blocks of seeded draws: the values
+random.Random(seed).randrange(modulus) gives, coordinate by coordinate, read in
+bulk from the generator's 32-bit words, so the modulus must be below 2**32.
 
 Exact arithmetic backs the bound computations: the upper bound
 (q-1)n/q - sqrt(n)/q and the phase-3 lower bound ceil((2/3)(n - sqrt(n)))
 are evaluated as rational/surd expressions whose floors and ceilings come
-from one integer square root (_floor_surd), never from floating point.  For
-phase 3 the Hamming distance between log vectors is also available through
-the identity d(L(v), L(w)) = (2/3)(n - R<v, w>), where the real part of the
-inner product z = s0 + s1 zeta + s2 zeta^2 is the rational s0 - (s1+s2)/2.
+from one integer square root (_floor_surd), never from floating point; the
+strength-2 pair counts are float32, exact for codes of under 2**24 words.
+For phase 3 the Hamming distance between log vectors is also available
+through the identity d(L(v), L(w)) = (2/3)(n - R<v, w>), where the real part
+of the inner product z = s0 + s1 zeta + s2 zeta^2 is the rational
+s0 - (s1+s2)/2.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .bent import block_size, check_bent, digit_blocks, digit_sum, fan_out, index_digits, suffix_table
 from .cyclotomic import check_exact, exact_limit
-from .matrices import LogMatrix, LogVector, NotHadamardError, verify_hadamard
+from .matrices import LogMatrix, LogVector, NotHadamardError, _one_hot, verify_hadamard
 from .numtheory import is_prime
 
 
@@ -42,36 +44,46 @@ class BudgetExceededError(ValueError):
 
 
 class ZkCode:
-    """A set of distinct words in Z_k^n with cached distance statistics."""
+    """The distinct words of a code in Z_k^n, first occurrences in order, as one read-only
+    int64 array of shape (size, length); words and membership are read from it."""
 
-    def __init__(self, modulus: int, words: Iterable[Sequence[int]]):
+    def __init__(self, modulus: int, words: np.ndarray | Sequence[Sequence[int]]):
         if modulus < 2:
             raise ValueError(f"modulus must be at least 2, got {modulus}")
-        normalized = [tuple(int(e) % modulus for e in w) for w in words]
-        if not normalized:
-            raise ValueError("a code must contain at least one word")
-        distinct = tuple(dict.fromkeys(normalized))
-        lengths = {len(w) for w in distinct}
-        if len(lengths) != 1:
-            raise ValueError(f"words of mixed lengths {sorted(lengths)}")
+        array = np.asarray(words, dtype=np.int64) % modulus
+        if array.ndim != 2 or not array.size:
+            raise ValueError(f"a code needs one or more words of one positive length, got shape {array.shape}")
+        array = _distinct_rows(array, modulus)
+        array.flags.writeable = False
         self.modulus = modulus
-        self.words = distinct
-        self.length = len(distinct[0])
-        self.duplicates_removed = len(normalized) - len(distinct)
-        self._word_set = frozenset(distinct)
+        self.length = array.shape[1]
+        self.duplicates_removed = len(words) - len(array)
+        self._array = array
         self._min_distance: int | None = None
 
+    @property
+    def words(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._array.tolist()))
+
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self._array)
 
     def __contains__(self, w: Sequence[int]) -> bool:
-        return tuple(int(e) % self.modulus for e in w) in self._word_set
+        w = np.asarray(w, dtype=np.int64) % self.modulus
+        return w.shape == (self.length,) and bool((self._array == w).all(axis=1).any())
 
     def __repr__(self) -> str:
-        return f"ZkCode(length={self.length}, modulus={self.modulus}, size={len(self.words)})"
+        return f"ZkCode(length={self.length}, modulus={self.modulus}, size={len(self)})"
 
     def word_array(self) -> np.ndarray:
-        return np.array(self.words, dtype=np.int64)
+        return self._array
+
+
+def _distinct_rows(a: np.ndarray, modulus: int) -> np.ndarray:
+    """Distinct rows of a, entries in [0, modulus), first occurrences in order, by one byte sort."""
+    small = np.ascontiguousarray(a, dtype=np.min_scalar_type(int(modulus) - 1))
+    first = np.unique(small.view(np.dtype((np.void, small.strides[0]))).ravel(), return_index=True)[1]
+    return a if len(first) == len(a) else a[np.sort(first)]
 
 
 def hamming_distance(v: Sequence[int], w: Sequence[int]) -> int:
@@ -91,11 +103,9 @@ def code_from_matrix(h: LogMatrix) -> tuple[ZkCode, ZkCode]:
     """
     if not verify_hadamard(h):
         raise NotHadamardError(f"matrix of order {h.order} is not Butson Hadamard")
-    k = h.phase
-    rows = [tuple(int(e) for e in row) for row in h.entries]
-    r_code = ZkCode(k, rows)
-    translates = [tuple((e + alpha) % k for e in row) for row in rows for alpha in range(k)]
-    return r_code, ZkCode(k, translates)
+    k, n = h.phase, h.order
+    translates = h.entries[:, None, :] + np.arange(k)[:, None]  # row by row, alpha = 0, ..., k - 1
+    return ZkCode(k, h.entries), ZkCode(k, translates.reshape(k * n, n))
 
 
 def min_distance(c: ZkCode) -> int:
@@ -104,12 +114,7 @@ def min_distance(c: ZkCode) -> int:
         raise ValueError("minimum distance needs at least two words")
     if c._min_distance is None:
         w = c.word_array()
-        best = c.length
-        for i in range(len(c) - 1):
-            d = int((w[i + 1 :] != w[i]).sum(axis=1).min())
-            if d < best:
-                best = d
-        c._min_distance = best
+        c._min_distance = min(int((w[i + 1 :] != w[i]).sum(axis=1).min()) for i in range(len(c) - 1))
     return c._min_distance
 
 
@@ -291,30 +296,31 @@ def bent_lower_bound(h: LogMatrix, x: LogVector) -> BentBound:
 
 
 def is_self_complementary(c: ZkCode) -> bool:
-    """True iff the code is closed under adding alpha*1 for every alpha."""
-    word_set = set(c.words)
-    k = c.modulus
-    return all(
-        tuple((e + alpha) % k for e in w) in word_set for w in c.words for alpha in range(1, k)
-    )
+    """True iff the code is closed under adding alpha*1: translates share the shape w - w_0 1,
+    a shape holds at most k words, so closure means len(c) / k distinct shapes."""
+    w = c.word_array()
+    shapes = w - w[:, :1]
+    shapes %= c.modulus
+    return len(_distinct_rows(shapes, c.modulus)) * c.modulus == len(c)
 
 
 def has_strength_2(c: ZkCode) -> bool:
-    """True iff every ordered coordinate pair shows each value pair in Z_k^2
-    equally often over the codewords."""
-    k = c.modulus
-    m = len(c)
-    if c.length < 2:
-        return False
-    if m % (k * k) != 0:
+    """True iff each pair of coordinates i != j shows every value pair (a, b) in len(c) / k^2
+    words.  Entry (i k + a, j k + b) of hot @ hot.T, hot[i k + a, w] = [w_i = a], counts
+    them, in float32 blocks of at most 2 MiB, exact since no count or sum passes len(c)."""
+    k, m, n = c.modulus, len(c), c.length
+    if n < 2 or m % (k * k) != 0:
         return False
     target = m // (k * k)
-    w = c.word_array()
-    for i in range(c.length - 1):
-        for j in range(i + 1, c.length):
-            counts = np.bincount(w[:, i] * k + w[:, j], minlength=k * k)
-            if not (counts == target).all():
-                return False
+    check_exact(m, np.float32)
+    hot = _one_hot(c.word_array().T, k, np.float32).reshape(n * k, m)
+    step = max(1, 2**19 // (n * k * k))
+    for j0 in range(0, n, step):
+        j1 = min(n, j0 + step)
+        counts = (hot[: j1 * k] @ hot[j0 * k : j1 * k].T).reshape(j1, k, j1 - j0, k)
+        counts[np.arange(j0, j1), :, np.arange(j1 - j0)] = target  # a coordinate with itself is no pair
+        if (counts != target).any():
+            return False
     return True
 
 
@@ -338,8 +344,7 @@ def reed_muller_1(q: int, m: int, *, budget: int = 2**22) -> ZkCode:
         )
     points = index_digits(np.arange(q**m), q, m)  # lexicographic, most significant digit first
     coeffs = index_digits(np.arange(q ** (m + 1)), q, m + 1)
-    words = ((coeffs[0][:, None] + coeffs[1:].T @ points) % q).tolist()
-    code = ZkCode(q, words)
+    code = ZkCode(q, coeffs[0][:, None] + coeffs[1:].T @ points)
     assert code.length == q**m and len(code) == q ** (m + 1)
     assert min_distance(code) == (q - 1) * q ** (m - 1)
     return code

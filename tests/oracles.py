@@ -79,3 +79,26 @@ def product_counts_brute(a, b, k: int) -> np.ndarray:
           for j in range(len(b[0]))] for ra in a],
         dtype=np.int64,
     ).reshape(len(a), len(b[0]), k)
+
+
+def strength_2_brute(words, k: int) -> bool:
+    """Every pair of coordinates i < j shows each value pair (a, b) in Z_k^2 in
+    exactly len(words) / k^2 of the distinct words, counted one by one.  The
+    premise needs a pair of coordinates, so a code of length below 2 fails it."""
+    n = len(words[0])
+    if n < 2:
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            for a in range(k):
+                for b in range(k):
+                    hits = sum(1 for w in words if w[i] % k == a and w[j] % k == b)
+                    if hits * k * k != len(words):
+                        return False
+    return True
+
+
+def self_complementary_brute(words, k: int) -> bool:
+    """Every translate w + alpha (1, ..., 1) of every word is again a word."""
+    present = {tuple(e % k for e in w) for w in words}
+    return all(tuple((e + alpha) % k for e in w) in present for w in present for alpha in range(k))

@@ -262,6 +262,12 @@ def test_construct_ksw_round_trip(capsys, tmp_path):
     assert read_vector(path) == ksw_vector(3, 2)
 
 
+def test_an_instance_too_large_to_allocate_exits_2(capsys):
+    # 3^30 int64 entries: numpy refuses the 1.46 PiB request before allocating anything
+    code, out, err = run(capsys, ["construct", "ksw", "--k", "3", "--m", "30"])
+    assert code == 2 and not out and err.startswith("error: ")
+
+
 def test_construct_rm_lists_words(capsys):
     code, out, _ = run(capsys, ["construct", "rm", "--q", "2", "--m", "2"])
     assert code == 0

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import covering_radius_brute
+from oracles import covering_radius_brute, self_complementary_brute, strength_2_brute
 
 from butson import bent, codes
 from butson.codes import (
@@ -35,7 +35,8 @@ from butson.codes import (
 )
 from butson.bent import ksw_vector, search_bent
 from butson.bush import bush_circulant
-from butson.matrices import LogMatrix, LogVector, character_table, fourier_matrix, kronecker
+from butson.matrices import (LogMatrix, LogVector, character_table, fourier_matrix, kronecker,
+                             sylvester_matrix)
 
 BH48 = LogMatrix(8, [[0, 0, 0, 0], [0, 2, 4, 6], [0, 4, 0, 4], [0, 6, 4, 2]])
 
@@ -541,6 +542,65 @@ def test_strength_2_and_complementary_for_prime_phase_catalog():
         _, c_code = code_from_matrix(h)
         assert is_self_complementary(c_code)
         assert has_strength_2(c_code)
+
+
+@st.composite
+def _premise_case(draw):
+    """(k, words): k in 2..5, length 1..6, 1..30 words with unreduced entries.  The
+    words are random, closed under translation by construction, distinct and as many
+    as a multiple of k^2, or the k^2 affine words a + b x_j on points x_j whose
+    differences are units mod k.  Those have strength 2 and are closed under
+    translation; a last coordinate b keeps strength 2 and, after two points, breaks
+    the closure."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, 6))
+    word = st.lists(st.integers(-k, 2 * k - 1), min_size=n, max_size=n)
+    kind = draw(st.sampled_from(("random", "translates", "multiple", "affine")))
+    if kind == "random":
+        return k, draw(st.lists(word, min_size=1, max_size=30))
+    if kind == "translates":
+        base = draw(st.lists(word, min_size=1, max_size=30 // k))
+        return k, [[e + alpha for e in w] for w in base for alpha in range(k)]
+    if kind == "multiple":
+        n = max(n, 2)
+        size = k * k * draw(st.integers(1, min(30, k**n) // (k * k)))
+        return k, draw(st.lists(st.tuples(*[st.integers(0, k - 1)] * n), min_size=size,
+                                max_size=size, unique=True))
+    points = range(min(n, min(p for p in range(2, k + 1) if k % p == 0)))
+    last = [[b] for b in range(k)] if draw(st.booleans()) else [[]] * k
+    return k, draw(st.permutations([[a + b * x for x in points] + last[b] for a in range(k) for b in range(k)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_premise_case())
+def test_premises_match_brute_force(case):
+    k, words = case
+    c = ZkCode(k, words)
+    # the normalisation the word array replaced: reduce, keep first occurrences in order
+    assert c.words == tuple(dict.fromkeys(tuple(int(e) % k for e in w) for w in words))
+    assert c.duplicates_removed == len(words) - len(c)
+    assert has_strength_2(c) == strength_2_brute(c.words, k)
+    assert is_self_complementary(c) == self_complementary_brute(c.words, k)
+
+
+def test_c_h_of_f3_5_keeps_the_tuple_order_and_both_premises():
+    # n = 243 runs the strength-2 pair counts in two blocks of coordinates
+    h = character_table([3] * 5)
+    r_code, c_code = code_from_matrix(h)
+    rows = [tuple(int(e) for e in row) for row in h.entries]
+    assert r_code.words == tuple(rows)
+    assert c_code.words == tuple(tuple((e + alpha) % 3 for e in row) for row in rows for alpha in range(3))
+    assert is_self_complementary(c_code) and has_strength_2(c_code)
+
+
+def test_strength_2_finds_a_failing_pair_in_a_later_block():
+    # C_H of the Sylvester matrix of order 512 has strength 2; its pair counts run in
+    # two blocks of 256 coordinates, and a copied last column breaks one pair in the second
+    rows = sylvester_matrix(9).entries
+    words = np.concatenate([rows, 1 - rows])
+    assert has_strength_2(ZkCode(2, words))
+    words[:, -1] = words[:, -2]
+    assert not has_strength_2(ZkCode(2, words))
 
 
 def test_radius_below_leducq_for_small_prime_phase_codes():
