@@ -39,12 +39,12 @@ from .matrices import (
     LogVector,
     NotHadamardError,
     circulant_from_row,
+    count_tensor,
     counts_match,
     fourier_matrix,
     hermitian_product_counts,
     kronecker,
     product_counts,
-    row_counts,
     verify_hadamard,
 )
 from .numtheory import dual_entry_ambient_phase, is_self_conjugate
@@ -221,8 +221,8 @@ def _build_certificate(k: int, n: int, x, counts: np.ndarray, flags, memo: dict)
 def check_bent(h: LogMatrix, x: LogVector) -> BentCertificate:
     """Certify whether x is bent / self-dual / conjugate self-dual for h.
 
-    The counts come from one O(n^2) row_counts bincount and go through the
-    verdicts of the search kernel as a batch of one.
+    The counts of Hx are those of H against the one-row table -x, from the count
+    kernel, and go through the verdicts of the search kernel as a batch of one.
     """
     if h.phase != x.phase:
         raise ValueError(f"phase mismatch: matrix {h.phase}, vector {x.phase}")
@@ -232,7 +232,7 @@ def check_bent(h: LogMatrix, x: LogVector) -> BentCertificate:
         raise NotHadamardError("bent checks need a Butson Hadamard matrix")
     k, n = h.phase, h.order
     xs = np.asarray(x.entries, dtype=np.int64)
-    counts = row_counts(h.entries + xs, k).T  # row i: exponents of the terms of (Hx)_i
+    counts = count_tensor(h.entries, -xs[None], k)[:, 0].T  # column i: exponents of the terms of (Hx)_i
     flags = _verdicts(counts[..., None], xs[:, None], k)
     return _build_certificate(k, n, x.entries, counts, [f[0] for f in flags], {})
 

@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bent import BentCertificate, check_bent
-from .matrices import LogMatrix, LogVector, counts_match, product_counts, row_counts, verify_hadamard
+from .matrices import LogMatrix, LogVector, count_tensor, counts_match, product_counts, verify_hadamard
 from .numtheory import is_prime
 
 
@@ -59,9 +59,9 @@ def _block_sums_hold(base: LogMatrix, n: int) -> bool:
     """Every row and column of block (I, J) sums to n if I = J and to 0 otherwise."""
     k = base.phase
     blocks = base.entries.reshape(n, n, n, n).transpose(0, 2, 1, 3)  # (I, J, r, c)
-    # block rows, then block columns, in a fresh array that row_counts may overwrite
-    lines = np.concatenate([blocks, blocks.transpose(0, 1, 3, 2)])
-    counts = row_counts(lines.reshape(-1, n), k).reshape(2, n, n, n, k)
+    # block rows, then block columns, each counted against a zero row
+    lines = np.concatenate([blocks, blocks.transpose(0, 1, 3, 2)]).reshape(-1, n)
+    counts = count_tensor(lines, np.zeros((1, n), np.int64), k).reshape(2, n, n, n, k)
     target = np.zeros((n, n, 1, k), dtype=np.int64)
     target[np.arange(n), np.arange(n), :, 0] = n
     return counts_match(counts, k, target)

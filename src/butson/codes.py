@@ -16,11 +16,11 @@ Exact arithmetic backs the bound computations: the upper bound
 (q-1)n/q - sqrt(n)/q and the phase-3 lower bound ceil((2/3)(n - sqrt(n)))
 are evaluated as rational/surd expressions whose floors and ceilings come
 from one integer square root (_floor_surd), never from floating point; the
-strength-2 pair counts are float32, exact for codes of under 2**24 words.
-For phase 3 the Hamming distance between log vectors is also available
-through the identity d(L(v), L(w)) = (2/3)(n - R<v, w>), where the real part
-of the inner product z = s0 + s1 zeta + s2 zeta^2 is the rational
-s0 - (s1+s2)/2.
+strength-2 pair counts are float32 matmuls over tiles of coordinates, exact
+for codes of under 2**24 words.  For phase 3 the identity d(L(v), L(w)) =
+(2/3)(n - R<v, w>) recovers the Hamming distance from the real part of the
+inner product z = s0 + s1 zeta + s2 zeta^2, the rational s0 - (s1+s2)/2; the
+bent bound counts its distances on the word array instead.
 """
 
 from __future__ import annotations
@@ -37,6 +37,9 @@ from .bent import block_size, check_bent, digit_blocks, digit_sum, fan_out, inde
 from .cyclotomic import check_exact, exact_limit
 from .matrices import LogMatrix, LogVector, NotHadamardError, _one_hot, verify_hadamard
 from .numtheory import is_prime
+
+
+_TILE_CELLS = 2**19  # float32 cells (2 MiB) of one tile's one-hot and of one tile pair's counts
 
 
 class BudgetExceededError(ValueError):
@@ -226,6 +229,7 @@ def ternary_real_inner(v: Sequence[int], w: Sequence[int]) -> Fraction:
 
     The inner product is s0 + s1 zeta + s2 zeta^2 where s_j counts the
     coordinates with v_i - w_i = j mod 3; its real part is s0 - (s1+s2)/2.
+    It is the paper's side of the distance identity of ternary_distance.
     """
     if len(v) != len(w):
         raise ValueError(f"length mismatch: {len(v)} vs {len(w)}")
@@ -237,7 +241,7 @@ def ternary_real_inner(v: Sequence[int], w: Sequence[int]) -> Fraction:
 
 def ternary_distance(v: Sequence[int], w: Sequence[int]) -> int:
     """Hamming distance recovered from the exact real part:
-    d = (2/3)(n - R<zeta^v, zeta^w>), always an integer."""
+    d = (2/3)(n - R<zeta^v, zeta^w>), always an integer, as bent_lower_bound uses it."""
     d = Fraction(2, 3) * (len(v) - ternary_real_inner(v, w))
     if d.denominator != 1:
         raise ArithmeticError(f"non-integral distance {d}")
@@ -280,8 +284,9 @@ def bent_lower_bound(h: LogMatrix, x: LogVector) -> BentBound:
     (translates only rotate the inner product by a root of unity).  Then
     R<w, -x> <= sqrt(n) and the distance identity puts the witness -x at
     distance at least (2/3)(n - sqrt(n)) from the whole code.  x itself can be
-    a codeword.  The returned distances are from the witness, computed through
-    the exact rational real parts, one per codeword of C_H in code order.
+    a codeword.  The returned distances are from the witness, one per codeword
+    of C_H in code order, counted in one comparison with the code's word array;
+    ternary_distance gives the same values through the identity.
     """
     if h.phase != 3:
         raise ValueError(f"the distance identity needs phase 3, got {h.phase}")
@@ -291,7 +296,7 @@ def bent_lower_bound(h: LogMatrix, x: LogVector) -> BentBound:
     n = h.order
     _, c_code = code_from_matrix(h)
     witness = tuple(-e % 3 for e in x.entries)
-    distances = tuple(ternary_distance(witness, w) for w in c_code.words)
+    distances = tuple((c_code.word_array() != np.array(witness)).sum(axis=1).tolist())
     return BentBound(_ceil_two_thirds_gap(n), distances, witness)
 
 
@@ -306,21 +311,24 @@ def is_self_complementary(c: ZkCode) -> bool:
 
 def has_strength_2(c: ZkCode) -> bool:
     """True iff each pair of coordinates i != j shows every value pair (a, b) in len(c) / k^2
-    words.  Entry (i k + a, j k + b) of hot @ hot.T, hot[i k + a, w] = [w_i = a], counts
-    them, in float32 blocks of at most 2 MiB, exact since no count or sum passes len(c)."""
+    words, counted per pair of coordinate tiles (i-tile <= j-tile) by one float32 matmul of
+    one-hots built when used, hot[i k + a, w] = [w_i = a]; exact as no count passes len(c)."""
     k, m, n = c.modulus, len(c), c.length
     if n < 2 or m % (k * k) != 0:
         return False
     target = m // (k * k)
     check_exact(m, np.float32)
-    hot = _one_hot(c.word_array().T, k, np.float32).reshape(n * k, m)
-    step = max(1, 2**19 // (n * k * k))
-    for j0 in range(0, n, step):
-        j1 = min(n, j0 + step)
-        counts = (hot[: j1 * k] @ hot[j0 * k : j1 * k].T).reshape(j1, k, j1 - j0, k)
-        counts[np.arange(j0, j1), :, np.arange(j1 - j0)] = target  # a coordinate with itself is no pair
-        if (counts != target).any():
-            return False
+    step = max(1, min(_TILE_CELLS // (k * m), isqrt(_TILE_CELLS) // k))
+    tiles = [c.word_array()[:, i : i + step].T for i in range(0, n, step)]  # views, no copies
+    for j, tile in enumerate(tiles):
+        hot_j = _one_hot(tile, k, np.float32).reshape(-1, m)
+        for i in range(j + 1):
+            hot_i = hot_j if i == j else _one_hot(tiles[i], k, np.float32).reshape(-1, m)
+            counts = (hot_i @ hot_j.T).reshape(-1, k, len(tile), k)
+            if i == j:  # a coordinate with itself is no pair
+                counts[np.arange(len(tile)), :, np.arange(len(tile))] = target
+            if (counts != target).any():
+                return False
     return True
 
 

@@ -8,8 +8,10 @@ counts there, so all hot paths stay permutation-and-add.  Equality and other
 decisions reduce to the canonical representative: the remainder modulo the
 k-th cyclotomic polynomial, re-expanded with zeros in positions >= phi(k).
 
-Coefficients are Python integers, so arithmetic is exact at every scale;
-nothing here ever touches floating point.
+One table, reduction_matrix(k), does every reduction.  canonical applies it and
+pads; CycInt reduces through canonical on object arrays of Python integers, so
+its arithmetic is exact at every scale and never touches floating point.
+Batched callers multiply by the table in a dtype that check_exact has cleared.
 """
 
 from __future__ import annotations
@@ -76,35 +78,19 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(k: int) -> tuple[tuple[int, ...], ...]:
-    """Row j is the coefficient vector (length phi(k)) of x^j mod Phi_k."""
-    phi = cyclotomic_polynomial(k)
-    d = len(phi) - 1
-    rows: list[tuple[int, ...]] = []
-    row = [0] * d
-    for j in range(k):
-        if j < d:
-            row = [0] * d
-            row[j] = 1
-        else:
-            # multiply the previous row by x and fold x^d = -(low part of Phi_k)
-            lead = row[d - 1]
-            row = [0] + row[: d - 1]
-            if lead:
-                for i in range(d):
-                    row[i] -= lead * phi[i]
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-@lru_cache(maxsize=None)
 def reduction_matrix(k: int) -> np.ndarray:
-    """The k x phi(k) integer matrix of _reduction_rows, for batched reductions.
+    """The read-only k x phi(k) int64 matrix whose row j is x^j mod Phi_k.
 
-    Reducing a batch of coefficient rows C (shape (..., k)) is C @ reduction_matrix(k);
-    max_reduction bounds the result and check_exact decides whether a dtype holds it.
+    Reducing a batch of coefficient rows C (shape (..., k)) is C @ reduction_matrix(k),
+    padded by canonical; max_reduction bounds the result and check_exact decides
+    whether a dtype holds it.
     """
-    m = np.array(_reduction_rows(k), dtype=np.int64)
+    low = np.array(cyclotomic_polynomial(k)[:-1], dtype=np.int64)  # Phi_k = x^phi(k) + low
+    m = np.eye(k, len(low), dtype=np.int64)
+    for j in range(len(low), k):
+        # multiply the previous row by x and fold x^phi(k) = -low
+        m[j, 1:] = m[j - 1, :-1]
+        m[j] -= m[j - 1, -1] * low
     m.flags.writeable = False
     return m
 
@@ -133,17 +119,19 @@ def check_exact(bound: int, dtype) -> None:
         raise ValueError(f"{bound} passes the exact integer range of {np.dtype(dtype)}, 2**{bits}")
 
 
+def canonical(c: np.ndarray, k: int) -> np.ndarray:
+    """Canonical form of a batch of coefficient rows (shape (..., k)) in c's dtype: the
+    remainder mod Phi_k, zero-padded to length k.  Object arrays of Python ints are exact
+    at any size; other dtypes are the caller's to clear with check_exact."""
+    r = reduction_matrix(k)
+    out = np.zeros(c.shape, dtype=c.dtype)
+    out[..., : r.shape[1]] = c @ r
+    return out
+
+
 def reduce_coeffs(coeffs: Sequence[int], k: int) -> tuple[int, ...]:
     """Canonical length-k coefficient tuple: remainder mod Phi_k, zero-padded."""
-    rows = _reduction_rows(k)
-    d = len(rows[0])
-    out = [0] * d
-    for j, c in enumerate(coeffs):
-        if c:
-            row = rows[j]
-            for i in range(d):
-                out[i] += c * row[i]
-    return tuple(out) + (0,) * (k - d)
+    return tuple(canonical(np.array(coeffs, dtype=object), k).tolist())
 
 
 class CycInt:

@@ -109,9 +109,10 @@ def _matrix_from_json_text(text: str, source: str) -> LogMatrix:
         if key not in obj:
             raise FileFormatError(source, None, f"JSON object is missing {key!r}")
     n, k, rows = obj["n"], obj["k"], obj["rows"]
-    if not isinstance(n, int) or n < 1:
+    # type(v) is int, not isinstance: JSON true and false load as bool, an int subclass
+    if type(n) is not int or n < 1:
         raise FileFormatError(source, None, f"n must be a positive integer, got {n!r}")
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise FileFormatError(source, None, f"k must be a positive integer, got {k!r}")
     if not isinstance(rows, list) or len(rows) != n:
         raise FileFormatError(source, None, f"rows must be a list of {n} rows")
@@ -119,7 +120,7 @@ def _matrix_from_json_text(text: str, source: str) -> LogMatrix:
         if not isinstance(row, list) or len(row) != n:
             raise FileFormatError(source, None, f"row {i} must have {n} entries")
         for e in row:
-            if not isinstance(e, int) or not 0 <= e < k:
+            if type(e) is not int or not 0 <= e < k:
                 raise FileFormatError(source, None, f"row {i} entry {e!r} out of range [0, {k})")
     return LogMatrix(k, rows)
 

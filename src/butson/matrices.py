@@ -12,9 +12,9 @@ in O(k n^2) memory.  Every count is at most the row width n, so the matmuls
 are exact integer arithmetic while n < 2**24, and reducing a count tensor
 in int64 is exact while max_reduction(k) * n < 2**62; the kernel
 raises ValueError outside those bounds through cyclotomic.check_exact.
-row_counts is the one per-row bincount, for check_bent's single product
-Hx and the Bush block sums.  counts_match is the one way to compare a count
-tensor with a target in Z[zeta_k].
+A one-row second table gives per-row counts: Hx in check_bent, the Bush
+block sums.  counts_match is the one way to compare a count tensor with a
+target in Z[zeta_k]; unitary_order keeps powers in cyclotomic.canonical form.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycInt, check_exact, exact_limit, max_reduction, reduction_matrix
+from .cyclotomic import CycInt, canonical, check_exact, exact_limit, max_reduction, reduction_matrix
 
 
 class LogMatrix:
@@ -244,18 +244,6 @@ def count_tensor(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     return _times_unit(_one_hot(a % k, k, np.float32), b, k)
 
 
-def row_counts(cells: np.ndarray, k: int) -> np.ndarray:
-    """counts[i, t] = #{j : cells[i, j] = t mod k}, from one bincount.
-
-    cells is an integer array of shape (rows, width) that serves as scratch:
-    it is reduced and offset in place, so callers pass a temporary they own.
-    """
-    rows = cells.shape[0]
-    cells %= k
-    cells += np.arange(0, rows * k, k)[:, None]
-    return np.bincount(cells.ravel(), minlength=rows * k).reshape(rows, k)
-
-
 def counts_match(counts: np.ndarray, k: int, target) -> bool:
     """Do counts and target represent the same matrix over Z[zeta_k]?
 
@@ -364,22 +352,15 @@ def unitary_order(h: LogMatrix, max_t: int) -> int | None:
     n, k = h.order, h.phase
     root = isqrt(n)
     square = root * root == n
-    r = reduction_matrix(k)
     h_conj = (-h.entries.T) % k  # P H = P (H*)*
-
-    def canonical(c: np.ndarray) -> np.ndarray:
-        out = np.zeros(c.shape, dtype=c.dtype)
-        out[..., : r.shape[1]] = c @ r
-        return out
-
-    p = canonical(np.eye(k, dtype=np.int64)[h.entries])
+    p = canonical(np.eye(k, dtype=np.int64)[h.entries], k)
     scale = 0  # accumulated exponent: true power is p * n**scale
     for t in range(1, max_t + 1):
         if t > 1:
             # an entry of P H sums k * n coefficients of P; reducing scales it by <= max_reduction(k)
             bound = max_reduction(k) * k * n * int(np.abs(p).max())
             left = p.transpose(0, 2, 1).astype(_coeff_dtype(bound))
-            p = canonical(_times_unit(left, h_conj, k))
+            p = canonical(_times_unit(left, h_conj, k), k)
         # divide out a factor of n when every reduced coefficient allows it
         while n > 1 and not (p % n).any():
             p //= n

@@ -102,3 +102,57 @@ def self_complementary_brute(words, k: int) -> bool:
     """Every translate w + alpha (1, ..., 1) of every word is again a word."""
     present = {tuple(e % k for e in w) for w in words}
     return all(tuple((e + alpha) % k for e in w) in present for w in present for alpha in range(k))
+
+
+def _poly_mul_brute(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _poly_divmod_brute(num, den):
+    """Quotient and remainder (length len(den) - 1) of num by a monic den, lists of
+    Python ints, constant term first, by schoolbook long division."""
+    rem, d = list(num), len(den) - 1
+    quo = [0] * max(1, len(num) - d)
+    for i in range(len(rem) - 1, d - 1, -1):
+        c = rem[i]
+        quo[i - d] = c
+        for j, dj in enumerate(den):
+            rem[i - d + j] -= c * dj
+    return quo, rem[:d]
+
+
+def _mobius_brute(m: int) -> int:
+    sign, p = 1, 2
+    while p * p <= m:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if m > 1 else sign
+
+
+def cyclotomic_polynomial_brute(k: int) -> list[int]:
+    """Phi_k, constant term first, from the Moebius product prod_{d | k} (x^d - 1)^mu(k/d)."""
+    num, den = [1], [1]
+    for d in (d for d in range(1, k + 1) if k % d == 0):
+        mu, factor = _mobius_brute(k // d), [-1] + [0] * (d - 1) + [1]
+        if mu > 0:
+            num = _poly_mul_brute(num, factor)
+        elif mu < 0:
+            den = _poly_mul_brute(den, factor)
+    quo, rem = _poly_divmod_brute(num, den)
+    assert not any(rem)
+    return quo
+
+
+def reduce_mod_phi_brute(coeffs, k: int) -> tuple[int, ...]:
+    """coeffs (constant term first) modulo Phi_k by long division in Python ints,
+    zero-padded to length k."""
+    _, rem = _poly_divmod_brute([int(c) for c in coeffs], cyclotomic_polynomial_brute(k))
+    return tuple(rem) + (0,) * (k - len(rem))

@@ -309,3 +309,11 @@ def test_exit_code_of_a_non_hadamard_matrix(capsys, tmp_path, argv, code):
         assert ": false" in out and not err
     else:
         assert not out and err.startswith("error: ")
+
+
+def test_a_json_boolean_entry_is_a_format_error(capsys, tmp_path):
+    path = tmp_path / "h.json"
+    path.write_text('{"n": 2, "k": 2, "rows": [[0, 0], [0, true]]}')
+    code, out, err = run(capsys, ["verify", "hadamard", str(path)])
+    assert code == 2 and not out
+    assert err.startswith("error: ") and "row 1 entry True out of range [0, 2)" in err

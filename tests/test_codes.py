@@ -603,6 +603,22 @@ def test_strength_2_finds_a_failing_pair_in_a_later_block():
     assert not has_strength_2(ZkCode(2, words))
 
 
+def test_strength_2_finds_a_failing_pair_in_an_off_diagonal_tile():
+    # 1024 words over Z_2 make tiles of 256 coordinates, so coordinates 0 and 511
+    # are only ever counted together by the matmul of the first tile with the second
+    rows = sylvester_matrix(9).entries
+    words = np.concatenate([rows, 1 - rows])
+    words[:, -1] = words[:, 0]
+    assert not has_strength_2(ZkCode(2, words))
+
+
+def test_premises_match_brute_force_in_small_tiles(monkeypatch):
+    # tiles of one or two coordinates: most pairs of coordinates sit in two different
+    # tiles, and every diagonal tile masks its coordinates against themselves
+    monkeypatch.setattr(codes, "_TILE_CELLS", 16)
+    test_premises_match_brute_force()
+
+
 def test_radius_below_leducq_for_small_prime_phase_codes():
     for h in [
         fourier_matrix(3),

@@ -56,6 +56,19 @@ def test_count_kernels_match_brute_force(data):
     assert (product_counts(ha, hb) == product_counts_brute(a, b, k)).all()
 
 
+@pytest.mark.parametrize("k,rows,width", [(3, 81, 81), (8, 16, 16), (5, 2 * 5**3, 5), (7, 2 * 7**3, 7)])
+def test_one_row_table_gives_per_row_bincounts(k, rows, width):
+    # check_bent counts H against the one-row table -x; the Bush sums count the
+    # (2 p^3, p) block lines against a zero row
+    rng = np.random.default_rng(k * rows)
+    a = rng.integers(0, k, (rows, width))
+    for b in (-rng.integers(0, k, (1, width)), np.zeros((1, width), np.int64)):
+        want = np.array([np.bincount((row - b[0]) % k, minlength=k) for row in a])
+        got = count_tensor(a, b, k)
+        assert got.shape == (rows, 1, k) and got.dtype == np.int64
+        assert (got[:, 0] == want).all()
+
+
 def test_counts_match_compares_in_the_ring():
     zero = np.array([[[1, 1, 1]]])  # 1 + zeta_3 + zeta_3^2 = 0
     assert counts_match(zero, 3, 0)

@@ -3,11 +3,13 @@ from __future__ import annotations
 import random
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from butson.cyclotomic import CycInt, cyclotomic_polynomial, reduction_matrix
+from butson.cyclotomic import CycInt, canonical, cyclotomic_polynomial, reduce_coeffs, reduction_matrix
 from butson.numtheory import is_prime, totient
 
-from oracles import complex_value
+from oracles import complex_value, cyclotomic_polynomial_brute, reduce_mod_phi_brute
 
 PHASES = [2, 3, 4, 5, 6, 8, 9, 12, 13]
 
@@ -191,3 +193,33 @@ def test_str_rendering():
     assert str(CycInt.root(5, 1)) == "z"
     s = str(CycInt(5, (1, -1, 2, 0, 0)))
     assert "z^2" in s and s.startswith("1")
+
+
+def test_cyclotomic_polynomial_matches_the_moebius_product():
+    for k in range(1, 130):
+        assert cyclotomic_polynomial(k) == tuple(cyclotomic_polynomial_brute(k))
+
+
+def _coefficient_rows(k: int, bound: int, count: int):
+    row = st.lists(st.integers(-bound, bound), min_size=k, max_size=k)
+    return st.lists(row, min_size=count, max_size=count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_every_reduction_is_long_division_by_phi(data):
+    # reduce_coeffs, CycInt.reduce and canonical all read reduction_matrix; the
+    # oracle divides by the Moebius form of Phi_k and never sees that table
+    k = data.draw(st.integers(1, 64), label="k")
+    big = data.draw(_coefficient_rows(k, 2**100, 6), label="big")
+    small = data.draw(_coefficient_rows(k, 2**20, 6), label="small")
+    for coeffs in big:
+        want = reduce_mod_phi_brute(coeffs, k)
+        assert reduce_coeffs(coeffs, k) == want
+        assert CycInt(k, coeffs).reduce().coeffs == want
+    for rows, dtype in ((big, object), (small, np.int64), (small, np.float64)):
+        batch = np.array(rows, dtype=dtype).reshape(2, 3, k)
+        got = canonical(batch, k)
+        assert got.dtype == batch.dtype and got.shape == batch.shape
+        assert [tuple(int(v) for v in row) for row in got.reshape(6, k)] == [
+            reduce_mod_phi_brute(row, k) for row in rows]

@@ -124,3 +124,18 @@ def test_random_matrix_round_trips():
         h = LogMatrix(k, [[rng.randrange(k) for _ in range(n)] for _ in range(n)])
         assert parse_matrix(serialize_matrix(h)) == h
         assert parse_matrix(serialize_matrix_json(h)) == h
+
+
+def test_matrix_json_rejects_booleans():
+    # bool is an int subclass in Python; JSON true and false are no integers here
+    cases = [
+        ('{"n": true, "k": 2, "rows": [[0]]}', "n must be a positive integer, got True"),
+        ('{"n": 1, "k": true, "rows": [[0]]}', "k must be a positive integer, got True"),
+        ('{"n": 2, "k": 2, "rows": [[0, 0], [0, true]]}', "row 1 entry True out of range [0, 2)"),
+    ]
+    for text, fragment in cases:
+        try:
+            parse_matrix(text, "bool.json")
+            raise AssertionError(f"expected FileFormatError for {text!r}")
+        except FileFormatError as e:
+            assert "bool.json" in str(e) and fragment in str(e), (text, str(e))
