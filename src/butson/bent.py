@@ -10,17 +10,19 @@ across i is the defining identity and whose norm must be n.
 
 Every exhaustive scan of Z_k^n, here and in codes, sums a table contrib[j, v,
 f], what x_j = v adds to output f, over prefix blocks and a suffix table
-(suffix_table, digit_blocks).  The search's sums are the exponent counts of
-every entry of Hx, and _verdicts reduces their autocorrelations exactly
-(cyclotomic.check_exact bounds the range); check_bent runs the same verdicts
-on a batch of one.  fan_out, shared with the covering-radius scan, runs index
-chunks inline, or in a spawn pool once their measured cost pays for one, and
-merges by index, so output is identical for every worker count and path.
+(suffix_table, digit_blocks).  Both are sized in bytes, _BLOCK_BYTES times a
+weight, so sums in a narrow dtype come in proportionally larger blocks: the
+search's float32 blocks hold 2**16 cells, the radius scan's uint8 blocks
+2**18.  The search's sums are the exponent counts of every entry of Hx, and
+_verdicts reduces their autocorrelations exactly (cyclotomic.check_exact
+bounds the range); check_bent runs the same verdicts on a batch of one.
+fan_out, shared with the covering-radius scan, runs index chunks inline, or
+in a spawn pool once their measured cost pays for one, and merges by index,
+so output is identical for every worker count and path.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import pickle
 import tempfile
@@ -50,7 +52,7 @@ from .matrices import (
 from .numtheory import dual_entry_ambient_phase, is_self_conjugate
 
 _MODES = ("any", "self_dual", "conjugate_self_dual")
-_CELLS = 1 << 16  # cells of one block of digit sums and of the suffix table, times their weight
+_BLOCK_BYTES = 1 << 18  # bytes of one block of digit sums and of the suffix table, times their weight
 _CHUNK = 1 << 16  # fan_out chunk: quick to stream, worth a pool round trip
 _POOL_SECONDS = 1.0  # measured inline work left that pays for a spawn pool (two start in 0.25-0.4 s)
 
@@ -96,9 +98,10 @@ def index_digits(indices, k: int, length: int) -> np.ndarray:
     return np.asarray(indices, dtype=np.int64)[None, :] // np.array(places, dtype=np.int64)[:, None] % k
 
 
-def block_size(cells: int, weight: int = 1) -> int:
-    """How many times `cells` sums fit in _CELLS when each sum weighs `weight` cells (at least 1)."""
-    return max(1, _CELLS // (weight * cells))
+def block_size(cells: int, dtype, weight: int = 1) -> int:
+    """How many times `cells` sums of dtype fit in _BLOCK_BYTES when each sum weighs
+    `weight` cells (at least 1)."""
+    return max(1, _BLOCK_BYTES // (weight * cells * np.dtype(dtype).itemsize))
 
 
 def digit_sum(contrib: np.ndarray, x: np.ndarray, dtype) -> np.ndarray:
@@ -112,11 +115,16 @@ def digit_sum(contrib: np.ndarray, x: np.ndarray, dtype) -> np.ndarray:
 
 def suffix_table(contrib: np.ndarray, dtype, weight: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """(head, table): contrib of the first n - s coordinates, and the (F, k**s) digit
-    sums of every suffix on the last s, for the largest s with k**s <= block_size(F, weight)."""
+    sums of every suffix on the last s, for the largest s with k**s <= block_size(F, dtype, weight).
+    The table grows by one leading coordinate at a time: digit v before the t digits
+    of index a gives index v k**t + a, so each step is one broadcast addition."""
     n, k, f = contrib.shape
-    fit = block_size(f, weight)
+    fit = block_size(f, dtype, weight)
     s = max(s for s in range(n + 1) if k**s <= fit)
-    return contrib[: n - s], digit_sum(contrib[n - s :], index_digits(np.arange(k**s), k, s), dtype)
+    table = np.zeros((f, 1), dtype)
+    for col in np.ascontiguousarray(contrib[n - s :][::-1].transpose(0, 2, 1), dtype):  # (F, k) each
+        table = (col[:, :, None] + table[:, None, :]).reshape(f, -1)
+    return contrib[: n - s], table
 
 
 def digit_blocks(start: int, stop: int, head: np.ndarray, table: np.ndarray,
@@ -125,7 +133,7 @@ def digit_blocks(start: int, stop: int, head: np.ndarray, table: np.ndarray,
     Index p k**s + j sums prefix p on the digits of head and column j of table; a
     block takes at most block_size whole prefixes and is clipped to [start, stop)."""
     size = table.shape[1]
-    step = block_size(table.size, weight)
+    step = block_size(table.size, table.dtype, weight)
     last = -(-stop // size)
     for p in range(start // size, last, step):
         prefix = index_digits(np.arange(p, min(p + step, last)), head.shape[1], head.shape[0])
@@ -296,7 +304,8 @@ def _pooled(scan, bounds: Iterator[tuple[int, int]], processes: int) -> Iterator
     would block the write once the data outgrows the pipe.  Dead workers raise
     BrokenProcessPool; closing the stream cancels the chunks not yet started and
     waits for the workers."""
-    from concurrent.futures import ProcessPoolExecutor  # 15-20 ms of imports that only a pool needs
+    import multiprocessing  # with the executor, 15-20 ms of imports that only a pool needs
+    from concurrent.futures import ProcessPoolExecutor
 
     spawn = multiprocessing.get_context("spawn")
     with tempfile.TemporaryDirectory() as tmp:

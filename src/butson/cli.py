@@ -11,18 +11,25 @@ Subcommands
     bush                                           block-circulant family, optional algebra check
 
 Exit codes: 0 on success, 1 when a mathematical check comes out false
-(verification fails, an obstruction fires, no order found), 2 on usage or I/O
-errors, on instances too large to allocate and on input that fails a command's
-precondition: a non-Hadamard matrix exits 1 from verify, which decides that
-property, and 2 from bent-check, bent-search, order and covering-radius
---code-from, which need it.  Numeric output is exact; rationals print as a/b.
+(verification fails, an obstruction proves no bent vector exists, no order
+found), 2 on usage or I/O errors, on instances too large to allocate and on
+input that fails a command's precondition: a non-Hadamard matrix exits 1 from
+verify, which decides that property, and 2 from bent-check, bent-search, order
+and covering-radius --code-from, which need it.  Numeric output is exact;
+rationals print as a/b.
 Given a fixed seed and inputs, output bytes are reproducible, including
 under --workers changes.
+
+`python -m butson` and the `butson` script enter through run(), which freezes
+the objects of the imported modules out of the garbage collector, so neither
+the collections a command triggers nor the one at exit walk them; main() runs
+one command and changes no collector state.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
@@ -467,5 +474,11 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """The process entry point: main() on sys.argv, with the import heap frozen first."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

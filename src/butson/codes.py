@@ -7,7 +7,9 @@ R_H, the rows of L(H), and the translate-closed code C_H = union over alpha of
 codewords of the Hamming distance is computed by an exhaustive scan through
 the digit-sum kernel of bent: coordinate j with value v adds [w_j != v] to the
 distance of every codeword w, so an ambient vector costs one addition and one
-comparison per codeword on top of its prefix's distances.  The sampled radius
+comparison per codeword on top of its prefix's distances.  Distances are held
+in the narrowest of uint8, int16 and int32 that is exact for the length, so
+codes shorter than 128 scan one byte per codeword.  The sampled radius
 sums the same table over blocks of seeded draws: the values
 random.Random(seed).randrange(modulus) gives, coordinate by coordinate, read in
 bulk from the generator's 32-bit words, so the modulus must be below 2**32.
@@ -20,7 +22,7 @@ strength-2 pair counts are float32 matmuls over tiles of coordinates, exact
 for codes of under 2**24 words.  For phase 3 the identity d(L(v), L(w)) =
 (2/3)(n - R<v, w>) recovers the Hamming distance from the real part of the
 inner product z = s0 + s1 zeta + s2 zeta^2, the rational s0 - (s1+s2)/2; the
-bent bound counts its distances on the word array instead.
+bent bound reads its distances from count_tensor instead.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ import numpy as np
 
 from .bent import block_size, check_bent, digit_blocks, digit_sum, fan_out, index_digits, suffix_table
 from .cyclotomic import check_exact, exact_limit
-from .matrices import LogMatrix, LogVector, NotHadamardError, _one_hot, verify_hadamard
+from .matrices import LogMatrix, LogVector, NotHadamardError, _one_hot, count_tensor, verify_hadamard
 from .numtheory import is_prime
 
 
@@ -171,11 +173,12 @@ def covering_radius(
     flagged exact=False; it needs a modulus below 2**32.  Multi-worker scans
     partition the ambient space into contiguous index ranges and reduce by max,
     so the result does not depend on the worker count.  Distances and their sums
-    are at most length, held in int16 or int32 under check_exact.  Every
-    argument is checked before anything is allocated.
+    are at most length, held in uint8, int16 or int32, the first whose
+    exact_limit passes the length, under check_exact.  Every argument is
+    checked before anything is allocated.
     """
     k, n = c.modulus, c.length
-    dtype = np.int16 if n < exact_limit(np.int16) else np.int32
+    dtype = next((d for d in (np.uint8, np.int16) if n < exact_limit(d)), np.int32)
     check_exact(n, dtype)
     if strategy == "exhaustive" and k**n > budget:
         raise BudgetExceededError(f"ambient space {k}^{n} = {k**n} vectors exceeds budget {budget}")
@@ -192,7 +195,7 @@ def covering_radius(
         head, table = suffix_table(contrib, dtype)
         scan = partial(_scan_radius_range, head=head, table=table)
         return CoveringRadiusResult(max(fan_out(scan, k**n, workers)), True)
-    step = block_size(len(c))
+    step = block_size(len(c), dtype)
     sizes = (min(step, samples - lo) * n for lo in range(0, samples, step))
     best = 0
     for draws in _randrange_blocks(random.Random(seed), k, sizes):
@@ -285,8 +288,10 @@ def bent_lower_bound(h: LogMatrix, x: LogVector) -> BentBound:
     R<w, -x> <= sqrt(n) and the distance identity puts the witness -x at
     distance at least (2/3)(n - sqrt(n)) from the whole code.  x itself can be
     a codeword.  The returned distances are from the witness, one per codeword
-    of C_H in code order, counted in one comparison with the code's word array;
-    ternary_distance gives the same values through the identity.
+    of C_H in code order (row i, then alpha), read from one count_tensor of the
+    witness against the rows without building C_H: the witness agrees with
+    r_i + alpha where it differs from r_i by alpha, so its distance is n minus
+    that count.  ternary_distance gives the same values through the identity.
     """
     if h.phase != 3:
         raise ValueError(f"the distance identity needs phase 3, got {h.phase}")
@@ -294,10 +299,9 @@ def bent_lower_bound(h: LogMatrix, x: LogVector) -> BentBound:
     if not cert.bent:
         raise ValueError("x is not a bent vector for h")
     n = h.order
-    _, c_code = code_from_matrix(h)
     witness = tuple(-e % 3 for e in x.entries)
-    distances = tuple((c_code.word_array() != np.array(witness)).sum(axis=1).tolist())
-    return BentBound(_ceil_two_thirds_gap(n), distances, witness)
+    agree = count_tensor(np.array([witness]), h.entries, 3)[0]  # [i, alpha]: #{m : witness_m = r_im + alpha}
+    return BentBound(_ceil_two_thirds_gap(n), tuple((n - agree).ravel().tolist()), witness)
 
 
 def is_self_complementary(c: ZkCode) -> bool:

@@ -105,9 +105,12 @@ def max_reduction(k: int) -> int:
 def exact_limit(dtype) -> int:
     """Integers of smaller magnitude are exact in dtype: floats hold them below
     2**(mantissa bits + 1); signed ints are held two bits short of their width
-    (2**62 for int64), which leaves headroom for one more addition."""
+    (2**62 for int64) and unsigned ints one bit short (2**7 for uint8), which
+    leaves headroom for one more addition."""
     dtype = np.dtype(dtype)
-    return 2 ** (np.finfo(dtype).nmant + 1 if dtype.kind == "f" else np.iinfo(dtype).bits - 2)
+    if dtype.kind == "f":
+        return 2 ** (np.finfo(dtype).nmant + 1)
+    return 2 ** (np.iinfo(dtype).bits - (dtype.kind == "i") - 1)
 
 
 def check_exact(bound: int, dtype) -> None:

@@ -14,7 +14,6 @@ deterministic trial division, which is ample for the intended input range
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 TRIAL_DIVISION_BOUND = 2**32
@@ -190,9 +189,8 @@ class ObstructionVerdict(NamedTuple):
     witness: str
 
 
-@dataclass(frozen=True)
-class ObstructionReport:
-    """Outcome of every arithmetic non-existence rule for bent vectors at (n, k)."""
+class ObstructionReport(NamedTuple):
+    """Outcome of every arithmetic rule for bent vectors at (n, k)."""
 
     n: int
     k: int
@@ -200,7 +198,9 @@ class ObstructionReport:
 
     @property
     def any_violated(self) -> bool:
-        return any(v.violated for v in self.verdicts)
+        """True iff a rule that proves no bent vector exists at (n, k) is violated.
+        entry-root-form restricts the form of dual entries only, so it does not count."""
+        return any(v.violated and v.rule != "entry-root-form" for v in self.verdicts)
 
     def violated_rules(self) -> tuple[str, ...]:
         return tuple(v.rule for v in self.verdicts if v.violated)
@@ -214,7 +214,8 @@ def bent_obstructions(n: int, k: int) -> ObstructionReport:
     conclusion for p = 2 when k = 2 mod 4 (2 is unramified there even though
     it divides the phase).  entry-root-form (phases 3 and 4 only): n must be
     9*m^2 resp. 4*m^2; this one binds only bent vectors whose transform has an
-    entry sqrt(n) * zeta_k^t, so a violation rules out that shape alone.
+    entry sqrt(n) * zeta_k^t, so a violation rules out that shape alone and
+    does not count in any_violated.
     """
     if n < 2 or k < 2:
         raise ValueError(f"need n, k >= 2, got n={n}, k={k}")

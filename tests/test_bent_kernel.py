@@ -114,8 +114,8 @@ def test_batched_kernel_matches_ring_reference_and_float_oracle(case):
 
 @st.composite
 def _table_and_cap(draw):
-    """A small contribution table, a block weight, and a _CELLS cap that fixes the
-    suffix length s, 0 <= s <= n."""
+    """A small contribution table, a block weight, and a cap in int64 cells that fixes
+    the suffix length s, 0 <= s <= n."""
     k = draw(st.integers(2, 4))
     n = draw(st.integers(1, {2: 8, 3: 5, 4: 4}[k]))
     f = draw(st.integers(1, 5))
@@ -138,22 +138,21 @@ def test_digit_blocks_tile_the_range_with_brute_force_sums(case, data):
     x = index_digits(np.arange(k**n), k, n)
     brute = contrib[np.arange(n)[:, None], x].sum(axis=0).T  # column i: sum_j contrib[j, x_j] of index i
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bent, "_CELLS", cap)
+        mp.setattr(bent, "_BLOCK_BYTES", cap * np.dtype(np.int64).itemsize)
         head, table = bent.suffix_table(contrib, np.int64, weight)
         assert len(head) == n - s and table.shape == (f, k**s) and table.dtype == np.int64
         tail = np.arange(n - s, n)[:, None]  # the last s coordinates of the indices below k**s
         assert (table == contrib[tail, x[n - s :, : k**s]].sum(axis=0).T).all()
         at = start
         for first, sums in bent.digit_blocks(start, stop, head, table, weight):
-            assert first == at and 1 <= sums.shape[1] <= bent.block_size(table.size, weight) * k**s
+            assert first == at and 1 <= sums.shape[1] <= bent.block_size(table.size, np.int64, weight) * k**s
             assert (sums == brute[:, at : at + sums.shape[1]]).all()
             at += sums.shape[1]
         assert at == stop
 
 
-class _NoProcesses:
-    def __getattr__(self, name):
-        raise AssertionError(f"a scan under the pool cost used multiprocessing.{name}")
+def _no_pool(*args):
+    raise AssertionError("a scan under the pool cost started a pool")
 
 
 def _force_pool(monkeypatch, chunk: int) -> None:
@@ -166,7 +165,7 @@ def test_ksw_search_hits_match_check_bent(monkeypatch):
     h = character_table([3, 3])
     # 39 chunks of a 3^9 scan measure far under _POOL_SECONDS: no process starts at 2 workers
     monkeypatch.setattr(bent, "_CHUNK", 512)
-    monkeypatch.setattr(bent, "multiprocessing", _NoProcesses())
+    monkeypatch.setattr(bent, "_pooled", _no_pool)
     hits = list(search_bent(h, mode="conjugate_self_dual", workers=2))
     assert len(hits) == 66
     assert ksw_vector(3, 2) in {hit.vector for hit in hits}
@@ -178,7 +177,7 @@ def test_ksw_search_hits_match_check_bent(monkeypatch):
 def test_budgets_off_the_batch_grid(monkeypatch, mode):
     h = character_table([3, 3])
     _, table = bent.suffix_table(bent._count_table(h), np.float32, 3)
-    step = bent.block_size(table.size, 3) * table.shape[1]  # candidates of one block
+    step = bent.block_size(table.size, table.dtype, 3) * table.shape[1]  # candidates of one block
     full = list(search_bent(h, mode=mode))
     for budget in (1, step - 1, step, step + 1, 2 * step + 1, 3**8 - 1, 3**9 - 1):
         want = [hit for hit in full if hit.index < budget]

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -223,6 +228,38 @@ def test_obstructions_violation_and_clear(capsys):
     assert payload["any_violated"] is False
     assert all(set(v) == {"rule", "applicable", "violated", "witness"}
                for v in payload["verdicts"])
+
+
+@pytest.mark.parametrize("n,k", [(3, 3), (27, 3), (8, 4)])
+def test_a_violated_shape_rule_alone_exits_0(capsys, n, k):
+    # bent vectors exist at these pairs; entry-root-form only restricts their dual entries
+    code, out, _ = run(capsys, ["obstructions", "--n", str(n), "--k", str(k), "--json"])
+    payload = json.loads(out)
+    assert code == 0 and payload["any_violated"] is False
+    assert [v["rule"] for v in payload["verdicts"] if v["violated"]] == ["entry-root-form"]
+
+
+def test_main_leaves_the_collector_unfrozen(capsys):
+    before = gc.get_freeze_count()
+    assert main(["obstructions", "--n", "9", "--k", "3"]) == 0
+    assert gc.get_freeze_count() == before
+
+
+def test_the_process_entry_imports_no_pool_and_freezes_the_import_heap():
+    script = "\n".join([
+        "import atexit, gc, sys",
+        "import butson.cli",
+        "print(sorted({'multiprocessing', 'dataclasses'} & set(sys.modules)))",
+        "atexit.register(lambda: print(gc.get_freeze_count() > 0))",
+        "sys.argv = ['butson', 'obstructions', '--n', '9', '--k', '3']",
+        "butson.cli.run()",
+    ])
+    src = Path(cli.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
+    lines = proc.stdout.splitlines()
+    assert proc.returncode == 0
+    assert lines[0] == "[]" and lines[-1] == "True"
 
 
 def test_order_found_and_not_found(capsys, tmp_path):

@@ -209,7 +209,7 @@ _MAX_LENGTH = {2: 7, 3: 7, 4: 6, 5: 5}
 
 @st.composite
 def _code_and_cells(draw):
-    """A small code and a distance-block cap that fixes the suffix length s, 0 <= s <= n."""
+    """A small code and a distance-block cap in cells that fixes the suffix length s, 0 <= s <= n."""
     k = draw(st.integers(2, 5))
     n = draw(st.integers(1, _MAX_LENGTH[k]))
     word = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
@@ -244,7 +244,7 @@ def test_blocked_scan_matches_brute_force(case, data):
     k, n = c.modulus, c.length
     total = k**n
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bent, "_CELLS", cells)
+        mp.setattr(bent, "_BLOCK_BYTES", cells * np.dtype(np.uint8).itemsize)
         assert covering_radius(c) == (covering_radius_brute(c.words, k), True)
         scans = []
         mp.setattr(codes, "fan_out", lambda scan, total, workers: scans.append(scan) or [0])
@@ -268,8 +268,37 @@ def test_blocked_scan_matches_brute_force(case, data):
 def test_blocked_scan_is_the_same_at_two_workers(case):
     c, _, cells = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bent, "_CELLS", cells)
+        mp.setattr(bent, "_BLOCK_BYTES", cells * np.dtype(np.uint8).itemsize)
         assert covering_radius(c, workers=2) == covering_radius(c, workers=1)
+
+
+@st.composite
+def _long_code(draw):
+    """Words of length n <= 127 that share their first n - m coordinates, as
+    (k, shared prefix, tails of length m)."""
+    k = draw(st.integers(2, 4))
+    m = draw(st.integers(1, {2: 7, 3: 5, 4: 4}[k]))
+    n = draw(st.one_of(st.just(127), st.integers(m, 127)))
+    value = draw(st.sampled_from([st.integers(0, k - 1), st.integers(1, k - 1)]))  # or full weight
+    prefix = draw(st.lists(value, min_size=n - m, max_size=n - m))
+    tail = st.tuples(*[st.integers(0, k - 1)] * m)
+    return k, prefix, draw(st.lists(tail, min_size=1, max_size=12))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_long_code())
+def test_uint8_scans_match_brute_force_up_to_length_127(case):
+    # the first k**m ambient vectors are 0 on the shared prefix and run over every
+    # tail, so their largest min-distance is the prefix weight plus the tails' radius
+    k, prefix, tails = case
+    c = ZkCode(k, [(*prefix, *t) for t in tails])
+    scans = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "fan_out", lambda scan, total, workers: scans.append(scan) or [0])
+        covering_radius(c, budget=k**c.length)
+    assert scans[0].keywords["table"].dtype == np.uint8
+    weight = sum(e != 0 for e in prefix)
+    assert scans[0](0, k ** len(tails[0])) == weight + covering_radius_brute(tails, k)
 
 
 def test_distance_dtype_is_guarded_before_any_allocation(monkeypatch):
@@ -283,14 +312,14 @@ def test_distance_dtype_is_guarded_before_any_allocation(monkeypatch):
             covering_radius(stub(2**30), strategy)
     with pytest.raises(ValueError, match="unknown strategy"):
         covering_radius(stub(2**30 - 1), "guess")
-    # distances stay int16 while the length is below its exact range
+    # distances take the narrowest of uint8, int16 and int32 whose exact range holds the length
     seen = []
     digit_sum = codes.digit_sum
     monkeypatch.setattr(codes, "digit_sum",
                         lambda contrib, x, dtype: seen.append(dtype) or digit_sum(contrib, x, dtype))
-    for n in (2**14 - 1, 2**14):
+    for n in (2**7 - 1, 2**7, 2**14 - 1, 2**14):
         covering_radius(ZkCode(2, [(0,) * n]), "sampled", samples=1)
-    assert seen == [np.int16, np.int32]
+    assert seen == [np.uint8, np.int16, np.int16, np.int32]
 
 
 class _CountingRandom(random.Random):
@@ -470,6 +499,7 @@ def test_bent_lower_bound_distances_are_hamming_distances(case):
     _, c_code = code_from_matrix(h)
     got = bent_lower_bound(h, x)
     assert got.distances == tuple(hamming_distance(got.witness, w) for w in c_code.words)
+    assert got.distances == tuple(ternary_distance(got.witness, w) for w in c_code.words)
     assert got.min_distance >= got.bound
 
 

@@ -2,6 +2,10 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from butson.bent import check_bent, index_digits, search_bent
+from butson.matrices import LogVector, character_table, fourier_matrix
 from butson.numtheory import (
     bent_obstructions,
     circulant_real_obstruction,
@@ -146,6 +150,18 @@ def test_bent_obstructions_entry_root_rule():
     report = bent_obstructions(9, 3)
     rows = [v for v in report.verdicts if v.rule == "entry-root-form"]
     assert len(rows) == 1 and not rows[0].violated
+
+
+def test_a_violated_entry_root_row_alone_leaves_bent_vectors_possible():
+    # n = 3, 27 and 8 are not 9 m^2 or 4 m^2, yet bent vectors exist at (3, 3) and (27, 3)
+    assert len(list(search_bent(fourier_matrix(3), "any"))) == 6
+    c = index_digits(np.arange(27), 3, 3)
+    x = LogVector(3, (c**2).sum(axis=0) % 3)  # x_c = c_1^2 + c_2^2 + c_3^2
+    assert check_bent(character_table([3, 3, 3]), x).kind == "conjugate_self_dual"
+    for n, k in ((3, 3), (27, 3), (8, 4)):
+        report = bent_obstructions(n, k)
+        assert report.violated_rules() == ("entry-root-form",) and not report.any_violated
+    assert bent_obstructions(6, 3).any_violated  # square-p-part still fires next to it
 
 
 def test_no_obstruction_on_known_pairs():
