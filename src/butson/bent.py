@@ -49,7 +49,7 @@ from .matrices import (
     product_counts,
     verify_hadamard,
 )
-from .numtheory import dual_entry_ambient_phase, is_self_conjugate
+from .numtheory import dual_entry_ambient_phase
 
 _MODES = ("any", "self_dual", "conjugate_self_dual")
 _BLOCK_BYTES = 1 << 18  # bytes of one block of digit sums and of the suffix table, times their weight
@@ -217,8 +217,8 @@ def _build_certificate(k: int, n: int, x, counts: np.ndarray, flags, memo: dict)
     sd_unit = dual[0].times_root(-x[0]).reduce() if sd else None
     csd_unit = dual[0].times_root(x[0]).reduce() if csd else None
     orders = None
-    if bent and is_self_conjugate(n, k):
-        ambient = dual_entry_ambient_phase(n, k)
+    ambient = dual_entry_ambient_phase(n, k) if bent else None  # None: n not self-conjugate mod k
+    if ambient is not None:
         for row, entry in zip(rows, dual):
             if (row, n, ambient) not in memo:
                 memo[row, n, ambient] = _dual_entry_order(entry, n, ambient)

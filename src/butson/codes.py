@@ -42,6 +42,7 @@ from .numtheory import is_prime
 
 
 _TILE_CELLS = 2**19  # float32 cells (2 MiB) of one tile's one-hot and of one tile pair's counts
+_RM_ENTRIES = 2**22  # most entries reed_muller_1 builds
 
 
 class BudgetExceededError(ValueError):
@@ -336,7 +337,7 @@ def has_strength_2(c: ZkCode) -> bool:
     return True
 
 
-def reed_muller_1(q: int, m: int, *, budget: int = 2**22) -> ZkCode:
+def reed_muller_1(q: int, m: int) -> ZkCode:
     """First-order generalized Reed-Muller code: all affine functions
     a0 + sum a_i x_i on the lexicographically ordered points of Z_q^m.
 
@@ -350,9 +351,9 @@ def reed_muller_1(q: int, m: int, *, budget: int = 2**22) -> ZkCode:
         raise ValueError(f"q must be prime, got {q}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
-    if q ** (2 * m + 1) > budget:
+    if q ** (2 * m + 1) > _RM_ENTRIES:
         raise BudgetExceededError(
-            f"{q}^{m + 1} words of length {q}^{m} = {q ** (2 * m + 1)} entries exceed budget {budget}"
+            f"{q}^{m + 1} words of length {q}^{m} = {q ** (2 * m + 1)} entries exceed budget {_RM_ENTRIES}"
         )
     points = index_digits(np.arange(q**m), q, m)  # lexicographic, most significant digit first
     coeffs = index_digits(np.arange(q ** (m + 1)), q, m + 1)

@@ -21,60 +21,37 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numtheory import divisors, totient
+from .numtheory import divisors, moebius, totient
 
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_divmod(num: Sequence[int], den: Sequence[int]) -> tuple[list[int], list[int]]:
-    """Quotient and remainder for integer polynomials; den must be monic."""
-    if den[-1] != 1:
-        raise ValueError("divisor must be monic")
-    rem = list(num)
-    dn = len(den) - 1
-    if len(rem) - 1 < dn:
-        return [0], _poly_trim(rem)
-    quo = [0] * (len(rem) - dn)
-    for i in range(len(rem) - 1, dn - 1, -1):
-        c = rem[i]
-        if c:
-            quo[i - dn] = c
-            for j, dj in enumerate(den):
-                rem[i - dn + j] -= c * dj
-    return _poly_trim(quo), _poly_trim(rem)
+def _times_binomial(c: list[int], d: int) -> list[int]:
+    """c * (x^d - 1): a shift by d places and a subtraction."""
+    return [a - b for a, b in zip([0] * d + c, c + [0] * d)]
 
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
     """Coefficients of Phi_k, constant term first: the monic minimal polynomial
-    of zeta_k, of degree phi(k), by exact division of x^k - 1 by the product
-    of Phi_d, d | k, d < k."""
+    of zeta_k, of degree phi(k), as the Moebius product of (x^d - 1)^mu(k/d)
+    over d | k.  The factors with mu = 1 are multiplied in first; each factor
+    with mu = -1 then divides the product exactly, its quotient q read off
+    p = q (x^d - 1) by the recurrence q[i] = q[i - d] - p[i]."""
     if k < 1:
         raise ValueError(f"order must be positive, got {k}")
-    num = [-1] + [0] * (k - 1) + [1]
-    den = [1]
-    for d in divisors(k):
-        if d < k:
-            den = _poly_mul(den, cyclotomic_polynomial(d))
-    quo, rem = _poly_divmod(num, den)
-    if rem != [0]:
-        raise AssertionError(f"x^{k}-1 not divisible by product of proper Phi_d")
-    if len(quo) - 1 != totient(k):
-        raise AssertionError(f"Phi_{k} has degree {len(quo) - 1}, expected {totient(k)}")
-    return tuple(quo)
+    mu = {d: moebius(k // d) for d in divisors(k)}
+    phi = [1]
+    for d in (d for d in mu if mu[d] == 1):
+        phi = _times_binomial(phi, d)
+    for d in (d for d in mu if mu[d] == -1):
+        q = [0] * d
+        for c in phi[: len(phi) - d]:
+            q.append(q[-d] - c)
+        if _times_binomial(q[d:], d) != phi:
+            raise AssertionError(f"x^{d}-1 does not divide the Moebius product for Phi_{k}")
+        phi = q[d:]
+    if len(phi) - 1 != totient(k):
+        raise AssertionError(f"Phi_{k} has degree {len(phi) - 1}, expected {totient(k)}")
+    return tuple(phi)
 
 
 @lru_cache(maxsize=None)

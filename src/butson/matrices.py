@@ -140,8 +140,7 @@ class LogVector:
 
 def fourier_matrix(n: int) -> LogMatrix:
     """Character table of the cyclic group C_n: entry (i, j) = i*j mod n."""
-    idx = np.arange(n, dtype=np.int64)
-    return LogMatrix(n, np.outer(idx, idx) % n)
+    return character_table([n])
 
 
 def character_table(orders: Sequence[int]) -> LogMatrix:
@@ -166,11 +165,7 @@ def sylvester_matrix(m: int) -> LogMatrix:
     """The 2^m x 2^m real Hadamard matrix F(C_2)^(kron m) in log form."""
     if m < 0:
         raise ValueError(f"m must be nonnegative, got {m}")
-    h = LogMatrix(2, [[0]])
-    f2 = fourier_matrix(2)
-    for _ in range(m):
-        h = kronecker(h, f2)
-    return h
+    return character_table([2] * m) if m else LogMatrix(2, [[0]])
 
 
 def kronecker(a: LogMatrix, b: LogMatrix) -> LogMatrix:

@@ -6,9 +6,10 @@ prime in the k-th cyclotomic field, and the arithmetic non-existence tests
 derived from them: square p-part conditions for bent vectors and the order
 test for real circulant Hadamard matrices.
 
-Everything is exact integer arithmetic.  Primality and factorization use
-deterministic trial division, which is ample for the intended input range
-(below 2**32); larger inputs are rejected rather than silently slow.
+Everything is exact integer arithmetic.  factorize is the one trial division,
+ample for the intended input range (below 2**32); larger inputs are rejected
+rather than silently slow.  Primality, divisors, the totient and the Moebius
+function are read off its result, and self-conjugacy off multiplicative_order.
 """
 
 from __future__ import annotations
@@ -20,19 +21,8 @@ TRIAL_DIVISION_BOUND = 2**32
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test by trial division (inputs < 2**32)."""
-    if n >= TRIAL_DIVISION_BOUND:
-        raise ValueError(f"primality input {n} exceeds trial-division bound 2**32")
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    """Deterministic primality test through factorize (inputs < 2**32)."""
+    return n >= 2 and factorize(n) == {n: 1}
 
 
 def factorize(n: int) -> dict[int, int]:
@@ -74,6 +64,12 @@ def totient(n: int) -> int:
     return t
 
 
+def moebius(n: int) -> int:
+    """The Moebius function of n >= 1: 0 unless n is squarefree, else (-1)^(number of primes)."""
+    exponents = factorize(n).values()
+    return 0 if any(e > 1 for e in exponents) else (-1) ** len(exponents)
+
+
 def multiplicative_order(a: int, m: int) -> int:
     """Least t >= 1 with a^t = 1 mod m; order in the trivial group (m=1) is 1."""
     if m < 1:
@@ -108,10 +104,12 @@ def _require_prime(p: int) -> None:
 
 
 def is_self_conjugate_prime(p: int, k: int) -> bool:
-    """True iff some power of p is -1 modulo k/k_p.
+    """True iff some power of p is -1 modulo m = k/k_p.
 
     k_p is the p-part of k.  For modulus 1 or 2 the condition holds vacuously
-    (-1 and 1 coincide there).
+    (-1 and 1 coincide there).  Otherwise the cyclic group <p> mod m, of order
+    f = multiplicative_order(p, m), has at most one element of order 2, namely
+    p^(f/2) when f is even; -1 lies in <p> exactly when that element is -1.
     """
     _require_prime(p)
     if k < 1:
@@ -119,13 +117,8 @@ def is_self_conjugate_prime(p: int, k: int) -> bool:
     m = k // p_part(k, p)
     if m <= 2:
         return True
-    x = p % m
-    while True:
-        if x == m - 1:
-            return True
-        if x == 1:
-            return False
-        x = x * p % m
+    f = multiplicative_order(p, m)
+    return f % 2 == 0 and pow(p, f // 2, m) == m - 1
 
 
 def is_self_conjugate(n: int, k: int) -> bool:
@@ -220,7 +213,8 @@ def bent_obstructions(n: int, k: int) -> ObstructionReport:
     if n < 2 or k < 2:
         raise ValueError(f"need n, k >= 2, got n={n}, k={k}")
     verdicts: list[ObstructionVerdict] = []
-    for p, e in sorted(factorize(n).items()):
+    factors = factorize(n)
+    for p, e in sorted(factors.items()):
         kp = p_part(k, p)
         self_conj = is_self_conjugate_prime(p, k)
         applicable = kp == 1 and self_conj
@@ -234,7 +228,7 @@ def bent_obstructions(n: int, k: int) -> ObstructionReport:
             witness = f"p={p}: not applicable, {p} not self-conjugate mod {k}"
         verdicts.append(ObstructionVerdict("square-p-part", applicable, violated, witness))
     if k % 4 == 2:
-        e2 = factorize(n).get(2, 0)
+        e2 = factors.get(2, 0)
         self_conj = is_self_conjugate_prime(2, k)
         violated = self_conj and e2 % 2 == 1
         parity = "odd" if e2 % 2 else "even"

@@ -4,6 +4,7 @@ import random
 
 import numpy as np
 
+from butson import bush
 from butson.bent import check_bent
 from butson.bush import (
     BushMatrix,
@@ -45,6 +46,21 @@ def test_projector_examples():
 def test_projector_algebra():
     for p in (3, 5, 7, 11, 13):
         assert verify_projector_algebra(p), p
+
+
+def test_projector_algebra_rejects_broken_blocks(monkeypatch):
+    def one_entry_off(p, a):
+        r = projector(p, a)
+        if a != 1:
+            return r
+        entries = r.entries.copy()
+        entries[0, 1] += 1
+        return LogMatrix(p, entries)
+
+    monkeypatch.setattr(bush, "projector", one_entry_off)
+    assert verify_projector_algebra(5) is False
+    monkeypatch.setattr(bush, "projector", lambda p, a: projector(p, 0))
+    assert verify_projector_algebra(5) is False
 
 
 def test_bush_circulant_structure():

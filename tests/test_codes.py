@@ -684,7 +684,7 @@ def test_reed_muller_rejections():
         except ValueError:
             pass
     try:
-        reed_muller_1(3, 7)  # 3^15 entries blow the default budget
+        reed_muller_1(3, 7)  # 3^15 entries pass the cap of 2^22
         raise AssertionError("expected BudgetExceededError")
     except BudgetExceededError:
         pass

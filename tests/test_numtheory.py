@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import pytest
 
 from butson.bent import check_bent, index_digits, search_bent
 from butson.matrices import LogVector, character_table, fourier_matrix
@@ -15,11 +16,14 @@ from butson.numtheory import (
     is_prime,
     is_self_conjugate,
     is_self_conjugate_prime,
+    moebius,
     multiplicative_order,
     p_part,
     splitting_profile,
     totient,
 )
+
+from oracles import _mobius_brute
 
 
 def test_p_part_examples():
@@ -202,6 +206,21 @@ def test_factorize_round_trip():
         raise AssertionError("expected ValueError beyond trial-division bound")
     except ValueError:
         pass
+
+
+def test_is_prime_matches_a_sieve():
+    sieve = [False, False] + [True] * (10**4 - 2)
+    for p in range(2, 100):
+        if sieve[p]:
+            sieve[p * p :: p] = [False] * len(sieve[p * p :: p])
+    assert [is_prime(n) for n in range(10**4)] == sieve
+    assert is_prime(-7) is False and is_prime(2**32 - 5) is True
+    with pytest.raises(ValueError):
+        is_prime(2**32)
+
+
+def test_moebius_matches_the_brute_force():
+    assert [moebius(n) for n in range(1, 2000)] == [_mobius_brute(n) for n in range(1, 2000)]
 
 
 def test_totient_agrees_with_gcd_count():
