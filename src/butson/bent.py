@@ -13,9 +13,10 @@ f], what x_j = v adds to output f, over prefix blocks and a suffix table
 (suffix_table, digit_blocks).  Both are sized in bytes, _BLOCK_BYTES times a
 weight, so sums in a narrow dtype come in proportionally larger blocks: the
 search's float32 blocks hold 2**16 cells, the radius scan's uint8 blocks
-2**18.  The search's sums are the exponent counts of every entry of Hx, and
-_verdicts reduces their autocorrelations exactly (cyclotomic.check_exact
-bounds the range); check_bent runs the same verdicts on a batch of one.
+2**18.  The search's sums are the exponent counts of every entry of Hx:
+_bent reduces their autocorrelations exactly (cyclotomic.check_exact bounds
+the range), and _duals decides the two dual verdicts on the bent candidates
+only; check_bent runs both on a batch of one.
 fan_out, shared with the covering-radius scan, runs index chunks inline, or
 in a spawn pool once their measured cost pays for one, and merges by index,
 so output is identical for every worker count and path.
@@ -28,9 +29,9 @@ import pickle
 import tempfile
 import time
 from collections import deque
-from functools import partial
+from functools import lru_cache, partial
 from itertools import islice
-from math import gcd, isqrt, lcm
+from math import isqrt, lcm
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -58,7 +59,12 @@ _POOL_SECONDS = 1.0  # measured inline work left that pays for a spawn pool (two
 
 
 class BentCertificate(NamedTuple):
-    """Exact outcome of a bent check, with the dual vector and unit scalars."""
+    """Exact outcome of a bent check, with the dual vector and unit scalars.
+
+    dual_entry_orders: per dual entry, the order of entry / sqrt(n) in phase 2k (k
+    even) or 4k (k odd), for non-square n the least even exponent, so that order or
+    twice it; None for an entry when no such exponent divides the phase, and None
+    for the field when x is not bent or n is not self-conjugate mod k."""
 
     bent: bool
     self_dual: bool
@@ -148,17 +154,13 @@ def _verdict_bound(n: int, k: int) -> int:
     return max_reduction(k) * n * n
 
 
-def _verdicts(counts: np.ndarray, x: np.ndarray | int, k: int) -> tuple[np.ndarray, ...]:
-    """Exact (bent, self_dual, conjugate_self_dual) flags of a batch of candidates.
+def _bent(counts: np.ndarray, k: int) -> np.ndarray:
+    """Exact bent flags of a batch of candidates.
 
-    counts[t, i, b] is the number of terms of (H x_b)_i equal to zeta^t.  x[:, b]
-    is candidate b, or x is an int and candidate b is the vector of index x + b,
-    whose digits are computed for bent candidates only.  Bent: each entry's
-    autocorrelations d_t = sum_s counts[s] counts[s - t], the coefficients of
-    z conj(z), reduce to n, in one matmul of reduction_matrix(k)[s - u] with the
-    products counts[s] counts[u].  Dual checks, on bent candidates only: (Hx)_i
-    times zeta^(-x_i), or zeta^(x_i), reduces to the same element for every i.
-    Arithmetic stays in counts.dtype.
+    counts[t, i, b] is the number of terms of (H x_b)_i equal to zeta^t.  x_b is
+    bent when each entry's autocorrelations d_t = sum_s counts[s] counts[s - t],
+    the coefficients of z conj(z), reduce to n: one matmul of reduction_matrix(k)[s - u]
+    with the products counts[s] counts[u].  Arithmetic stays in counts.dtype.
     """
     _, n, size = counts.shape
     check_exact(_verdict_bound(n, k), counts.dtype)
@@ -166,63 +168,45 @@ def _verdicts(counts: np.ndarray, x: np.ndarray | int, k: int) -> tuple[np.ndarr
     s = np.arange(k)
     norm = r[(s[:, None] - s) % k].reshape(k * k, -1).T
     red = (norm @ (counts[:, None] * counts[None]).reshape(k * k, -1)).reshape(-1, n, size)
-    bent = (red[0] == n).all(axis=0) & ~red[1:].any(axis=(0, 1))
-    sd, csd = np.zeros_like(bent), np.zeros_like(bent)
-    hit = np.flatnonzero(bent)
-    if hit.size:
-        digits = index_digits(x + hit, k, n) if isinstance(x, int) else x[:, hit]
-        c, shift = counts[:, :, hit], digits[None]
-        for flags, rot in ((sd, s[:, None, None] + shift), (csd, s[:, None, None] - shift)):
-            unit = (r.T @ np.take_along_axis(c, rot % k, axis=0).reshape(k, -1)).reshape(-1, n, hit.size)
-            flags[hit] = (unit == unit[:, :1]).all(axis=(0, 1))
-    return bent, sd, csd
+    return (red[0] == n).all(axis=0) & ~red[1:].any(axis=(0, 1))
 
 
-def _dual_entry_order(entry: CycInt, n: int, ambient: int) -> int | None:
-    """Order of entry / sqrt(n) as a root of unity in phase `ambient`, if provable.
+def _duals(counts: np.ndarray, digits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (self_dual, conjugate_self_dual) flags of bent candidates, candidate b
+    being digits[:, b] with counts[:, :, b]: (Hx)_i times zeta^(-x_i), or zeta^(x_i),
+    reduces to the same element for every i.  _bent's exactness guard covers these sums."""
+    _, n, size = counts.shape
+    r = reduction_matrix(k).astype(counts.dtype).T
+    s = np.arange(k)[:, None, None]
+    units = ((r @ np.take_along_axis(counts, rot % k, axis=0).reshape(k, -1)).reshape(len(r), n, size)
+             for rot in (s + digits, s - digits))
+    return tuple((unit == unit[:, :1]).all(axis=(0, 1)) for unit in units)
 
-    For square n the quotient is computed exactly and classified.  Otherwise
-    the smallest even exponent L with entry^L = n^(L/2) is reported; the true
-    order is then L or L/2.  None when no classification is reached.
-    """
-    s = isqrt(n)
-    z = entry.embed(ambient)
-    if s * s == n:
-        coeffs = z.reduce().coeffs
-        if any(c % s for c in coeffs):
-            return None
-        y = CycInt(ambient, tuple(c // s for c in coeffs))
-        got = y.is_root_of_unity()
-        if got is None:
-            return None
-        sign, t = got
-        if sign < 0:
-            t = (t + ambient // 2) % ambient
-        return ambient // gcd(ambient, t) if t else 1
-    for exp in sorted(d for d in range(2, ambient + 1, 2) if ambient % d == 0):
-        power = CycInt.integer(ambient, 1)
-        for _ in range(exp):
-            power = power * z
-        if power == n ** (exp // 2):
+
+@lru_cache(maxsize=None)
+def _dual_entry_order(row: tuple[int, ...], n: int, ambient: int) -> int | None:
+    """Least divisor L of `ambient` with n**L a square r**2 and z**L = r, z the dual
+    entry with exponent counts row in phase `ambient`: for square n the order of
+    z / sqrt(n), else even, so that order or twice it.  None when no L qualifies."""
+    z = CycInt(len(row), row).embed(ambient)
+    power = CycInt.integer(ambient, 1)
+    for exp in range(1, ambient + 1):
+        power = power * z
+        r = isqrt(n**exp)
+        if ambient % exp == 0 and r * r == n**exp and power == r:
             return exp
     return None
 
 
-def _build_certificate(k: int, n: int, x, counts: np.ndarray, flags, memo: dict) -> BentCertificate:
-    """The certificate of one candidate from its (k, n) exponent counts.  memo caches
-    dual-entry orders for all hits of one search, which share few count vectors."""
+def _build_certificate(k: int, n: int, x, counts: np.ndarray, flags) -> BentCertificate:
+    """The certificate of one candidate from its (k, n) exponent counts."""
     bent, sd, csd = (bool(f) for f in flags)
     rows = [tuple(row) for row in counts.T.astype(np.int64).tolist()]
     dual = tuple(CycInt(k, row) for row in rows)
     sd_unit = dual[0].times_root(-x[0]).reduce() if sd else None
     csd_unit = dual[0].times_root(x[0]).reduce() if csd else None
-    orders = None
     ambient = dual_entry_ambient_phase(n, k) if bent else None  # None: n not self-conjugate mod k
-    if ambient is not None:
-        for row, entry in zip(rows, dual):
-            if (row, n, ambient) not in memo:
-                memo[row, n, ambient] = _dual_entry_order(entry, n, ambient)
-        orders = tuple(memo[row, n, ambient] for row in rows)
+    orders = None if ambient is None else tuple(_dual_entry_order(row, n, ambient) for row in rows)
     return BentCertificate(bent, sd, csd, dual, sd_unit, csd_unit, orders)
 
 
@@ -230,7 +214,7 @@ def check_bent(h: LogMatrix, x: LogVector) -> BentCertificate:
     """Certify whether x is bent / self-dual / conjugate self-dual for h.
 
     The counts of Hx are those of H against the one-row table -x, from the count
-    kernel, and go through the verdicts of the search kernel as a batch of one.
+    kernel, and go through the search's _bent, then _duals if bent, as a batch of one.
     """
     if h.phase != x.phase:
         raise ValueError(f"phase mismatch: matrix {h.phase}, vector {x.phase}")
@@ -241,8 +225,9 @@ def check_bent(h: LogMatrix, x: LogVector) -> BentCertificate:
     k, n = h.phase, h.order
     xs = np.asarray(x.entries, dtype=np.int64)
     counts = count_tensor(h.entries, -xs[None], k)[:, 0].T  # column i: exponents of the terms of (Hx)_i
-    flags = _verdicts(counts[..., None], xs[:, None], k)
-    return _build_certificate(k, n, x.entries, counts, [f[0] for f in flags], {})
+    bent = bool(_bent(counts[..., None], k)[0])
+    sd, csd = (f[0] for f in _duals(counts[..., None], xs[:, None], k)) if bent else (False, False)
+    return _build_certificate(k, n, x.entries, counts, (bent, sd, csd))
 
 
 def ksw_vector(k: int, m: int) -> LogVector:
@@ -332,21 +317,24 @@ def _count_table(h: LogMatrix) -> np.ndarray:
     return contrib.astype(np.float32).reshape(n, k, k * n)
 
 
-def _scan_bent(start: int, stop: int, head: np.ndarray, table: np.ndarray, flag: int, memo: dict) -> list:
+def _scan_bent(start: int, stop: int, head: np.ndarray, table: np.ndarray, flag: int) -> list:
     """Hits among candidate indices [start, stop), certified one block of counts at a
-    time.  Blocks and the table weigh k cells per count: _verdicts makes k products of each."""
+    time: _bent on the block, then _duals on its bent candidates, whose digits are
+    taken once.  Blocks and the table weigh k cells per count: _bent makes k products of each."""
     k = head.shape[1]
     n = len(table) // k
     hits = []
     for lo, sums in digit_blocks(start, stop, head, table, k):
         counts = sums.reshape(k, n, -1)
-        flags = _verdicts(counts, lo, k)
-        found = np.flatnonzero(flags[flag])
-        if not found.size:
+        bent = np.flatnonzero(_bent(counts, k))
+        if not bent.size:
             continue
-        for b, vector in zip(found.tolist(), index_digits(lo + found, k, n).T.tolist()):
-            cert = _build_certificate(k, n, vector, counts[:, :, b], [f[b] for f in flags], memo)
-            hits.append(SearchHit(lo + b, LogVector(k, vector), cert))
+        counts, digits = counts[:, :, bent], index_digits(lo + bent, k, n)
+        flags = (np.ones(bent.size, bool), *_duals(counts, digits, k))
+        found = np.flatnonzero(flags[flag])
+        for b, vector in zip(found.tolist(), digits[:, found].T.tolist()):
+            cert = _build_certificate(k, n, vector, counts[:, :, b], [f[b] for f in flags])
+            hits.append(SearchHit(lo + int(bent[b]), LogVector(k, vector), cert))
     return hits
 
 
@@ -375,7 +363,7 @@ def search_bent(h: LogMatrix, mode: str = "any", budget: int | None = None,
         raise ValueError(f"{total} candidates pass the int64 index range; give a budget")
     check_exact(_verdict_bound(n, k), np.float32)
     head, table = suffix_table(_count_table(h), np.float32, k)
-    scan = partial(_scan_bent, head=head, table=table, flag=_MODES.index(mode), memo={})
+    scan = partial(_scan_bent, head=head, table=table, flag=_MODES.index(mode))
     for hits in fan_out(scan, total, workers):
         yield from hits
 

@@ -3,7 +3,8 @@
 Each entry carries a matrix, optionally a companion vector, and the bent
 kinds the vector certifies for that matrix.  The catalog spans the
 constructions the library ships: the quadratic-form vectors on character
-tables, the block-circulant Bush family and its diagonal scalings, the
+tables (c_1 c_{t+1} + ... for even m, c_1^2 + ... + c_m^2 for odd p and any
+m), the block-circulant Bush family and its diagonal scalings, the
 quaternary block-constant family, and the order-4 real circulant.  Tests
 re-certify every claimed kind exactly, and the number-theoretic obstruction
 predicates are screened against every (order, phase) pair that carries a
@@ -14,7 +15,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bent import ksw_vector
+import numpy as np
+
+from .bent import index_digits, ksw_vector
 from .bush import bush_circulant, bush_modify, bush_real_order4
 from .matrices import LogMatrix, LogVector, character_table, circulant_from_row
 
@@ -33,6 +36,10 @@ def sample_bh48() -> LogMatrix:
 
 
 KSW_PAIRS = ((2, 2), (2, 4), (3, 2), (3, 4), (4, 2), (5, 2), (7, 2))
+# (p, m) -> kinds of c_1^2 + ... + c_m^2 on F(C_p^m), indices as in ksw_vector; its
+# transform is G^m zeta^(-4^-1 (a_1^2 + ... + a_m^2)), G the quadratic Gauss sum
+SQUARE_SUM_KINDS = {(3, 1): ("bent", "conjugate_self_dual"), (3, 3): ("bent", "conjugate_self_dual"),
+                    (5, 1): ("bent", "self_dual"), (7, 1): ("bent",)}
 
 
 def catalog() -> tuple[CatalogEntry, ...]:
@@ -46,6 +53,10 @@ def catalog() -> tuple[CatalogEntry, ...]:
                 ("bent", "conjugate_self_dual"),
             )
         )
+    for (p, m), kinds in SQUARE_SUM_KINDS.items():
+        c = index_digits(np.arange(p**m), p, m)
+        entries.append(CatalogEntry(f"sum-of-squares vector on F(C_{p}^{m})", character_table([p] * m),
+                                    LogVector(p, (c * c).sum(axis=0) % p), kinds))
     for p in (3, 5, 7):
         b = bush_circulant(p, 1)
         partner = bush_circulant(p, (p - 2) % p)

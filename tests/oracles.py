@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import itertools
+import math
 
 import numpy as np
 
@@ -16,6 +17,16 @@ import numpy as np
 def complex_value(coeffs, k: int) -> complex:
     """Evaluate a group-ring coefficient vector at zeta_k numerically."""
     return sum(c * cmath.exp(2j * cmath.pi * j / k) for j, c in enumerate(coeffs))
+
+
+def dual_entry_order_float(coeffs, k: int, n: int, ambient: int, tol: float = 1e-8) -> int | None:
+    """Order of z / sqrt(n) as a root of unity of phase `ambient`, z the value of
+    coeffs at zeta_k, read off its angle; None when it is no such root."""
+    w = complex_value(coeffs, k) / np.sqrt(n)
+    t = round(cmath.phase(w) * ambient / (2 * cmath.pi)) % ambient
+    if abs(w - cmath.exp(2j * cmath.pi * t / ambient)) > tol:
+        return None
+    return ambient // math.gcd(ambient, t)
 
 
 def unit_matrix(entries: np.ndarray, k: int) -> np.ndarray:

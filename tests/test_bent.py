@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+from math import isqrt
+
+import pytest
 
 from butson.bent import (
     NotAmicableError,
@@ -15,17 +18,21 @@ from butson.bent import (
     tensor_corollary_check,
     vectorize,
 )
+from butson.bush import bush_circulant, bush_modify
+from butson.catalog import sample_bh48
 from butson.cyclotomic import CycInt
 from butson.matrices import (
     LogMatrix,
     LogVector,
     character_table,
+    circulant_from_row,
     fourier_matrix,
     kronecker,
     verify_hadamard,
 )
+from butson.numtheory import bent_obstructions, is_self_conjugate
 
-from oracles import bent_kinds_float, brute_force_bent_vectors
+from oracles import bent_kinds_float, brute_force_bent_vectors, dual_entry_order_float
 
 
 def test_ksw_is_conjugate_self_dual():
@@ -115,6 +122,59 @@ def test_dual_entries_are_ambient_roots_when_self_conjugate():
                 for _ in range(order):
                     p = p * y
                 assert p == 1
+
+
+@pytest.mark.parametrize("h", [
+    # non-square n: the reported order is the least even exponent
+    fourier_matrix(3), fourier_matrix(5), fourier_matrix(7), fourier_matrix(2).lift_phase(4),
+    character_table([4, 2]),
+    # square n: the reported order is the order of entry / sqrt(n)
+    fourier_matrix(4), character_table([3, 3]), sample_bh48(), character_table([2, 2, 2, 2]),
+], ids=["F3", "F5", "F7", "F2@4", "F4xF2", "F4", "F3^2", "BH48", "F2^4"])
+def test_dual_entry_orders_match_the_float_order(h):
+    k, n = h.phase, h.order
+    ambient = 2 * k if k % 2 == 0 else 4 * k
+    square = isqrt(n) ** 2 == n
+    hits = list(search_bent(h, mode="any"))
+    assert hits
+    for hit in hits:
+        for e, got in zip(hit.certificate.dual, hit.certificate.dual_entry_orders):
+            o = dual_entry_order_float(e.coeffs, k, n, ambient)
+            assert o is not None
+            assert got == (o if square or o % 2 == 0 else 2 * o), (hit.index, e)
+
+
+def _scannable():
+    """Every instance small enough to scan "any" in full here."""
+    yield from ((f"F(C_{k})", fourier_matrix(k)) for k in range(2, 9))
+    yield from ((f"F(C_2^{m})", character_table([2] * m)) for m in (2, 3, 4))
+    yield "F(C_3^2)", character_table([3, 3])
+    yield "BH(4,8)", sample_bh48()
+    yield "order-4 circulant", circulant_from_row(LogVector(4, (0, 0, 0, 2)))
+    yield "B_1, p=3", bush_circulant(3, 1).base
+    yield "B_2, p=3", bush_circulant(3, 2).base
+    for u in range(27):
+        scaling = (u // 9, u // 3 % 3, u % 3)
+        yield f"B_1 scaled by {scaling}", bush_modify(bush_circulant(3, 1), scaling).matrix
+
+
+def test_obstructions_and_the_order_condition_by_enumeration():
+    # a sound non-existence rule leaves the full scan empty, and where n is
+    # self-conjugate mod k every dual entry of every hit has an order
+    fired, ordered = [], 0
+    for label, h in _scannable():
+        n, k = h.order, h.phase
+        hits = list(search_bent(h, mode="any"))
+        if bent_obstructions(n, k).any_violated:
+            fired.append(label)
+            assert not hits, label
+        if hits and is_self_conjugate(n, k):
+            ordered += 1
+            for hit in hits:
+                orders = hit.certificate.dual_entry_orders
+                assert orders is not None and None not in orders, (label, hit.index)
+    assert fired == ["F(C_2)", "F(C_6)", "F(C_2^3)"]
+    assert ordered > 30
 
 
 def test_scalar_invariance_preserves_kind():

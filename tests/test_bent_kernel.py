@@ -97,7 +97,10 @@ def test_batched_kernel_matches_ring_reference_and_float_oracle(case):
     k, n = h.phase, h.order
     x = np.array(xs, dtype=np.int64).T  # candidates are columns
     counts = bent.digit_sum(bent._count_table(h), x, np.float32).reshape(k, n, -1)
-    flags = bent._verdicts(counts, x, k)
+    # _duals decides bent candidates only; the others stay False, as in check_bent
+    flags = (bent._bent(counts, k), np.zeros(len(xs), bool), np.zeros(len(xs), bool))
+    hit = np.flatnonzero(flags[0])
+    flags[1][hit], flags[2][hit] = bent._duals(counts[:, :, hit], x[:, hit], k)
     hx = unit_matrix(h.entries, k) @ unit_matrix(x, k)  # column b is H x_b in floats
     for b, vec in enumerate(xs):
         z, bent_, sd, csd = _reference(h, vec)
@@ -273,16 +276,14 @@ def test_two_matrices_in_one_process():
 
 def test_guard_fires_at_the_float_mantissa_without_allocating():
     zeros = lambda dtype, n: np.broadcast_to(np.zeros((), dtype), (2, n, 3))  # noqa: E731
-    x = lambda n: np.broadcast_to(np.int64(0), (n, 3))  # noqa: E731
     # k = 2: max|reduction_matrix| = 1, so the bound is n^2 against 2^24 and 2^53
     with pytest.raises(ValueError, match="exact integer range"):
-        bent._verdicts(zeros(np.float32, 2**12), x(2**12), 2)
+        bent._bent(zeros(np.float32, 2**12), 2)
     with pytest.raises(ValueError, match="exact integer range"):
-        bent._verdicts(zeros(np.float64, 2**27), x(2**27), 2)
+        bent._bent(zeros(np.float64, 2**27), 2)
     with pytest.raises(ValueError, match="exact integer range"):
-        bent._verdicts(zeros(np.int64, 2**31), x(2**31), 2)
-    flags = bent._verdicts(zeros(np.float32, 2**12 - 1), x(2**12 - 1), 2)
-    assert not flags[0].any()
+        bent._bent(zeros(np.int64, 2**31), 2)
+    assert not bent._bent(zeros(np.float32, 2**12 - 1), 2).any()
     # a phase whose reduction matrix has larger entries moves the bound down
     big = int(np.abs(reduction_matrix(105)).max())
     assert big > 1
@@ -291,7 +292,7 @@ def test_guard_fires_at_the_float_mantissa_without_allocating():
     with pytest.raises(ValueError, match="exact integer range"):
         check_exact(bent._verdict_bound(n + 1, 105), np.float32)
     with pytest.raises(ValueError, match="exact integer range"):
-        bent._verdicts(np.broadcast_to(np.float32(0), (105, n + 1, 1)), x(n + 1)[:, :1], 105)
+        bent._bent(np.broadcast_to(np.float32(0), (105, n + 1, 1)), 105)
 
 
 def test_index_range_guard_and_digits():

@@ -4,9 +4,11 @@ from math import lcm
 
 from butson.bent import check_bent
 from butson.bush import bush_circulant
-from butson.catalog import KSW_PAIRS, bent_orders_and_phases, catalog, sample_bh48
+from butson.catalog import KSW_PAIRS, SQUARE_SUM_KINDS, bent_orders_and_phases, catalog, sample_bh48
 from butson.matrices import unitary_order, verify_hadamard
 from butson.numtheory import bent_obstructions
+
+from oracles import bent_kinds_float
 
 
 def test_sample_bh48_is_hadamard():
@@ -39,6 +41,19 @@ def test_catalog_covers_quadratic_pairs():
     labels = "\n".join(e.label for e in catalog())
     for k, m in KSW_PAIRS:
         assert f"F(C_{k}^{m})" in labels
+
+
+def test_square_sum_vectors_certify_exactly_their_kinds():
+    # c_1^2 + ... + c_m^2 on F(C_p^m): conjugate self-dual for p = 3, self-dual
+    # for p = 5 and bent only for p = 7, exactly and in floats
+    squares = [e for e in catalog() if e.label.startswith("sum-of-squares")]
+    assert [(e.matrix.phase, e.matrix.order) for e in squares] == [(3, 3), (3, 27), (5, 5), (7, 7)]
+    for entry, kinds in zip(squares, SQUARE_SUM_KINDS.values()):
+        h, x = entry.matrix, entry.vector
+        assert check_bent(h, x).kind == ("+".join(kinds[1:]) or "bent")
+        want = tuple(kind in kinds for kind in ("bent", "self_dual", "conjugate_self_dual"))
+        assert bent_kinds_float(h.entries, h.phase, x.entries) == want
+    assert {(3, 3), (27, 3), (5, 5), (7, 7)} <= set(bent_orders_and_phases())
 
 
 def test_no_obstruction_on_certified_pairs():
