@@ -2,63 +2,53 @@
 
 The top level exports the names the demos and the README use; every other
 name is imported from its module (butson.cyclotomic, butson.matrices, ...).
+An export is imported from its module on first access, so `import butson`
+and `python -m butson` load numpy only once a command or a caller needs it.
 """
 
-from .bent import check_bent, ksw_vector, search_bent, tensor_corollary_check
-from .bush import (bush_circulant, bush_modify, bush_quaternary_bents, bush_real_order4,
-                   verify_projector_algebra)
-from .codes import (
-    bent_lower_bound,
-    code_from_matrix,
-    covering_radius,
-    leducq_upper_bound,
-    min_distance,
-    reed_muller_1,
-    schmidt_rho,
-)
-from .fileio import parse_matrix, serialize_matrix
-from .matrices import (
-    LogVector,
-    character_table,
-    fourier_matrix,
-    kronecker,
-    sylvester_matrix,
-    verify_hadamard,
-)
-from .numtheory import (
-    bent_obstructions,
-    circulant_real_obstruction,
-    is_self_conjugate_prime,
-    splitting_profile,
-)
+from importlib import import_module
 
-__all__ = [
-    "LogVector",
-    "bent_lower_bound",
-    "bent_obstructions",
-    "bush_circulant",
-    "bush_modify",
-    "bush_quaternary_bents",
-    "bush_real_order4",
-    "character_table",
-    "check_bent",
-    "circulant_real_obstruction",
-    "code_from_matrix",
-    "covering_radius",
-    "fourier_matrix",
-    "is_self_conjugate_prime",
-    "kronecker",
-    "ksw_vector",
-    "leducq_upper_bound",
-    "min_distance",
-    "parse_matrix",
-    "reed_muller_1",
-    "schmidt_rho",
-    "search_bent",
-    "serialize_matrix",
-    "splitting_profile",
-    "sylvester_matrix",
-    "tensor_corollary_check",
-    "verify_hadamard",
-    "verify_projector_algebra",
-]
+_EXPORTS = {
+    "LogVector": "matrices",
+    "bent_lower_bound": "codes",
+    "bent_obstructions": "numtheory",
+    "bush_circulant": "bush",
+    "bush_modify": "bush",
+    "bush_quaternary_bents": "bush",
+    "bush_real_order4": "bush",
+    "character_table": "matrices",
+    "check_bent": "bent",
+    "circulant_real_obstruction": "numtheory",
+    "code_from_matrix": "codes",
+    "covering_radius": "codes",
+    "fourier_matrix": "matrices",
+    "is_self_conjugate_prime": "numtheory",
+    "kronecker": "matrices",
+    "ksw_vector": "bent",
+    "leducq_upper_bound": "codes",
+    "min_distance": "codes",
+    "parse_matrix": "fileio",
+    "reed_muller_1": "codes",
+    "schmidt_rho": "codes",
+    "search_bent": "bent",
+    "serialize_matrix": "fileio",
+    "splitting_profile": "numtheory",
+    "sylvester_matrix": "matrices",
+    "tensor_corollary_check": "bent",
+    "verify_hadamard": "matrices",
+    "verify_projector_algebra": "bush",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(__all__))

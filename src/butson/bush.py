@@ -81,28 +81,33 @@ def verify_projector_algebra(p: int) -> bool:
     """Exactly verify the four projector identities for all residues a, b.
 
     R_a* = R_a, R_a^2 = p R_a, R_a R_b = 0 for a != b, and
-    sum_a R_a^2 = p^2 I.  Each product is an exact exponent-count tensor from
-    product_counts, compared with its target by counts_match in Z[zeta_p]; p is
-    capped at 13 because the check is cubic in p per pair.
+    sum_a R_a^2 = p^2 I.  Each R_a is counted against all R_b stacked, one
+    count_tensor call per a whose (i, b, j) counts give every product R_a R_b,
+    and each product is compared with its target by counts_match in Z[zeta_p];
+    p is capped at 13 because the check is cubic in p per pair.
     """
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
     if p > 13:
         raise ValueError(f"projector algebra check supports p <= 13, got {p}")
     blocks = [projector(p, a) for a in range(p)]
+    # row (b, j) holds column j of R_b negated, so count_tensor gives every R_a R_b,
+    # as in product_counts
+    stacked = np.concatenate([-rb.entries.T for rb in blocks])
+    zero = np.zeros(p, dtype=np.int64)
     total = np.zeros((p, p, p), dtype=np.int64)
     for a, ra in enumerate(blocks):
         if ra.conj_transpose() != ra:
             return False
         if blocks[(p - a) % p].transpose() != ra:
             return False
-        sq = product_counts(ra, ra)
+        products = count_tensor(ra.entries, stacked, p).reshape(p, p, p, p).transpose(1, 0, 2, 3)
+        sq = products[a]
         if not counts_match(sq, p, p * np.eye(p, dtype=np.int64)[ra.entries]):
             return False
         total += sq
-        for b in range(p):
-            if b != a and not counts_match(product_counts(ra, blocks[b]), p, 0):
-                return False
+        if not counts_match(np.delete(products, a, axis=0), p, zero):
+            return False
     return counts_match(total, p, p * p)
 
 

@@ -20,10 +20,13 @@ rationals print as a/b.
 Given a fixed seed and inputs, output bytes are reproducible, including
 under --workers changes.
 
-`python -m butson` and the `butson` script enter through run(), which freezes
-the objects of the imported modules out of the garbage collector, so neither
-the collections a command triggers nor the one at exit walk them; main() runs
-one command and changes no collector state.
+Each command imports the modules it runs, so `obstructions` and `--help` never
+load numpy.  `python -m butson` and the `butson` script enter through run().
+It sets OPENBLAS_THREAD_TIMEOUT to 4 unless the user set it, so idle OpenBLAS
+workers sleep at once instead of spinning; pool workers inherit the setting.
+Once main() returns, run() freezes every object alive out of the garbage
+collector, so the collection at exit skips the import heap.  main() runs one
+command and changes no collector state.
 """
 
 from __future__ import annotations
@@ -36,37 +39,7 @@ import sys
 from contextlib import closing
 from math import isqrt
 
-from .bent import _MODES, check_bent, ksw_vector, search_bent
-from .bush import BushMatrix, bush_circulant, verify_projector_algebra
-from .codes import (
-    bent_lower_bound,
-    code_from_matrix,
-    covering_radius,
-    has_strength_2,
-    is_self_complementary,
-    leducq_upper_bound,
-    min_distance,
-    reed_muller_1,
-)
-from .cyclotomic import CycInt
-from .fileio import (
-    FileFormatError,
-    read_matrix,
-    read_vector,
-    serialize_matrix,
-    serialize_matrix_json,
-    serialize_vector,
-)
-from .matrices import (
-    LogMatrix,
-    fourier_matrix,
-    is_unbiased,
-    kronecker,
-    sylvester_matrix,
-    unitary_order,
-    verify_hadamard,
-)
-from .numtheory import bent_obstructions, is_prime
+_MODES = ("any", "self_dual", "conjugate_self_dual")  # bent._MODES, which imports numpy
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -77,11 +50,13 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _cyc_json(z: CycInt) -> dict:
+def _cyc_json(z) -> dict:
     return {"str": str(z), "phase": z.phase, "coeffs": list(z.coeffs)}
 
 
-def _write_constructed(h: LogMatrix, args) -> int:
+def _write_constructed(h, args) -> int:
+    from .fileio import serialize_matrix, serialize_matrix_json
+
     if args.format == "json":
         _emit(serialize_matrix_json(h), args.out)
     else:
@@ -90,29 +65,43 @@ def _write_constructed(h: LogMatrix, args) -> int:
 
 
 def _cmd_construct_fourier(args) -> int:
+    from .matrices import fourier_matrix
+
     return _write_constructed(fourier_matrix(args.n), args)
 
 
 def _cmd_construct_sylvester(args) -> int:
+    from .matrices import sylvester_matrix
+
     return _write_constructed(sylvester_matrix(args.m), args)
 
 
 def _cmd_construct_kron(args) -> int:
+    from .fileio import read_matrix
+    from .matrices import kronecker
+
     left = read_matrix(args.left)
     right = read_matrix(args.right)
     return _write_constructed(kronecker(left, right), args)
 
 
 def _cmd_construct_bush(args) -> int:
+    from .bush import bush_circulant
+
     return _write_constructed(bush_circulant(args.p, args.a).base, args)
 
 
 def _cmd_construct_ksw(args) -> int:
+    from .bent import ksw_vector
+    from .fileio import serialize_vector
+
     _emit(serialize_vector(ksw_vector(args.k, args.m)), args.out)
     return 0
 
 
 def _cmd_construct_rm(args) -> int:
+    from .codes import min_distance, reed_muller_1
+
     code = reed_muller_1(args.q, args.m)
     lines = [f"# R_{args.q}(1,{args.m}): length {code.length} over Z_{code.modulus}, "
              f"{len(code)} words, min distance {min_distance(code)}"]
@@ -122,6 +111,9 @@ def _cmd_construct_rm(args) -> int:
 
 
 def _cmd_verify_hadamard(args) -> int:
+    from .fileio import read_matrix
+    from .matrices import verify_hadamard
+
     h = read_matrix(args.matrix)
     ok = verify_hadamard(h)
     if args.json:
@@ -132,6 +124,9 @@ def _cmd_verify_hadamard(args) -> int:
 
 
 def _cmd_verify_bush(args) -> int:
+    from .bush import BushMatrix
+    from .fileio import read_matrix
+
     h = read_matrix(args.matrix)
     block = isqrt(h.order)
     reason = None
@@ -152,6 +147,9 @@ def _cmd_verify_bush(args) -> int:
 
 
 def _cmd_verify_unbiased(args) -> int:
+    from .fileio import read_matrix
+    from .matrices import is_unbiased
+
     a = read_matrix(args.left)
     b = read_matrix(args.right)
     z = is_unbiased(a, b)
@@ -165,6 +163,9 @@ def _cmd_verify_unbiased(args) -> int:
 
 
 def _cmd_bent_check(args) -> int:
+    from .bent import check_bent
+    from .fileio import read_matrix, read_vector
+
     h = read_matrix(args.matrix)
     x = read_vector(args.vector)
     cert = check_bent(h, x)
@@ -193,6 +194,9 @@ def _cmd_bent_check(args) -> int:
 
 
 def _cmd_bent_search(args) -> int:
+    from .bent import search_bent
+    from .fileio import read_matrix
+
     h = read_matrix(args.matrix)
     # closing stops the scan and its worker pool when output ends early
     with closing(search_bent(h, args.mode, args.budget, args.workers)) as hits:
@@ -206,6 +210,18 @@ def _cmd_bent_search(args) -> int:
 
 
 def _cmd_covering_radius(args) -> int:
+    from .codes import (
+        bent_lower_bound,
+        code_from_matrix,
+        covering_radius,
+        has_strength_2,
+        is_self_complementary,
+        leducq_upper_bound,
+        reed_muller_1,
+    )
+    from .fileio import FileFormatError, read_matrix, read_vector
+    from .numtheory import is_prime
+
     if (args.code_from is None) == (args.rm is None):
         raise FileFormatError("<args>", None, "choose exactly one of --code-from and --rm")
     matrix = None
@@ -266,6 +282,8 @@ def _cmd_covering_radius(args) -> int:
 
 
 def _cmd_obstructions(args) -> int:
+    from .numtheory import bent_obstructions
+
     report = bent_obstructions(args.n, args.k)
     if args.json:
         payload = {
@@ -288,6 +306,9 @@ def _cmd_obstructions(args) -> int:
 
 
 def _cmd_order(args) -> int:
+    from .fileio import read_matrix
+    from .matrices import unitary_order
+
     h = read_matrix(args.matrix)
     t = unitary_order(h, args.max_t)
     if args.json:
@@ -298,6 +319,9 @@ def _cmd_order(args) -> int:
 
 
 def _cmd_bush(args) -> int:
+    from .bush import bush_circulant, verify_projector_algebra
+    from .fileio import serialize_matrix
+
     b = bush_circulant(args.p, args.a)
     if args.out is not None:
         _emit(serialize_matrix(b.base), args.out)
@@ -470,9 +494,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry point: main() on sys.argv, with the import heap frozen first."""
+    """The process entry point: main() on sys.argv, then the heap frozen before exit."""
+    # set before numpy loads: an idle OpenBLAS thread spins 2**4 cycles, not 2**28, then sleeps
+    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
+    code = main()
     gc.freeze()
-    sys.exit(main())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

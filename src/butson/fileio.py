@@ -6,6 +6,8 @@ is an object {"n": ..., "k": ..., "rows": [[...], ...]}; readers sniff the
 two by the first non-whitespace character.  Vector files use the header
 `VEC <n> <k>` followed by a single line of n entries.
 
+A matrix body is read in one pass, as one int64 array from one numpy call;
+anything that pass does not take whole goes to the line-by-line reader.
 Malformed input raises FileFormatError carrying the source name and the
 1-based line number of the offending line.
 """
@@ -15,6 +17,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 from typing import Sequence
+
+import numpy as np
 
 from .matrices import LogMatrix, LogVector
 
@@ -96,8 +100,25 @@ def parse_matrix(text: str, source: str = "<string>") -> LogMatrix:
     if len(body) != n:
         where = body[n][0] if len(body) > n else None
         raise FileFormatError(source, where, f"expected {n} rows, got {len(body)}")
+    entries = _as_entries([content.split() for _, content in body], n, k, np.int64)
+    if entries is not None:
+        return LogMatrix(k, entries)
+    # anything else goes to the line parser, which names the first bad line
     rows = [_parse_entries(content, source, line_no, n, k) for line_no, content in body]
     return LogMatrix(k, rows)
+
+
+def _as_entries(rows: list, n: int, k: int, dtype=None) -> np.ndarray | None:
+    """rows as one (n, n) int64 array in one numpy call (with dtype int64, int() of
+    every token), or None unless every entry converts and lies in [0, k)."""
+    try:
+        entries = np.array(rows, dtype=dtype)
+    except (ValueError, OverflowError):  # a bad token, ragged rows, past int64
+        return None
+    if (entries.dtype == np.int64 and entries.shape == (n, n)
+            and 0 <= entries.min() and entries.max() < k):
+        return entries
+    return None
 
 
 def _matrix_from_json_text(text: str, source: str) -> LogMatrix:
@@ -116,6 +137,12 @@ def _matrix_from_json_text(text: str, source: str) -> LogMatrix:
         raise FileFormatError(source, None, f"k must be a positive integer, got {k!r}")
     if not isinstance(rows, list) or len(rows) != n:
         raise FileFormatError(source, None, f"rows must be a list of {n} rows")
+    # JSON true and false load as bool, which numpy would take as 1 and 0; floats,
+    # huge ints and nested rows give another dtype or shape and go to the loop below
+    if "true" not in text and "false" not in text:
+        entries = _as_entries(rows, n, k)
+        if entries is not None:
+            return LogMatrix(k, entries)
     for i, row in enumerate(rows):
         if not isinstance(row, list) or len(row) != n:
             raise FileFormatError(source, None, f"row {i} must have {n} entries")

@@ -8,7 +8,8 @@ so H H* = nI is decided by integer arithmetic alone.
 
 One kernel, count_tensor, produces every count tensor here: A H*, A B and
 H H* alike, as k float32 matmuls of one-hot stacks, (n x kn)(kn x n) each,
-in O(k n^2) memory.  Every count is at most the row width n, so the matmuls
+in O(k n^2) memory; a table counted against itself (H H*) takes floor(k/2)
+of them.  Every count is at most the row width n, so the matmuls
 are exact integer arithmetic while n < 2**24, and reducing a count tensor
 in int64 is exact while max_reduction(k) * n < 2**62; the kernel
 raises ValueError outside those bounds through cyclotomic.check_exact.
@@ -227,16 +228,36 @@ def count_tensor(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
 
     Entry (i, j) is the group-ring form of sum_m zeta^(a[i, m] - b[j, m]):
     the counts of (A, B) give A B*, those of (A, -B^T) give A B.  This is
-    the one count kernel: k float32 matmuls of one-hot stacks, exact because
-    every count is at most the row width.  Reducing an entry, whose k counts
-    sum to the width, moves no coefficient past max_reduction(k) times the
-    width, so that is checked against int64 first.
+    the one count kernel: k float32 matmuls of one-hot stacks, floor(k/2) of
+    them when b is a, exact because every count is at most the row width.
+    Reducing an entry, whose k counts sum to the width, moves no coefficient
+    past max_reduction(k) times the width, so that is checked against int64
+    first.
     """
     a, b = np.asarray(a), np.asarray(b)
     width = a.shape[1]
     check_exact(max_reduction(k) * width, np.int64)
     check_exact(width, np.float32)
+    if b is a:
+        return _gram_counts(a, k)
     return _times_unit(_one_hot(a % k, k, np.float32), b, k)
+
+
+def _gram_counts(a: np.ndarray, k: int) -> np.ndarray:
+    """count_tensor(a, a, k) from the matmuls for t = 1..k/2 alone: the counts at -t
+    are those at t transposed, and the k counts of an entry sum to the width."""
+    rows, width = a.shape
+    left = _one_hot(a % k, k, np.float32)
+    flat = left.reshape(rows, k * width)
+    out = np.empty((k, rows, rows), dtype=np.float32)
+    for t in range(1, k // 2 + 1):
+        # rolling the value axis by t gives the one-hot of a + t
+        np.matmul(flat, np.roll(left, t, axis=1).reshape(rows, k * width).T, out=out[t])
+    del left, flat  # free the one-hot before the int64 copy below
+    for t in range(k // 2 + 1, k):
+        out[t] = out[k - t].T
+    out[0] = width - out[1:].sum(axis=0)
+    return out.transpose(1, 2, 0).astype(np.int64)
 
 
 def counts_match(counts: np.ndarray, k: int, target) -> bool:

@@ -56,6 +56,33 @@ def test_count_kernels_match_brute_force(data):
     assert (product_counts(ha, hb) == product_counts_brute(a, b, k)).all()
 
 
+_HADAMARD = [fourier_matrix(k) for k in range(1, 17)] + [
+    character_table([2, 2, 2]), character_table([4, 2]), character_table([3, 3]),
+    bush_circulant(3, 1).base, bush_circulant(5, 2).base,
+]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gram_path_matches_the_general_path(data):
+    # count_tensor(a, a, k) makes the matmuls for t = 1..k/2 only; a copy of a
+    # is another object and goes through _times_unit with all k of them
+    if data.draw(st.booleans(), label="hadamard"):
+        h = data.draw(st.sampled_from(_HADAMARD), label="h")
+        k, n = h.phase, h.order
+        h = h.monomial_transform(data.draw(st.permutations(range(n))), [0] * n,
+                                 data.draw(st.permutations(range(n))),
+                                 data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n)))
+        assert verify_hadamard(h)
+        a = h.entries
+    else:
+        k = data.draw(st.integers(1, 16), label="k")
+        rows, width = data.draw(st.integers(0, 12), label="rows"), data.draw(st.integers(1, 12), label="width")
+        a = np.array(data.draw(_tables(k, rows, width, lo=-30), label="a"), dtype=np.int64)
+        a = a.reshape(rows, width)
+    assert (count_tensor(a, a, k) == count_tensor(a, a.copy(), k)).all()
+
+
 @pytest.mark.parametrize("k,rows,width", [(3, 81, 81), (8, 16, 16), (5, 2 * 5**3, 5), (7, 2 * 7**3, 7)])
 def test_one_row_table_gives_per_row_bincounts(k, rows, width):
     # check_bent counts H against the one-row table -x; the Bush sums count the
@@ -92,7 +119,9 @@ def test_exactness_guards_raise_before_allocating(monkeypatch):
     # the one-hot column index (128 MiB) is allocated
     monkeypatch.setattr(matrices, "_times_unit", lambda left, b, k: left.shape)
     widest = np.broadcast_to(np.int8(0), (0, 2**24 - 1))
-    assert count_tensor(widest, widest, 105) == (0, 105, 2**24 - 1)
+    assert count_tensor(widest, widest.copy(), 105) == (0, 105, 2**24 - 1)
+    # a table counted against itself takes the Gram path, which never calls _times_unit
+    assert count_tensor(widest, widest, 105).shape == (0, 0, 105)
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB and RLIMIT_AS is enforced on Linux")

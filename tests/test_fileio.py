@@ -1,7 +1,13 @@
 from __future__ import annotations
 
+import json
 import random
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from butson import fileio
 from butson.catalog import sample_bh48
 from butson.fileio import (
     FileFormatError,
@@ -139,3 +145,59 @@ def test_matrix_json_rejects_booleans():
             raise AssertionError(f"expected FileFormatError for {text!r}")
         except FileFormatError as e:
             assert "bool.json" in str(e) and fragment in str(e), (text, str(e))
+
+
+def _outcome(text):
+    try:
+        h = parse_matrix(text, "p.bh")
+    except FileFormatError as e:
+        return "error", str(e), e.line
+    return "matrix", h.phase, h.entries.tolist()
+
+
+def _line_parsed(text):
+    # the one-call conversion is refused, so each input goes through the line
+    # parser (text) or the validating loop (JSON), as before it existed
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fileio, "_as_entries", lambda *args: None)
+        return _outcome(text)
+
+
+_ODD_TOKENS = ["+1", "-0", "007", "1_0", "\u0663", "\u00b2", "-1", "9", "1.0", "0x1", "x",
+               "99999999999999999999", "-99999999999999999999"]
+_ODD_ENTRIES = [True, False, 0.0, 1.0, 0.5, -1, 9, 2**63, 2**64, -2**63 - 1, "1", None, [0]]
+
+
+def _rows(data, n, value, odd):
+    """n rows of n values, up to three of them replaced by odd ones; sometimes one
+    value moves from row 1 to row 0, so the row lengths still sum to n^2."""
+    rows = data.draw(st.lists(st.lists(value, min_size=n, max_size=n), min_size=n, max_size=n))
+    for _ in range(data.draw(st.integers(0, 3), label="odd values")):
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        rows[i][j] = data.draw(st.sampled_from(odd))
+    if n > 1 and data.draw(st.booleans(), label="move a value"):
+        rows[0].append(rows[1].pop())
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_call_text_parse_matches_the_line_parser(data):
+    n, k = data.draw(st.integers(1, 4), label="n"), data.draw(st.integers(1, 6), label="k")
+    rows = _rows(data, n, st.integers(0, k - 1).map(str), _ODD_TOKENS)
+    sep = st.sampled_from([" ", "  ", "\t", " \t "])
+    lines = [f"BH {n} {k}"]
+    for row in rows:
+        lines += data.draw(st.lists(st.sampled_from(["", "# note", "   "]), max_size=1))
+        lines.append(data.draw(sep).join(row) + data.draw(st.sampled_from(["", " ", "\t"])))
+    text = "\n".join(lines) + "\n"
+    assert _outcome(text) == _line_parsed(text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_one_call_json_parse_matches_the_validating_loop(data):
+    n, k = data.draw(st.integers(1, 4), label="n"), data.draw(st.integers(1, 6), label="k")
+    rows = _rows(data, n, st.integers(0, k - 1), _ODD_ENTRIES)
+    text = json.dumps({"n": n, "k": k, "rows": rows})
+    assert _outcome(text) == _line_parsed(text)
