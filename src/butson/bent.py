@@ -50,9 +50,8 @@ from .matrices import (
     product_counts,
     verify_hadamard,
 )
-from .numtheory import bent_obstructions, dual_entry_ambient_phase
+from .numtheory import _MODES, dual_entry_ambient_phase
 
-_MODES = ("any", "self_dual", "conjugate_self_dual")
 _BLOCK_BYTES = 1 << 18  # bytes of one block of digit sums and of the suffix table, times their weight
 _CHUNK = 1 << 16  # fan_out chunk: quick to stream, worth a pool round trip
 _POOL_SECONDS = 1.0  # measured inline work left that pays for a spawn pool (two start in 0.25-0.4 s)
@@ -349,17 +348,13 @@ def search_bent(h: LogMatrix, mode: str = "any", budget: int | None = None,
     representative can have a different unit.  Budget caps the number of
     candidates scanned and a partial result is normal; output order is by
     candidate index regardless of worker count.  Indices are int64, so a
-    space of 2**63 or more candidates needs a budget.  When a rule of
-    numtheory.bent_obstructions proves that no bent vector exists at (n, k),
-    the search yields nothing and scans nothing.
+    space of 2**63 or more candidates needs a budget.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")
     if not verify_hadamard(h):
         raise NotHadamardError("bent search needs a Butson Hadamard matrix")
     k, n = h.phase, h.order
-    if n >= 2 and k >= 2 and bent_obstructions(n, k).any_violated:
-        return  # no bent vector exists at (n, k), so no candidate can be a hit
     total = k ** (n - 1) if mode == "any" else k**n
     if budget is not None:
         total = min(total, budget)

@@ -22,8 +22,6 @@ under --workers changes.
 
 Each command imports the modules it runs, so `obstructions` and `--help` never
 load numpy.  `python -m butson` and the `butson` script enter through run().
-It sets OPENBLAS_THREAD_TIMEOUT to 4 unless the user set it, so idle OpenBLAS
-workers sleep at once instead of spinning; pool workers inherit the setting.
 Once main() returns, run() freezes every object alive out of the garbage
 collector, so the collection at exit skips the import heap.  main() runs one
 command and changes no collector state.
@@ -39,7 +37,7 @@ import sys
 from contextlib import closing
 from math import isqrt
 
-_MODES = ("any", "self_dual", "conjugate_self_dual")  # bent._MODES, which imports numpy
+from .numtheory import _MODES
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -495,8 +493,6 @@ def main(argv=None) -> int:
 
 def run() -> None:
     """The process entry point: main() on sys.argv, then the heap frozen before exit."""
-    # set before numpy loads: an idle OpenBLAS thread spins 2**4 cycles, not 2**28, then sleeps
-    os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
     code = main()
     gc.freeze()
     sys.exit(code)

@@ -18,6 +18,9 @@ import math
 from typing import NamedTuple
 
 TRIAL_DIVISION_BOUND = 2**32
+# the bent-vector kinds bent.search_bent selects; kept in this numpy-free
+# module so that the CLI parser can offer them without loading numpy
+_MODES = ("any", "self_dual", "conjugate_self_dual")
 
 
 def is_prime(n: int) -> bool:

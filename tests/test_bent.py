@@ -5,7 +5,6 @@ from math import isqrt
 
 import pytest
 
-from butson import bent
 from butson.bent import (
     NotAmicableError,
     NotCommutingError,
@@ -25,14 +24,13 @@ from butson.cyclotomic import CycInt
 from butson.matrices import (
     LogMatrix,
     LogVector,
-    NotHadamardError,
     character_table,
     circulant_from_row,
     fourier_matrix,
     kronecker,
     verify_hadamard,
 )
-from butson.numtheory import ObstructionReport, bent_obstructions, is_self_conjugate
+from butson.numtheory import bent_obstructions, is_self_conjugate
 
 from oracles import bent_kinds_float, brute_force_bent_vectors, dual_entry_order_float
 
@@ -160,11 +158,9 @@ def _scannable():
         yield f"B_1 scaled by {scaling}", bush_modify(bush_circulant(3, 1), scaling).matrix
 
 
-def test_obstructions_and_the_order_condition_by_enumeration(monkeypatch):
+def test_obstructions_and_the_order_condition_by_enumeration():
     # a sound non-existence rule leaves the full scan empty, and where n is
-    # self-conjugate mod k every dual entry of every hit has an order; the
-    # search's own obstruction check is stubbed out, so every scan runs in full
-    monkeypatch.setattr(bent, "bent_obstructions", lambda n, k: ObstructionReport(n, k, ()))
+    # self-conjugate mod k every dual entry of every hit has an order
     fired, ordered = [], 0
     for label, h in _scannable():
         n, k = h.order, h.phase
@@ -179,20 +175,6 @@ def test_obstructions_and_the_order_condition_by_enumeration(monkeypatch):
                 assert orders is not None and None not in orders, (label, hit.index)
     assert fired == ["F(C_2)", "F(C_6)", "F(C_2^3)"]
     assert ordered > 30
-
-
-def test_an_obstructed_search_scans_nothing(monkeypatch):
-    # n = 32, k = 2: square-2-part rules out every bent vector, so none of the
-    # 2**31 or 2**32 candidates is scanned, with or without a budget
-    monkeypatch.setattr(bent, "fan_out", None)
-    h = character_table([2] * 5)
-    assert bent_obstructions(32, 2).any_violated
-    for mode in ("any", "self_dual", "conjugate_self_dual"):
-        assert list(search_bent(h, mode)) == []
-        assert list(search_bent(h, mode, budget=5)) == []
-    # the Hadamard check still comes first
-    with pytest.raises(NotHadamardError):
-        list(search_bent(LogMatrix(2, [[0, 0], [0, 0]]), "any"))
 
 
 def test_scalar_invariance_preserves_kind():
