@@ -10,12 +10,17 @@ rational scale.  check_bent decides all three properties exactly.
 """
 
 from butson import (
+    LogVector,
     character_table,
     check_bent,
+    circulant_bent_bridge,
     fourier_matrix,
+    kronecker,
     ksw_vector,
     search_bent,
+    tensor_bent,
     tensor_corollary_check,
+    verify_hadamard,
 )
 
 # The quadratic form x(c, c') = zeta^(c . c') gives a conjugate self-dual
@@ -46,3 +51,15 @@ cert = tensor_corollary_check(f3, variant=1)
 print("\nphi(F(C_3)) for F(C_3)* (x) F(C_3)*:", cert.kind, "unit", cert.unit)
 cert = tensor_corollary_check(f3, f3, variant=2)
 print("phi(F(C_3)) for F(C_3) (x) conj(F(C_3)):", cert.kind, "unit", cert.unit)
+
+# Conjugate self-dual bent vectors compose: the KSW vector tensored with
+# itself is conjugate self-dual for F(C_3^2) (x) F(C_3^2), of order 81.
+cert = check_bent(kronecker(h, h), tensor_bent(x, x))
+print("\nKSW (x) KSW for F(C_3^2) (x) F(C_3^2):", cert.kind, "unit", cert.unit)
+
+# x is bent for F(C_n) exactly when the circulant matrix with first column x
+# is Hadamard; circulant_bent_bridge lifts both to phase lcm(n, k).
+print("\ncirculant with first column x is Hadamard <=> x is bent for F(C_n):")
+for v in (LogVector(3, (0, 0, 1)), LogVector(2, (0, 0, 0, 1)), LogVector(2, (0, 0, 0, 0))):
+    circ, cert = circulant_bent_bridge(v)
+    print(f"  x = {v.entries} (phase {v.phase}): Hadamard {verify_hadamard(circ)}, {cert.kind}")

@@ -21,6 +21,7 @@ from butson import (
     bush_quaternary_bents,
     bush_real_order4,
     check_bent,
+    conjugate_self_bent_check,
     verify_hadamard,
     verify_projector_algebra,
 )
@@ -67,3 +68,12 @@ print("\ncharacter-patterned vector on the scaled matrix:",
 print("\nquaternary bent vectors of the order-4 Bush matrix:")
 for x in bush_quaternary_bents(bush_real_order4()):
     print(" ", x.entries)
+
+# M M = sqrt(n) conj(M) makes every column of M a conjugate self-dual
+# M-bent vector.  B_1 meets the identity at p = 3, where its first column
+# certified above; at p = 5 it does not, and that column is bent only.
+print()
+for p in (3, 5):
+    b = bush_circulant(p, 1).base
+    print(f"B_1 at p = {p}: M M = {p} conj(M) {conjugate_self_bent_check(b)}, "
+          f"first column {check_bent(b, b.column(0)).kind}")

@@ -18,8 +18,10 @@ _EXPORTS = {
     "bush_real_order4": "bush",
     "character_table": "matrices",
     "check_bent": "bent",
+    "circulant_bent_bridge": "bent",
     "circulant_real_obstruction": "numtheory",
     "code_from_matrix": "codes",
+    "conjugate_self_bent_check": "bush",
     "covering_radius": "codes",
     "fourier_matrix": "matrices",
     "is_self_conjugate_prime": "numtheory",
@@ -34,6 +36,7 @@ _EXPORTS = {
     "serialize_matrix": "fileio",
     "splitting_profile": "numtheory",
     "sylvester_matrix": "matrices",
+    "tensor_bent": "bent",
     "tensor_corollary_check": "bent",
     "verify_hadamard": "matrices",
     "verify_projector_algebra": "bush",

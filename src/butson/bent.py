@@ -386,13 +386,6 @@ def vectorize(m: LogMatrix) -> LogVector:
     return LogVector(m.phase, m.entries.reshape(-1))
 
 
-def devectorize(x: LogVector, n: int) -> LogMatrix:
-    if len(x) != n * n:
-        raise ValueError(f"length {len(x)} is not {n}^2")
-    entries = [list(x.entries[i * n : (i + 1) * n]) for i in range(n)]
-    return LogMatrix(x.phase, entries)
-
-
 class NotCommutingError(ValueError):
     pass
 
@@ -428,9 +421,7 @@ def tensor_corollary_check(h: LogMatrix, m: LogMatrix | None = None, variant: in
             raise ValueError(f"variant {variant} needs a second matrix")
         if not verify_hadamard(m):
             raise NotHadamardError("tensor constructions need Butson Hadamard input")
-        if h.phase != m.phase or h.order != m.order:
-            raise ValueError("matrices must share order and phase")
-        k = h.phase
+        k = h.phase  # the product counts below raise ValueError unless phases and orders agree
         if variant == 2:
             if not counts_match(product_counts(h, m), k, product_counts(m, h)):
                 raise NotCommutingError("H M != M H")

@@ -41,7 +41,6 @@ class BushMatrix:
             raise BushStructureError("block row/column sums violate the Bush condition")
         self.base = base
         self.block_size = n
-        self.block_sums_verified = True
 
     @property
     def phase(self) -> int:
@@ -86,11 +85,9 @@ def verify_projector_algebra(p: int) -> bool:
     and each product is compared with its target by counts_match in Z[zeta_p];
     p is capped at 13 because the check is cubic in p per pair.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
     if p > 13:
         raise ValueError(f"projector algebra check supports p <= 13, got {p}")
-    blocks = [projector(p, a) for a in range(p)]
+    blocks = [projector(p, a) for a in range(p)]  # raises ValueError unless p is an odd prime
     # row (b, j) holds column j of R_b negated, so count_tensor gives every R_a R_b,
     # as in product_counts
     stacked = np.concatenate([-rb.entries.T for rb in blocks])

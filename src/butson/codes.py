@@ -19,10 +19,7 @@ Exact arithmetic backs the bound computations: the upper bound
 are evaluated as rational/surd expressions whose floors and ceilings come
 from one integer square root (_floor_surd), never from floating point; the
 strength-2 pair counts are float32 matmuls over tiles of coordinates, exact
-for codes of under 2**24 words.  For phase 3 the identity d(L(v), L(w)) =
-(2/3)(n - R<v, w>) recovers the Hamming distance from the real part of the
-inner product z = s0 + s1 zeta + s2 zeta^2, the rational s0 - (s1+s2)/2; the
-bent bound reads its distances from count_tensor instead.
+for codes of under 2**24 words.
 """
 
 from __future__ import annotations
@@ -63,7 +60,6 @@ class ZkCode:
         array.flags.writeable = False
         self.modulus = modulus
         self.length = array.shape[1]
-        self.duplicates_removed = len(words) - len(array)
         self._array = array
         self._min_distance: int | None = None
 
@@ -90,13 +86,6 @@ def _distinct_rows(a: np.ndarray, modulus: int) -> np.ndarray:
     small = np.ascontiguousarray(a, dtype=np.min_scalar_type(int(modulus) - 1))
     first = np.unique(small.view(np.dtype((np.void, small.strides[0]))).ravel(), return_index=True)[1]
     return a if len(first) == len(a) else a[np.sort(first)]
-
-
-def hamming_distance(v: Sequence[int], w: Sequence[int]) -> int:
-    """Number of coordinates where v and w differ."""
-    if len(v) != len(w):
-        raise ValueError(f"length mismatch: {len(v)} vs {len(w)}")
-    return sum(1 for a, b in zip(v, w) if a != b)
 
 
 def code_from_matrix(h: LogMatrix) -> tuple[ZkCode, ZkCode]:
@@ -228,30 +217,6 @@ def leducq_upper_bound(n: int, q: int) -> LeducqBound:
     return LeducqBound(Fraction(t, q), Fraction(-1, q), n, _floor_surd(t, -1, n, q))
 
 
-def ternary_real_inner(v: Sequence[int], w: Sequence[int]) -> Fraction:
-    """Real part of <zeta^v, zeta^w> over phase 3, as an exact rational.
-
-    The inner product is s0 + s1 zeta + s2 zeta^2 where s_j counts the
-    coordinates with v_i - w_i = j mod 3; its real part is s0 - (s1+s2)/2.
-    It is the paper's side of the distance identity of ternary_distance.
-    """
-    if len(v) != len(w):
-        raise ValueError(f"length mismatch: {len(v)} vs {len(w)}")
-    counts = [0, 0, 0]
-    for a, b in zip(v, w):
-        counts[(a - b) % 3] += 1
-    return Fraction(counts[0]) - Fraction(counts[1] + counts[2], 2)
-
-
-def ternary_distance(v: Sequence[int], w: Sequence[int]) -> int:
-    """Hamming distance recovered from the exact real part:
-    d = (2/3)(n - R<zeta^v, zeta^w>), always an integer, as bent_lower_bound uses it."""
-    d = Fraction(2, 3) * (len(v) - ternary_real_inner(v, w))
-    if d.denominator != 1:
-        raise ArithmeticError(f"non-integral distance {d}")
-    return int(d)
-
-
 def _floor_surd(a: int, b: int, n: int, c: int) -> int:
     """Exact floor((a + b sqrt(n)) / c) for c > 0: b sqrt(n) lies in [r, r + 1)
     for r = isqrt(b**2 n) when b >= 0, and its floor is -ceil(sqrt(b**2 n)) when
@@ -275,10 +240,6 @@ class BentBound(NamedTuple):
     distances: tuple[int, ...]
     witness: tuple[int, ...]
 
-    @property
-    def min_distance(self) -> int:
-        return min(self.distances)
-
 
 def bent_lower_bound(h: LogMatrix, x: LogVector) -> BentBound:
     """Certified lower bound ceil((2/3)(n - sqrt(n))) <= r(C_H) for phase 3.
@@ -286,13 +247,14 @@ def bent_lower_bound(h: LogMatrix, x: LogVector) -> BentBound:
     Entry i of Hx is sum_j zeta^(h_ij + x_j) = <r_i, -x> for row r_i, so a bent
     x has |<r, -x>|^2 = n against every row, hence against every word of C_H
     (translates only rotate the inner product by a root of unity).  Then
-    R<w, -x> <= sqrt(n) and the distance identity puts the witness -x at
-    distance at least (2/3)(n - sqrt(n)) from the whole code.  x itself can be
+    R<w, -x> <= sqrt(n) and the phase-3 distance identity d(w, v) =
+    (2/3)(n - R<w, v>) puts the witness -x at distance at least
+    (2/3)(n - sqrt(n)) from the whole code.  x itself can be
     a codeword.  The returned distances are from the witness, one per codeword
     of C_H in code order (row i, then alpha), read from one count_tensor of the
     witness against the rows without building C_H: the witness agrees with
     r_i + alpha where it differs from r_i by alpha, so its distance is n minus
-    that count.  ternary_distance gives the same values through the identity.
+    that count.
     """
     if h.phase != 3:
         raise ValueError(f"the distance identity needs phase 3, got {h.phase}")

@@ -117,9 +117,9 @@ def reduce_coeffs(coeffs: Sequence[int], k: int) -> tuple[int, ...]:
 class CycInt:
     """An element of Z[zeta_k] in the group-ring basis.
 
-    Immutable.  Arithmetic never reduces; equality, hashing, norm tests and
-    root-of-unity recognition reduce modulo Phi_k first, so two
-    representations of the same ring element always compare equal.
+    Immutable.  Arithmetic never reduces; equality, hashing and norm tests
+    reduce modulo Phi_k first, so two representations of the same ring
+    element always compare equal.
     """
 
     __slots__ = ("phase", "coeffs")
@@ -217,9 +217,6 @@ class CycInt:
         """Canonical representative modulo Phi_k."""
         return CycInt(self.phase, reduce_coeffs(self.coeffs, self.phase))
 
-    def is_zero(self) -> bool:
-        return not any(reduce_coeffs(self.coeffs, self.phase))
-
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
             other = CycInt.integer(self.phase, other)
@@ -231,14 +228,6 @@ class CycInt:
 
     def __hash__(self) -> int:
         return hash((self.phase, reduce_coeffs(self.coeffs, self.phase)))
-
-    def is_root_of_unity(self) -> tuple[int, int] | None:
-        """(sign, exponent) with self = sign * zeta^exponent, or None.
-
-        Representations can coincide (for even k, -zeta^t = zeta^(t+k/2)); the
-        positive-sign form is preferred when both exist.
-        """
-        return _root_table(self.phase).get(reduce_coeffs(self.coeffs, self.phase))
 
     def embed(self, new_phase: int) -> CycInt:
         """The same ring element expressed in Z[zeta_new]: zeta_k -> zeta_new^(new/k)."""
@@ -270,14 +259,3 @@ class CycInt:
             return "0"
         head = terms[0].replace("+ ", "").replace("- ", "-")
         return " ".join([head] + terms[1:])
-
-
-@lru_cache(maxsize=None)
-def _root_table(k: int) -> dict[tuple[int, ...], tuple[int, int]]:
-    table: dict[tuple[int, ...], tuple[int, int]] = {}
-    for sign in (1, -1):
-        for t in range(k):
-            key = reduce_coeffs([sign if j == t else 0 for j in range(k)], k)
-            table.setdefault(key, (sign, t))
-    return table
-

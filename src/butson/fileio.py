@@ -157,14 +157,6 @@ def read_matrix(path: str | Path) -> LogMatrix:
     return parse_matrix(p.read_text(), str(p))
 
 
-def write_matrix(h: LogMatrix, path: str | Path, comments: Sequence[str] = ()) -> None:
-    Path(path).write_text(serialize_matrix(h, comments))
-
-
-def write_matrix_json(h: LogMatrix, path: str | Path) -> None:
-    Path(path).write_text(serialize_matrix_json(h))
-
-
 def serialize_vector(x: LogVector) -> str:
     entries = " ".join(str(int(e)) for e in x.entries)
     return f"VEC {len(x)} {x.phase}\n{entries}\n"
@@ -182,7 +174,3 @@ def parse_vector(text: str, source: str = "<string>") -> LogVector:
 def read_vector(path: str | Path) -> LogVector:
     p = Path(path)
     return parse_vector(p.read_text(), str(p))
-
-
-def write_vector(x: LogVector, path: str | Path) -> None:
-    Path(path).write_text(serialize_vector(x))

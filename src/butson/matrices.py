@@ -87,12 +87,6 @@ class LogMatrix:
             raise ValueError(f"phase {self.phase} does not divide {new_phase}")
         return LogMatrix(new_phase, self.entries * (new_phase // self.phase))
 
-    def dephase(self) -> LogMatrix:
-        """Equivalent matrix with zero first row, then zero first column."""
-        a = (self.entries - self.entries[0, :]) % self.phase
-        a = (a - a[:, :1]) % self.phase
-        return LogMatrix(self.phase, a)
-
     def monomial_transform(
         self,
         row_perm: Sequence[int],
@@ -185,14 +179,6 @@ def circulant_from_row(x: LogVector) -> LogMatrix:
     n = len(row)
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     return LogMatrix(x.phase, row[idx])
-
-
-def is_circulant(h: LogMatrix) -> bool:
-    """True iff entry (i, j) depends only on (i - j) mod n."""
-    n = h.order
-    x = h.entries[0][(-np.arange(n)) % n]  # x[m] = entry(0, -m)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    return bool((h.entries == x[idx]).all())
 
 
 # -- exact verification and products ----------------------------------------
@@ -323,10 +309,8 @@ def is_unbiased(a: LogMatrix, b: LogMatrix) -> CycInt | None:
     and the exponent table of those roots must itself verify as Hadamard.
     Returns None when any of that fails.
     """
-    if a.phase != b.phase or a.order != b.order:
-        raise ValueError("matrices must share order and phase")
+    counts = hermitian_product_counts(a, b)  # raises ValueError unless phases and orders agree
     k, n = a.phase, a.order
-    counts = hermitian_product_counts(a, b)
     z = CycInt(k, tuple(int(v) for v in counts[0, 0]))
     if z.norm_sq() != n:
         return None

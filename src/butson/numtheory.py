@@ -145,10 +145,6 @@ class SplittingProfile(NamedTuple):
     g: int
     ramification_exponent: int
 
-    @property
-    def is_ramified(self) -> bool:
-        return self.ramification_exponent > 1
-
 
 def splitting_profile(p: int, k: int) -> SplittingProfile:
     """Splitting parameters (f, g, ramification exponent) of p modulo k."""
@@ -197,9 +193,6 @@ class ObstructionReport(NamedTuple):
         """True iff a rule that proves no bent vector exists at (n, k) is violated.
         entry-root-form restricts the form of dual entries only, so it does not count."""
         return any(v.violated and v.rule != "entry-root-form" for v in self.verdicts)
-
-    def violated_rules(self) -> tuple[str, ...]:
-        return tuple(v.rule for v in self.verdicts if v.violated)
 
 
 def bent_obstructions(n: int, k: int) -> ObstructionReport:

@@ -17,9 +17,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .bent import index_digits, ksw_vector
-from .bush import bush_circulant, bush_modify, bush_real_order4
-from .matrices import LogMatrix, LogVector, character_table, circulant_from_row
+from butson.bent import index_digits, ksw_vector
+from butson.bush import bush_circulant, bush_modify, bush_real_order4
+from butson.matrices import LogMatrix, LogVector, character_table, circulant_from_row
 
 
 class CatalogEntry(NamedTuple):

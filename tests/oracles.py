@@ -10,6 +10,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -61,6 +62,39 @@ def brute_force_bent_vectors(entries: np.ndarray, k: int):
         if bent:
             hits.append((x, sd, csd))
     return hits
+
+
+def hamming_distance(v, w) -> int:
+    """Number of coordinates where v and w differ."""
+    if len(v) != len(w):
+        raise ValueError(f"length mismatch: {len(v)} vs {len(w)}")
+    return sum(1 for a, b in zip(v, w) if a != b)
+
+
+# For phase 3 the identity d(L(v), L(w)) = (2/3)(n - R<v, w>) recovers the Hamming
+# distance from the real part of the inner product z = s0 + s1 zeta + s2 zeta^2,
+# the rational s0 - (s1 + s2)/2; codes.bent_lower_bound reads its distances from
+# count_tensor instead, and the tests check the two against each other.
+
+
+def ternary_real_inner(v, w) -> Fraction:
+    """Real part of <zeta^v, zeta^w> over phase 3, as an exact rational: s0 - (s1 + s2)/2,
+    s_j counting the coordinates with v_i - w_i = j mod 3."""
+    if len(v) != len(w):
+        raise ValueError(f"length mismatch: {len(v)} vs {len(w)}")
+    counts = [0, 0, 0]
+    for a, b in zip(v, w):
+        counts[(a - b) % 3] += 1
+    return Fraction(counts[0]) - Fraction(counts[1] + counts[2], 2)
+
+
+def ternary_distance(v, w) -> int:
+    """Hamming distance recovered from the exact real part: d = (2/3)(n - R<zeta^v, zeta^w>),
+    always an integer."""
+    d = Fraction(2, 3) * (len(v) - ternary_real_inner(v, w))
+    if d.denominator != 1:
+        raise ArithmeticError(f"non-integral distance {d}")
+    return int(d)
 
 
 def covering_radius_brute(words: list[tuple[int, ...]], k: int) -> int:

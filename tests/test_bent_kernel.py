@@ -24,7 +24,7 @@ from butson import bent
 from butson.bent import check_bent, index_digits, ksw_vector, search_bent
 from butson.cli import main
 from butson.cyclotomic import CycInt, check_exact, reduction_matrix
-from butson.fileio import write_matrix
+from butson.fileio import serialize_matrix
 from butson.matrices import (
     LogMatrix,
     LogVector,
@@ -209,7 +209,7 @@ def _cli_stdout(capsys, argv):
 @pytest.mark.parametrize("orders,mode", [([3, 3], "conjugate_self_dual"), ([2, 2, 2, 2], "any")])
 def test_hit_streams_byte_identical_across_workers(capsys, tmp_path, orders, mode):
     path = tmp_path / "h.bh"
-    write_matrix(character_table(orders), path)
+    path.write_text(serialize_matrix(character_table(orders)))
     outs = {w: _cli_stdout(capsys, ["bent-search", str(path), "--mode", mode, "--json",
                                     "--workers", str(w)]) for w in (1, 2, 3)}
     assert outs[1] == outs[2] == outs[3]
@@ -221,7 +221,7 @@ def test_forced_pool_under_python_m_matches_one_worker(capsys, tmp_path):
     # the CLI as `python -m butson` runs it, with the pool forced; spawned workers
     # must not re-run the CLI, so stdout is the one-worker stream exactly once
     path = tmp_path / "h.bh"
-    write_matrix(character_table([3, 3]), path)
+    path.write_text(serialize_matrix(character_table([3, 3])))
     argv = ["bent-search", str(path), "--mode", "conjugate_self_dual", "--json"]
     want = _cli_stdout(capsys, argv)
     script = "\n".join([
@@ -321,7 +321,7 @@ def test_certificates_survive_pickling():
 @pytest.mark.parametrize("workers", ["0", "-3", "two"])
 def test_workers_must_be_positive(capsys, tmp_path, command, workers):
     path = tmp_path / "f3.bh"
-    write_matrix(fourier_matrix(3), path)
+    path.write_text(serialize_matrix(fourier_matrix(3)))
     argv = [a.format(m=path) for a in command] + ["--workers", workers]
     assert main(argv) == 2
     captured = capsys.readouterr()
@@ -332,7 +332,7 @@ def test_workers_must_be_positive(capsys, tmp_path, command, workers):
 @pytest.mark.parametrize("budget", ["0", "-5", "two"])
 def test_search_budget_must_be_positive(capsys, tmp_path, budget):
     path = tmp_path / "f3.bh"
-    write_matrix(fourier_matrix(3), path)
+    path.write_text(serialize_matrix(fourier_matrix(3)))
     assert main(["bent-search", str(path), "--budget", budget]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -344,7 +344,7 @@ def test_broken_stdout_pipe_is_a_normal_end(tmp_path):
     if not hasattr(fcntl, "F_SETPIPE_SZ"):
         pytest.skip("needs a resizable pipe (Linux)")
     path = tmp_path / "f24.bh"
-    write_matrix(sylvester_matrix(4), path)
+    path.write_text(serialize_matrix(sylvester_matrix(4)))
     read_fd, write_fd = os.pipe()
     # a one-page pipe: the 448 JSON hits (about 50 kB) cannot all be buffered,
     # so the search is still writing when the reader goes away

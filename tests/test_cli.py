@@ -14,7 +14,7 @@ import pytest
 from butson import cli, codes
 from butson.bent import _MODES, ksw_vector
 from butson.cli import _build_parser, main
-from butson.fileio import read_matrix, read_vector, write_matrix, write_vector
+from butson.fileio import read_matrix, read_vector, serialize_matrix, serialize_vector
 from butson.matrices import LogVector, character_table, fourier_matrix, sylvester_matrix
 
 
@@ -94,6 +94,15 @@ def test_missing_file_is_usage_error(capsys, tmp_path):
     assert code == 2 and "error:" in err
 
 
+def test_verify_unbiased_of_two_orders_is_a_usage_error(capsys, tmp_path):
+    f3, f9 = tmp_path / "f3.bh", tmp_path / "f9.bh"
+    f3.write_text(serialize_matrix(fourier_matrix(3)))
+    f9.write_text(serialize_matrix(character_table([3, 3])))
+    code, out, err = run(capsys, ["verify", "unbiased", str(f3), str(f9)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and "order mismatch" in err
+
+
 def test_bad_arguments_exit_2(capsys):
     assert main(["construct", "fourier"]) != 0  # missing --n
     code, _, err = run(capsys, ["construct", "fourier", "--n", "0"])
@@ -102,8 +111,8 @@ def test_bad_arguments_exit_2(capsys):
 
 def test_bent_check_certifies_ksw(capsys, tmp_path):
     mpath, vpath = tmp_path / "f33.bh", tmp_path / "x.vec"
-    write_matrix(character_table([3, 3]), mpath)
-    write_vector(ksw_vector(3, 2), vpath)
+    mpath.write_text(serialize_matrix(character_table([3, 3])))
+    vpath.write_text(serialize_vector(ksw_vector(3, 2)))
     code, out, _ = run(capsys, ["bent-check", str(mpath), str(vpath)])
     assert code == 0
     assert out.splitlines()[0] == "kind: conjugate_self_dual"
@@ -117,15 +126,15 @@ def test_bent_check_certifies_ksw(capsys, tmp_path):
 
 def test_bent_check_rejects_non_bent(capsys, tmp_path):
     mpath, vpath = tmp_path / "f3.bh", tmp_path / "x.vec"
-    write_matrix(fourier_matrix(3), mpath)
-    write_vector(LogVector(3, (0, 0, 0)), vpath)
+    mpath.write_text(serialize_matrix(fourier_matrix(3)))
+    vpath.write_text(serialize_vector(LogVector(3, (0, 0, 0))))
     code, out, _ = run(capsys, ["bent-check", str(mpath), str(vpath)])
     assert code == 1 and "not_bent" in out
 
 
 def test_bent_search_stream_and_determinism(capsys, tmp_path):
     mpath = tmp_path / "f33.bh"
-    write_matrix(character_table([3, 3]), mpath)
+    mpath.write_text(serialize_matrix(character_table([3, 3])))
     base = ["bent-search", str(mpath), "--mode", "conjugate_self_dual",
             "--budget", "400"]
     code, out1, _ = run(capsys, base + ["--workers", "1"])
@@ -163,8 +172,8 @@ def test_covering_radius_rm_and_exact_flag(capsys):
 
 def test_covering_radius_bent_vector_lower_bound(capsys, tmp_path):
     mpath, vpath = tmp_path / "f33.bh", tmp_path / "x.vec"
-    write_matrix(character_table([3, 3]), mpath)
-    write_vector(ksw_vector(3, 2), vpath)
+    mpath.write_text(serialize_matrix(character_table([3, 3])))
+    vpath.write_text(serialize_vector(ksw_vector(3, 2)))
     code, out, _ = run(capsys, ["covering-radius", "--code-from", str(mpath),
                                 "--bent-vector", str(vpath), "--json"])
     assert code == 0
@@ -176,8 +185,8 @@ def test_covering_radius_bent_vector_lower_bound(capsys, tmp_path):
 @pytest.mark.parametrize("source", [["--rm", "3,2"], ["--code-from", "{f5}"]])
 def test_covering_radius_bent_vector_needs_a_phase_3_matrix(capsys, tmp_path, monkeypatch, source):
     mpath, vpath = tmp_path / "f5.bh", tmp_path / "x.vec"
-    write_matrix(fourier_matrix(5), mpath)
-    write_vector(ksw_vector(3, 2), vpath)  # length 9: F(C_5) would reject it, if it were read
+    mpath.write_text(serialize_matrix(fourier_matrix(5)))
+    vpath.write_text(serialize_vector(ksw_vector(3, 2)))  # length 9: F(C_5) would reject it, if it were read
     monkeypatch.setattr(codes, "covering_radius", None)  # the usage error comes before any scan
     argv = ["covering-radius", *(a.format(f5=mpath) for a in source), "--bent-vector", str(vpath)]
     code, out, err = run(capsys, argv)
@@ -187,7 +196,7 @@ def test_covering_radius_bent_vector_needs_a_phase_3_matrix(capsys, tmp_path, mo
 
 def test_covering_radius_sampled_is_seed_reproducible(capsys, tmp_path):
     mpath = tmp_path / "f33.bh"
-    write_matrix(character_table([3, 3]), mpath)
+    mpath.write_text(serialize_matrix(character_table([3, 3])))
     argv = ["covering-radius", "--code-from", str(mpath), "--sample", "200",
             "--seed", "11"]
     code, out1, _ = run(capsys, argv)
@@ -210,7 +219,7 @@ def test_covering_radius_sample_count_must_be_positive(capsys, count):
 
 def test_covering_radius_source_flags_are_exclusive(capsys, tmp_path):
     mpath = tmp_path / "f3.bh"
-    write_matrix(fourier_matrix(3), mpath)
+    mpath.write_text(serialize_matrix(fourier_matrix(3)))
     code, _, err = run(capsys, ["covering-radius"])
     assert code == 2 and "choose exactly one" in err
     code, _, err = run(capsys, ["covering-radius", "--code-from", str(mpath),
@@ -288,7 +297,7 @@ def test_order_found_and_not_found(capsys, tmp_path):
 
 def test_verify_unbiased_exit_codes(capsys, tmp_path):
     mpath = tmp_path / "f33.bh"
-    write_matrix(character_table([3, 3]), mpath)
+    mpath.write_text(serialize_matrix(character_table([3, 3])))
     code, out, _ = run(capsys, ["verify", "unbiased", str(mpath), str(mpath)])
     assert code == 1 and out == "unbiased: false\n"
 

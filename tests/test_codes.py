@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import covering_radius_brute, self_complementary_brute, strength_2_brute
+from oracles import (covering_radius_brute, hamming_distance, self_complementary_brute, strength_2_brute,
+                     ternary_distance, ternary_real_inner)
 
 from butson import bent, codes
 from butson.codes import (
@@ -23,15 +24,12 @@ from butson.codes import (
     bent_lower_bound,
     code_from_matrix,
     covering_radius,
-    hamming_distance,
     has_strength_2,
     is_self_complementary,
     leducq_upper_bound,
     min_distance,
     reed_muller_1,
     schmidt_rho,
-    ternary_distance,
-    ternary_real_inner,
 )
 from butson.bent import ksw_vector, search_bent
 from butson.bush import bush_circulant
@@ -56,7 +54,6 @@ def test_hamming_distance_examples():
 def test_zkcode_dedup_and_normalization():
     c = ZkCode(3, [(0, 1), (3, 4), (2, 2), (0, 1)])
     assert c.words == ((0, 1), (2, 2))
-    assert c.duplicates_removed == 2
     assert c.length == 2 and c.modulus == 3
     assert (0, 1) in c and (1, 0) not in c
     try:
@@ -75,7 +72,6 @@ def test_code_from_matrix_bh48():
     r_code, c_code = code_from_matrix(BH48)
     assert r_code.words == ((0, 0, 0, 0), (0, 2, 4, 6), (0, 4, 0, 4), (0, 6, 4, 2))
     assert len(c_code) == 32 and c_code.length == 4 and c_code.modulus == 8
-    assert c_code.duplicates_removed == 0
     # every word is row + constant
     for w in c_code.words:
         alpha = w[0]
@@ -450,7 +446,7 @@ def test_bent_lower_bound_f9():
     bound = bent_lower_bound(h, x)
     assert isinstance(bound, BentBound)
     assert bound.bound == 4  # ceil((2/3)(9 - 3))
-    assert bound.min_distance >= 4
+    assert min(bound.distances) >= 4
     _, c_code = code_from_matrix(h)
     assert len(bound.distances) == len(c_code)
     assert bound.witness == tuple(-e % 3 for e in x.entries)
@@ -500,7 +496,7 @@ def test_bent_lower_bound_distances_are_hamming_distances(case):
     got = bent_lower_bound(h, x)
     assert got.distances == tuple(hamming_distance(got.witness, w) for w in c_code.words)
     assert got.distances == tuple(ternary_distance(got.witness, w) for w in c_code.words)
-    assert got.min_distance >= got.bound
+    assert min(got.distances) >= got.bound
 
 
 def test_bent_lower_bound_witness_is_the_negated_vector():
@@ -512,7 +508,7 @@ def test_bent_lower_bound_witness_is_the_negated_vector():
     assert x.entries in c_code
     got = bent_lower_bound(h, x)
     assert got.witness == (0, 0, 2)
-    assert got.bound == 1 and got.min_distance == 1
+    assert got.bound == 1 and min(got.distances) == 1
 
 
 def test_bent_lower_bound_rejections():
@@ -608,7 +604,6 @@ def test_premises_match_brute_force(case):
     c = ZkCode(k, words)
     # the normalisation the word array replaced: reduce, keep first occurrences in order
     assert c.words == tuple(dict.fromkeys(tuple(int(e) % k for e in w) for w in words))
-    assert c.duplicates_removed == len(words) - len(c)
     assert has_strength_2(c) == strength_2_brute(c.words, k)
     assert is_self_complementary(c) == self_complementary_brute(c.words, k)
 

@@ -29,7 +29,6 @@ def test_cyclotomic_polynomial_small():
 def test_canonical_reduce_examples():
     # 1 + z + z^2 = 0 at phase 3
     z = CycInt(3, (1, 1, 1))
-    assert z.is_zero()
     assert z == 0
     # zeta_4^2 = -1
     assert CycInt.root(4, 2) == CycInt.integer(4, -1)
@@ -45,44 +44,13 @@ def test_norm_sq_examples():
     assert CycInt.integer(5, 3).norm_sq() == 9
 
 
-def test_is_root_of_unity():
-    z = -CycInt.root(6, 5)
-    got = z.is_root_of_unity()
-    assert got is not None
-    s, t = got
-    assert s * CycInt.root(6, t) == z
-    # 1 + zeta_3 is a sixth root of unity: -zeta_3^2
-    w = CycInt.integer(3, 1) + CycInt.root(3, 1)
-    got = w.is_root_of_unity()
-    assert got is not None
-    s, t = got
-    assert s * CycInt.root(3, t) == w
-    assert (s, t) == (-1, 2)
-    assert CycInt.integer(3, 2).is_root_of_unity() is None
-    assert CycInt.zero(4).is_root_of_unity() is None
-
-
-def test_is_root_of_unity_exhaustive():
-    for k in PHASES:
-        for sign in (1, -1):
-            for t in range(k):
-                z = sign * CycInt.root(k, t)
-                got = z.is_root_of_unity()
-                assert got is not None, (k, sign, t)
-                s, u = got
-                assert s * CycInt.root(k, u) == z
-
-
 def test_embed_examples():
     z3 = CycInt.root(3, 1)
     assert z3.embed(6) == CycInt.root(6, 2)
+    # 1 + zeta_3 = -zeta_3^2 is the sixth root of unity zeta_12^2, also written -zeta_12^8
     w = CycInt.integer(3, 1) + CycInt.root(3, 1)
     lifted = w.embed(12)
-    got = lifted.is_root_of_unity()
-    assert got is not None
-    s, t = got
-    assert s * CycInt.root(12, t) == lifted
-    # -zeta_12^8 is the same element
+    assert lifted == CycInt.root(12, 2)
     assert lifted == -CycInt.root(12, 8)
 
 
@@ -128,7 +96,7 @@ def test_prime_phase_full_sum_vanishes():
         total = CycInt.zero(k)
         for t in range(k):
             total = total + CycInt.root(k, t)
-        assert total.is_zero()
+        assert total == 0
 
 
 def test_mul_commutative_associative():
