@@ -16,7 +16,9 @@ search's float32 blocks hold 2**16 cells, the radius scan's uint8 blocks
 2**18.  The search's sums are the exponent counts of every entry of Hx:
 _bent reduces their autocorrelations exactly (cyclotomic.check_exact bounds
 the range), and _duals decides the two dual verdicts on the bent candidates
-only; check_bent runs both on a batch of one.
+only; check_bent runs both on a batch of one.  A search hit keeps its counts
+and flags, and builds its certificate (CycInt dual, units, dual-entry orders)
+only when it is read, so a stream of indices and vectors never builds one.
 fan_out, shared with the covering-radius scan, runs index chunks inline, or
 in a spawn pool once their measured cost pays for one, and merges by index,
 so output is identical for every worker count and path.
@@ -29,7 +31,7 @@ import pickle
 import tempfile
 import time
 from collections import deque
-from functools import lru_cache, partial
+from functools import cached_property, lru_cache, partial
 from itertools import islice
 from math import isqrt, lcm
 from typing import Iterator, NamedTuple
@@ -242,10 +244,36 @@ def ksw_vector(k: int, m: int) -> LogVector:
     return LogVector(k, (c[:t] * c[t:]).sum(axis=0) % k)
 
 
-class SearchHit(NamedTuple):
-    index: int
-    vector: LogVector
-    certificate: BentCertificate
+class SearchHit:
+    """One hit of search_bent: candidate index, vector and certificate, unpacked in
+    that order.  The hit keeps the (k, n) exponent counts of Hx and its three flags;
+    the certificate is built from them on first read and kept, so a stream that
+    prints indices and vectors never builds one.  Hits compare by all three fields."""
+
+    def __init__(self, index: int, vector: LogVector, counts: np.ndarray, flags: tuple[bool, ...]):
+        self.index = index
+        self.vector = vector
+        self._counts = counts
+        self._flags = flags
+
+    @cached_property
+    def certificate(self) -> BentCertificate:
+        x = self.vector
+        return _build_certificate(x.phase, len(x), x.entries, self._counts, self._flags)
+
+    def __iter__(self):
+        return iter((self.index, self.vector, self.certificate))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SearchHit):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.vector))
+
+    def __repr__(self) -> str:
+        return f"SearchHit(index={self.index}, vector={self.vector})"
 
 
 _scan = None  # a pool worker's scan, installed once per process
@@ -317,9 +345,10 @@ def _count_table(h: LogMatrix) -> np.ndarray:
 
 
 def _scan_bent(start: int, stop: int, head: np.ndarray, table: np.ndarray, flag: int) -> list:
-    """Hits among candidate indices [start, stop), certified one block of counts at a
+    """Hits among candidate indices [start, stop), decided one block of counts at a
     time: _bent on the block, then _duals on its bent candidates, whose digits are
-    taken once.  Blocks and the table weigh k cells per count: _bent makes k products of each."""
+    taken once.  Each hit keeps its counts and flags for its certificate.  Blocks
+    and the table weigh k cells per count: _bent makes k products of each."""
     k = head.shape[1]
     n = len(table) // k
     hits = []
@@ -331,9 +360,12 @@ def _scan_bent(start: int, stop: int, head: np.ndarray, table: np.ndarray, flag:
         counts, digits = counts[:, :, bent], index_digits(lo + bent, k, n)
         flags = (np.ones(bent.size, bool), *_duals(counts, digits, k))
         found = np.flatnonzero(flags[flag])
-        for b, vector in zip(found.tolist(), digits[:, found].T.tolist()):
-            cert = _build_certificate(k, n, vector, counts[:, :, b], [f[b] for f in flags])
-            hits.append(SearchHit(lo + int(bent[b]), LogVector(k, vector), cert))
+        kept = counts[:, :, found]  # a copy of the hits' counts only, not of the block
+        indices = (lo + bent[found]).tolist()
+        vectors = digits[:, found].T.tolist()
+        hit_flags = list(zip(*(f[found].tolist() for f in flags)))
+        hits.extend(SearchHit(indices[j], LogVector(k, vectors[j]), kept[:, :, j], hit_flags[j])
+                    for j in range(found.size))
     return hits
 
 
@@ -348,7 +380,8 @@ def search_bent(h: LogMatrix, mode: str = "any", budget: int | None = None,
     representative can have a different unit.  Budget caps the number of
     candidates scanned and a partial result is normal; output order is by
     candidate index regardless of worker count.  Indices are int64, so a
-    space of 2**63 or more candidates needs a budget.
+    space of 2**63 or more candidates needs a budget.  A hit's certificate is
+    built on its first read, in the process that reads it.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")

@@ -21,20 +21,20 @@ Given a fixed seed and inputs, output bytes are reproducible, including
 under --workers changes.
 
 Each command imports the modules it runs, so `obstructions` and `--help` never
-load numpy.  `python -m butson` and the `butson` script enter through run().
-Once main() returns, run() freezes every object alive out of the garbage
-collector, so the collection at exit skips the import heap.  main() runs one
-command and changes no collector state.
+load numpy, and only JSON output loads json.  main() builds the parser branch
+of the command it is given; help and parse errors come from the whole tree.
+`python -m butson` and the `butson` script enter through run(), which flushes
+stdout and stderr once main() returns and exits at once with its code,
+skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
-import json
+import io
 import os
 import sys
-from contextlib import closing
+from contextlib import closing, redirect_stderr, redirect_stdout
 from math import isqrt
 
 from .numtheory import _MODES
@@ -46,6 +46,12 @@ def _emit(text: str, out: str | None) -> None:
     else:
         with open(out, "w") as fh:
             fh.write(text)
+
+
+def _print_json(payload) -> None:
+    import json  # only JSON output loads it
+
+    print(json.dumps(payload))
 
 
 def _cyc_json(z) -> dict:
@@ -115,7 +121,7 @@ def _cmd_verify_hadamard(args) -> int:
     h = read_matrix(args.matrix)
     ok = verify_hadamard(h)
     if args.json:
-        print(json.dumps({"check": "hadamard", "n": h.order, "k": h.phase, "result": ok}))
+        _print_json({"check": "hadamard", "n": h.order, "k": h.phase, "result": ok})
     else:
         print(f"hadamard: {str(ok).lower()}")
     return 0 if ok else 1
@@ -137,8 +143,8 @@ def _cmd_verify_bush(args) -> int:
             reason = str(e)
     ok = reason is None
     if args.json:
-        print(json.dumps({"check": "bush", "n": h.order, "k": h.phase, "result": ok,
-                          "reason": reason}))
+        _print_json({"check": "bush", "n": h.order, "k": h.phase, "result": ok,
+                     "reason": reason})
     else:
         print(f"bush: {str(ok).lower()}" + ("" if ok else f" ({reason})"))
     return 0 if ok else 1
@@ -153,8 +159,8 @@ def _cmd_verify_unbiased(args) -> int:
     z = is_unbiased(a, b)
     ok = z is not None
     if args.json:
-        print(json.dumps({"check": "unbiased", "result": ok,
-                          "constant": _cyc_json(z) if ok else None}))
+        _print_json({"check": "unbiased", "result": ok,
+                     "constant": _cyc_json(z) if ok else None})
     else:
         print(f"unbiased: {str(ok).lower()}" + (f" with constant {z}" if ok else ""))
     return 0 if ok else 1
@@ -179,7 +185,7 @@ def _cmd_bent_check(args) -> int:
             ),
             "dual_entry_orders": list(cert.dual_entry_orders) if cert.dual_entry_orders else None,
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(f"kind: {cert.kind}")
         if cert.self_dual_unit is not None:
@@ -200,8 +206,8 @@ def _cmd_bent_search(args) -> int:
     with closing(search_bent(h, args.mode, args.budget, args.workers)) as hits:
         for hit in hits:
             if args.json:
-                print(json.dumps({"index": hit.index, "vector": list(hit.vector.entries),
-                                  "kind": hit.certificate.kind}))
+                _print_json({"index": hit.index, "vector": list(hit.vector.entries),
+                             "kind": hit.certificate.kind})
             else:
                 print(f"{hit.index}: " + " ".join(str(e) for e in hit.vector.entries))
     return 0
@@ -262,7 +268,7 @@ def _cmd_covering_radius(args) -> int:
             "lower_bound": lower,
             "premises": premises,
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         label = "radius" if result.exact else "radius lower bound (sampled)"
         print(f"{label}: {result.value}")
@@ -294,7 +300,7 @@ def _cmd_obstructions(args) -> int:
                 for v in report.verdicts
             ],
         }
-        print(json.dumps(payload))
+        _print_json(payload)
     else:
         print(f"obstructions for n={args.n}, k={args.k}:")
         for v in report.verdicts:
@@ -310,7 +316,7 @@ def _cmd_order(args) -> int:
     h = read_matrix(args.matrix)
     t = unitary_order(h, args.max_t)
     if args.json:
-        print(json.dumps({"n": h.order, "k": h.phase, "max_t": args.max_t, "order": t}))
+        _print_json({"n": h.order, "k": h.phase, "max_t": args.max_t, "order": t})
     else:
         print(f"order: {t}" if t is not None else f"no order up to {args.max_t}")
     return 0 if t is not None else 1
@@ -327,8 +333,8 @@ def _cmd_bush(args) -> int:
     if args.verify_algebra:
         algebra = verify_projector_algebra(args.p)
     if args.json:
-        print(json.dumps({"p": args.p, "a": args.a, "n": b.base.order,
-                          "written": args.out, "algebra": algebra}))
+        _print_json({"p": args.p, "a": args.a, "n": b.base.order,
+                     "written": args.out, "algebra": algebra})
     else:
         if args.out is None and not args.verify_algebra:
             sys.stdout.write(serialize_matrix(b.base))
@@ -365,122 +371,143 @@ def _add_out(p) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The whole parser tree, or with a command name its top level and that branch only."""
     parser = argparse.ArgumentParser(prog="butson", description=__doc__,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     workers_help = ("most processes a scan may use (default 1); a pool starts only once the "
                     "scan's measured remaining cost passes about a second")
 
-    construct = sub.add_parser("construct", help="build matrices, vectors, and codes")
-    csub = construct.add_subparsers(dest="what", required=True)
-    p = csub.add_parser("fourier", help="Fourier matrix of the cyclic group C_n")
-    p.add_argument("--n", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_construct_fourier)
-    p = csub.add_parser("sylvester", help="Sylvester matrix of order 2^m")
-    p.add_argument("--m", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_construct_sylvester)
-    p = csub.add_parser("kron", help="Kronecker product of two matrix files")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_out(p)
-    p.set_defaults(func=_cmd_construct_kron)
-    p = csub.add_parser("bush", help="block-circulant Bush matrix B_a of order p^2")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    _add_out(p)
-    p.set_defaults(func=_cmd_construct_bush)
-    p = csub.add_parser("ksw", help="quadratic-form bent vector for F(C_k^m)")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_construct_ksw)
-    p = csub.add_parser("rm", help="first-order generalized Reed-Muller code")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_construct_rm)
+    if command in (None, "construct"):
+        construct = sub.add_parser("construct", help="build matrices, vectors, and codes")
+        csub = construct.add_subparsers(dest="what", required=True)
+        p = csub.add_parser("fourier", help="Fourier matrix of the cyclic group C_n")
+        p.add_argument("--n", type=int, required=True)
+        _add_out(p)
+        p.set_defaults(func=_cmd_construct_fourier)
+        p = csub.add_parser("sylvester", help="Sylvester matrix of order 2^m")
+        p.add_argument("--m", type=int, required=True)
+        _add_out(p)
+        p.set_defaults(func=_cmd_construct_sylvester)
+        p = csub.add_parser("kron", help="Kronecker product of two matrix files")
+        p.add_argument("left")
+        p.add_argument("right")
+        _add_out(p)
+        p.set_defaults(func=_cmd_construct_kron)
+        p = csub.add_parser("bush", help="block-circulant Bush matrix B_a of order p^2")
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--a", type=int, required=True)
+        _add_out(p)
+        p.set_defaults(func=_cmd_construct_bush)
+        p = csub.add_parser("ksw", help="quadratic-form bent vector for F(C_k^m)")
+        p.add_argument("--k", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_construct_ksw)
+        p = csub.add_parser("rm", help="first-order generalized Reed-Muller code")
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--m", type=int, required=True)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_construct_rm)
 
-    verify = sub.add_parser("verify", help="exact verification of matrix files")
-    vsub = verify.add_subparsers(dest="what", required=True)
-    p = vsub.add_parser("hadamard", help="rows pairwise orthogonal over the exact ring")
-    p.add_argument("matrix")
-    _add_json(p)
-    p.set_defaults(func=_cmd_verify_hadamard)
-    p = vsub.add_parser("bush", help="Hadamard plus block row/column sum conditions")
-    p.add_argument("matrix")
-    _add_json(p)
-    p.set_defaults(func=_cmd_verify_bush)
-    p = vsub.add_parser("unbiased", help="H1* H2 / sqrt(n) has constant-modulus entries")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_json(p)
-    p.set_defaults(func=_cmd_verify_unbiased)
+    if command in (None, "verify"):
+        verify = sub.add_parser("verify", help="exact verification of matrix files")
+        vsub = verify.add_subparsers(dest="what", required=True)
+        p = vsub.add_parser("hadamard", help="rows pairwise orthogonal over the exact ring")
+        p.add_argument("matrix")
+        _add_json(p)
+        p.set_defaults(func=_cmd_verify_hadamard)
+        p = vsub.add_parser("bush", help="Hadamard plus block row/column sum conditions")
+        p.add_argument("matrix")
+        _add_json(p)
+        p.set_defaults(func=_cmd_verify_bush)
+        p = vsub.add_parser("unbiased", help="H1* H2 / sqrt(n) has constant-modulus entries")
+        p.add_argument("left")
+        p.add_argument("right")
+        _add_json(p)
+        p.set_defaults(func=_cmd_verify_unbiased)
 
-    p = sub.add_parser("bent-check", help="certify a vector file against a matrix file")
-    p.add_argument("matrix")
-    p.add_argument("vector")
-    _add_json(p)
-    p.set_defaults(func=_cmd_bent_check)
+    if command in (None, "bent-check"):
+        p = sub.add_parser("bent-check", help="certify a vector file against a matrix file")
+        p.add_argument("matrix")
+        p.add_argument("vector")
+        _add_json(p)
+        p.set_defaults(func=_cmd_bent_check)
 
-    p = sub.add_parser("bent-search", help="stream bent vectors over the full candidate space")
-    p.add_argument("matrix")
-    p.add_argument("--mode", choices=_MODES, default="any")
-    p.add_argument("--budget", type=_positive_int, default=None, help="max candidates to scan")
-    p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
-    _add_json(p)
-    p.set_defaults(func=_cmd_bent_search)
+    if command in (None, "bent-search"):
+        p = sub.add_parser("bent-search", help="stream bent vectors over the full candidate space")
+        p.add_argument("matrix")
+        p.add_argument("--mode", choices=_MODES, default="any")
+        p.add_argument("--budget", type=_positive_int, default=None, help="max candidates to scan")
+        p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
+        _add_json(p)
+        p.set_defaults(func=_cmd_bent_search)
 
-    p = sub.add_parser("covering-radius", help="exact or sampled covering radius with bounds")
-    p.add_argument("--code-from", default=None, help="matrix file; the code is C_H")
-    p.add_argument("--rm", type=_parse_rm_pair, default=None, metavar="Q,M",
-                   help="first-order generalized Reed-Muller code")
-    strategy = p.add_mutually_exclusive_group()
-    strategy.add_argument("--exact", action="store_true",
-                          help="exhaustive ambient scan (the default)")
-    strategy.add_argument("--sample", type=_positive_int, default=None, metavar="N",
-                          help="sampled lower bound from N seeded draws")
-    p.add_argument("--budget", type=int, default=2**30)
-    p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--bent-vector", default=None, help="vector file for the phase-3 lower bound")
-    _add_json(p)
-    p.set_defaults(func=_cmd_covering_radius)
+    if command in (None, "covering-radius"):
+        p = sub.add_parser("covering-radius", help="exact or sampled covering radius with bounds")
+        p.add_argument("--code-from", default=None, help="matrix file; the code is C_H")
+        p.add_argument("--rm", type=_parse_rm_pair, default=None, metavar="Q,M",
+                       help="first-order generalized Reed-Muller code")
+        strategy = p.add_mutually_exclusive_group()
+        strategy.add_argument("--exact", action="store_true",
+                              help="exhaustive ambient scan (the default)")
+        strategy.add_argument("--sample", type=_positive_int, default=None, metavar="N",
+                              help="sampled lower bound from N seeded draws")
+        p.add_argument("--budget", type=int, default=2**30)
+        p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--bent-vector", default=None, help="vector file for the phase-3 lower bound")
+        _add_json(p)
+        p.set_defaults(func=_cmd_covering_radius)
 
-    p = sub.add_parser("obstructions", help="arithmetic non-existence report for bent vectors")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    _add_json(p)
-    p.set_defaults(func=_cmd_obstructions)
+    if command in (None, "obstructions"):
+        p = sub.add_parser("obstructions", help="arithmetic non-existence report for bent vectors")
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--k", type=int, required=True)
+        _add_json(p)
+        p.set_defaults(func=_cmd_obstructions)
 
-    p = sub.add_parser("order", help="least t with (M/sqrt(n))^t = I, up to --max-t")
-    p.add_argument("matrix")
-    p.add_argument("--max-t", type=int, default=64)
-    _add_json(p)
-    p.set_defaults(func=_cmd_order)
+    if command in (None, "order"):
+        p = sub.add_parser("order", help="least t with (M/sqrt(n))^t = I, up to --max-t")
+        p.add_argument("matrix")
+        p.add_argument("--max-t", type=int, default=64)
+        _add_json(p)
+        p.set_defaults(func=_cmd_order)
 
-    p = sub.add_parser("bush", help="Bush family: write B_a and optionally check the algebra")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--verify-algebra", action="store_true")
-    _add_json(p)
-    p.set_defaults(func=_cmd_bush)
+    if command in (None, "bush"):
+        p = sub.add_parser("bush", help="Bush family: write B_a and optionally check the algebra")
+        p.add_argument("--p", type=int, required=True)
+        p.add_argument("--a", type=int, required=True)
+        p.add_argument("--out", default=None)
+        p.add_argument("--verify-algebra", action="store_true")
+        _add_json(p)
+        p.set_defaults(func=_cmd_bush)
 
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed by the branch that argv[0] names, built alone.  Help and every
+    error, which may print the top-level usage or list the commands, come from
+    the whole tree instead: the branch's own output is discarded."""
+    if argv:
+        try:
+            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                return _build_parser(argv[0]).parse_args(argv)
+        except SystemExit:
+            pass
+    return _build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
     try:
         code = args.func(args)
-        sys.stdout.flush()  # a closed pipe surfaces here, not in the interpreter's last flush
+        sys.stdout.flush()  # a closed pipe surfaces here, inside the handler below
         return code
     except BrokenPipeError:
         # the reader closed stdout (`| head`): a normal end; devnull takes the final flush
@@ -492,10 +519,15 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry point: main() on sys.argv, then the heap frozen before exit."""
+    """The process entry point: main() on sys.argv, both streams flushed, then an
+    immediate exit with its code, skipping the interpreter's teardown."""
     code = main()
-    gc.freeze()
-    sys.exit(code)
+    try:
+        sys.stdout.flush()  # what main() left unflushed: help, usage, output before an error
+        sys.stderr.flush()
+    except BrokenPipeError:  # the reader has gone, as main() treats it
+        pass
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -53,7 +53,8 @@ class ZkCode:
     def __init__(self, modulus: int, words: np.ndarray | Sequence[Sequence[int]]):
         if modulus < 2:
             raise ValueError(f"modulus must be at least 2, got {modulus}")
-        array = np.asarray(words, dtype=np.int64) % modulus
+        array = np.array(words, dtype=np.int64)  # the code's own array, the one copy of words
+        array %= modulus
         if array.ndim != 2 or not array.size:
             raise ValueError(f"a code needs one or more words of one positive length, got shape {array.shape}")
         array = _distinct_rows(array, modulus)
@@ -99,7 +100,9 @@ def code_from_matrix(h: LogMatrix) -> tuple[ZkCode, ZkCode]:
     if not verify_hadamard(h):
         raise NotHadamardError(f"matrix of order {h.order} is not Butson Hadamard")
     k, n = h.phase, h.order
-    translates = h.entries[:, None, :] + np.arange(k)[:, None]  # row by row, alpha = 0, ..., k - 1
+    # row by row, alpha = 0, ..., k - 1, in the narrowest dtype: ZkCode's int64 copy is the only wide one
+    narrow = np.min_scalar_type(2 * k - 2)
+    translates = h.entries.astype(narrow)[:, None, :] + np.arange(k, dtype=narrow)[:, None]
     return ZkCode(k, h.entries), ZkCode(k, translates.reshape(k * n, n))
 
 

@@ -14,7 +14,6 @@ Malformed input raises FileFormatError carrying the source name and the
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Sequence
 
@@ -41,6 +40,8 @@ def serialize_matrix(h: LogMatrix, comments: Sequence[str] = ()) -> str:
 
 
 def serialize_matrix_json(h: LogMatrix) -> str:
+    import json  # text files never load it
+
     return json.dumps({"n": h.order, "k": h.phase, "rows": h.entries.tolist()}) + "\n"
 
 
@@ -122,6 +123,8 @@ def _as_entries(rows: list, n: int, k: int, dtype=None) -> np.ndarray | None:
 
 
 def _matrix_from_json_text(text: str, source: str) -> LogMatrix:
+    import json
+
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as e:

@@ -201,6 +201,34 @@ def test_closing_the_stream_stops_the_pool(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_pooled_hits_carry_their_certificates(monkeypatch):
+    # workers send counts and flags; each certificate is built where it is read
+    h = character_table([3, 3])
+    inline = list(search_bent(h, mode="any"))
+    _force_pool(monkeypatch, 1000)
+    pooled = list(search_bent(h, mode="any", workers=2))
+    assert len(pooled) == 162 and not any("certificate" in vars(hit) for hit in pooled)
+    assert pooled == inline
+    assert [hit.certificate for hit in pooled] == [hit.certificate for hit in inline]
+    index, vector, cert = pooled[-1]
+    assert (index, vector, cert) == (inline[-1].index, inline[-1].vector, check_bent(h, vector))
+    assert pickle.loads(pickle.dumps(pooled[-1])) == inline[-1]
+
+
+def test_the_text_stream_builds_no_certificate(capsys, monkeypatch, tmp_path):
+    path = tmp_path / "h.bh"
+    path.write_text(serialize_matrix(character_table([3, 3])))
+    argv = ["bent-search", str(path), "--mode", "conjugate_self_dual"]
+    want = _cli_stdout(capsys, argv)
+
+    def unread(*args):
+        raise AssertionError("a certificate was built")
+
+    monkeypatch.setattr(bent, "_build_certificate", unread)
+    assert _cli_stdout(capsys, argv) == want
+    assert len(want.splitlines()) == 66
+
+
 def _cli_stdout(capsys, argv):
     assert main(argv) == 0
     return capsys.readouterr().out
@@ -219,7 +247,8 @@ def test_hit_streams_byte_identical_across_workers(capsys, tmp_path, orders, mod
 
 def test_forced_pool_under_python_m_matches_one_worker(capsys, tmp_path):
     # the CLI as `python -m butson` runs it, with the pool forced; spawned workers
-    # must not re-run the CLI, so stdout is the one-worker stream exactly once
+    # must not re-run the CLI, so stdout is the one-worker stream exactly once.  The
+    # process leaves through os._exit, so the start method is reported as the pool starts
     path = tmp_path / "h.bh"
     path.write_text(serialize_matrix(character_table([3, 3])))
     argv = ["bent-search", str(path), "--mode", "conjugate_self_dual", "--json"]
@@ -228,13 +257,10 @@ def test_forced_pool_under_python_m_matches_one_worker(capsys, tmp_path):
         "import multiprocessing, runpy, sys",
         "from butson import bent",
         "bent._CHUNK, bent._POOL_SECONDS = 1000, 0",
-        "methods, get_context = [], multiprocessing.get_context",
-        "multiprocessing.get_context = lambda method: methods.append(method) or get_context(method)",
+        "get_context = multiprocessing.get_context",
+        "multiprocessing.get_context = lambda method: print([method], file=sys.stderr) or get_context(method)",
         f"sys.argv = {['butson', *argv, '--workers', '3']!r}",
-        "try:",
-        "    runpy.run_module('butson', run_name='__main__', alter_sys=True)",
-        "finally:",
-        "    print(methods, file=sys.stderr)",
+        "runpy.run_module('butson', run_name='__main__', alter_sys=True)",
     ])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, timeout=120,
                           env=dict(os.environ, PYTHONPATH=str(SRC)))

@@ -254,23 +254,117 @@ def test_main_leaves_the_collector_unfrozen(capsys):
     assert gc.get_freeze_count() == before
 
 
-def test_the_process_entry_imports_no_pool_and_freezes_the_import_heap():
+def _buffered_env() -> dict:
+    """The environment of a `butson` process whose stdout is block-buffered."""
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def test_the_process_entry_imports_no_pool_and_exits_flushed(capsys):
+    argv = ["obstructions", "--n", "9", "--k", "3"]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
     script = "\n".join([
-        "import atexit, gc, sys",
+        "import atexit, sys",
         "import butson.cli",
         # every module a command runs, since the CLI itself imports them per command
         "import butson.bent, butson.bush, butson.codes, butson.fileio, butson.matrices",
         "print(sorted({'multiprocessing', 'dataclasses'} & set(sys.modules)))",
-        "atexit.register(lambda: print(gc.get_freeze_count() > 0))",
-        "sys.argv = ['butson', 'obstructions', '--n', '9', '--k', '3']",
+        "atexit.register(lambda: print('atexit hook ran'))",
+        f"sys.argv = {['butson', *argv]!r}",
         "butson.cli.run()",
     ])
-    src = Path(cli.__file__).resolve().parents[1]
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                          timeout=60, env=dict(os.environ, PYTHONPATH=str(src)))
-    lines = proc.stdout.splitlines()
+                          timeout=60, env=_buffered_env())
     assert proc.returncode == 0
-    assert lines[0] == "[]" and lines[-1] == "True"
+    assert proc.stdout == "[]\n" + want  # complete, and no atexit hook ran after it
+    assert proc.stderr == ""
+
+
+def _parser_corpus(tmp_path) -> tuple[list[list[str]], list[list[str]]]:
+    """(commands that parse, argv that print help or fail to parse)."""
+    f9, vec = tmp_path / "f9.bh", tmp_path / "x.vec"
+    f9.write_text(serialize_matrix(character_table([3, 3])))
+    vec.write_text(serialize_vector(ksw_vector(3, 2)))
+    f9, vec = str(f9), str(vec)
+    parse = [
+        ["obstructions", "--n", "9", "--k", "3"],
+        ["obstructions", "--n", "5", "--k", "13", "--json"],
+        ["construct", "fourier", "--n", "3"],
+        ["construct", "sylvester", "--m", "2", "--format", "json"],
+        ["construct", "ksw", "--k", "3", "--m", "2"],
+        ["construct", "rm", "--q", "2", "--m", "2"],
+        ["verify", "hadamard", f9],
+        ["verify", "bush", f9, "--json"],
+        ["bent-check", f9, vec],
+        ["bent-search", f9, "--mode", "conjugate_self_dual", "--budget", "500"],
+        ["bent-search", f9, "--wor", "2", "--budget", "300"],
+        ["bent-search", f9, "--budget", "300", "--js"],
+        ["covering-radius", "--rm", "2,2"],
+        ["order", f9, "--max-t", "4"],
+        ["bush", "--p", "3", "--a", "1", "--verify-algebra"],
+    ]
+    other = [
+        [], ["nonsense"], ["bent_search", f9], ["--json", "obstructions", "--n", "3", "--k", "3"],
+        ["obstructions"], ["obstructions", "--n", "x", "--k", "3"],
+        ["obstructions", "--n", "3", "--k", "3", "--bogus"],
+        ["obstructions", "--n", "3", "--k", "3", "extra"],
+        ["bent-search", f9, "--mode", "weird"], ["bent-search", f9, "--workers", "0"],
+        ["bent-search"], ["construct"], ["construct", "nope"], ["verify", "hadamard"],
+        ["covering-radius", "--rm", "2"], ["covering-radius", "--b", "3", "--rm", "2,2"],
+        ["covering-radius", "--exact", "--sample", "3", "--rm", "2,2"],
+        ["bush", "--p", "3"], ["order", f9, "--max-t", "x"],
+        ["-h"], ["--help"], ["--he"], ["-h", "bent-search"], ["construct", "-h"],
+        ["construct", "fourier", "-h"], ["verify", "--help"], ["verify", "unbiased", "-h"],
+        ["bent-check", "-h"], ["bent-search", "--he"], ["bent-search", f9, "-h"],
+        ["covering-radius", "-h"], ["obstructions", "-h"], ["order", "-h"], ["bush", "-h"],
+    ]
+    return parse, other
+
+
+def test_one_branch_parses_as_the_whole_tree(capsys, monkeypatch, tmp_path):
+    # every command parses with its branch alone; help and errors come from the
+    # whole tree, so stdout, stderr and exit codes match it byte for byte
+    monkeypatch.setenv("COLUMNS", "80")
+    parse, other = _parser_corpus(tmp_path)
+    build, built = cli._build_parser, []
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or build(command))
+    got = []
+    for argv in parse + other:
+        built.clear()
+        got.append(run(capsys, argv))
+        assert built == [argv[0]] if argv in parse else built[-1] is None
+    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
+    for argv, outcome in zip(parse + other, got):
+        assert outcome == run(capsys, argv), argv
+    assert {code for code, _, _ in got} == {0, 1, 2}
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["construct", "fourier", "--n", "300"], 0),  # about 330 KB, past any pipe buffer
+    (["--help"], 0),  # left unflushed by main(): run() flushes it
+    (["obstructions", "--n", "5", "--k", "13"], 1),
+    (["obstructions", "--n", "x", "--k", "13"], 2),
+])
+def test_python_m_streams_arrive_whole(capsys, monkeypatch, argv, code):
+    monkeypatch.setenv("COLUMNS", "80")
+    want = run(capsys, argv)
+    assert want[0] == code
+    proc = subprocess.run([sys.executable, "-m", "butson", *argv], capture_output=True,
+                          text=True, timeout=60, env=_buffered_env())
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
+
+
+def test_a_reader_that_leaves_early_ends_the_stream_with_exit_0():
+    proc = subprocess.Popen([sys.executable, "-m", "butson", "construct", "fourier", "--n", "300"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_buffered_env())
+    assert proc.stdout.readline() == b"BH 300 300\n"
+    proc.stdout.close()  # like `| head -n 1`: the rest meets a closed pipe
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
 
 
 @pytest.mark.parametrize("argv", [["obstructions", "--n", "5", "--k", "13"], ["--help"]])
@@ -284,6 +378,18 @@ def test_numpy_free_commands_never_import_numpy(argv):
     assert "butson.cli" in imported
     assert not {m for m in imported if m == "numpy" or m.startswith("numpy.")}
     assert proc.returncode == (1 if argv[0] == "obstructions" else 0)
+
+
+def test_text_output_never_imports_json(tmp_path):
+    path = tmp_path / "f9.bh"
+    path.write_text(serialize_matrix(character_table([3, 3])))
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "butson", "bent-search",
+                           str(path), "--budget", "2000"], capture_output=True, text=True,
+                          timeout=60, env=_buffered_env())
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert proc.returncode == 0 and proc.stdout.startswith("142: ")
+    assert "butson.bent" in imported and "json" not in imported
 
 
 def test_order_found_and_not_found(capsys, tmp_path):

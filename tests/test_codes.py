@@ -3,6 +3,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +35,7 @@ from butson.codes import (
 from butson.bent import ksw_vector, search_bent
 from butson.bush import bush_circulant
 from butson.matrices import (LogMatrix, LogVector, character_table, fourier_matrix, kronecker,
-                             sylvester_matrix)
+                             sylvester_matrix, verify_hadamard)
 
 BH48 = LogMatrix(8, [[0, 0, 0, 0], [0, 2, 4, 6], [0, 4, 0, 4], [0, 6, 4, 2]])
 
@@ -66,6 +67,23 @@ def test_zkcode_dedup_and_normalization():
         raise AssertionError("expected ValueError")
     except ValueError:
         pass
+
+
+def test_c_h_is_held_once():
+    # C_H of F(C_3^5): ZkCode reduces the translates in place and keeps them, so
+    # only the byte-wise dedup's temporaries come on top of the arrays kept
+    h = character_table([3] * 5)
+    assert verify_hadamard(h)  # memoized: the count kernel's own peak stays out of the trace
+    tracemalloc.start()
+    try:
+        r_code, c_code = code_from_matrix(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (len(r_code), len(c_code)) == (243, 729)
+    kept = r_code.word_array().nbytes + c_code.word_array().nbytes
+    assert peak < kept + c_code.word_array().nbytes
+    assert not h.entries.flags.writeable and (r_code.word_array() == h.entries).all()
 
 
 def test_code_from_matrix_bh48():
