@@ -16,9 +16,10 @@ search's float32 blocks hold 2**16 cells, the radius scan's uint8 blocks
 2**18.  The search's sums are the exponent counts of every entry of Hx:
 _bent reduces their autocorrelations exactly (cyclotomic.check_exact bounds
 the range), and _duals decides the two dual verdicts on the bent candidates
-only; check_bent runs both on a batch of one.  A search hit keeps its counts
-and flags, and builds its certificate (CycInt dual, units, dual-entry orders)
-only when it is read, so a stream of indices and vectors never builds one.
+only; check_bent runs both on a batch of one and is the one place a
+certificate (CycInt dual, units, dual-entry orders) is built.  A search hit is
+a plain (index, vector, kind) record, its kind read off the three flags, so a
+search builds no certificate.
 fan_out, shared with the covering-radius scan, runs index chunks inline, or
 in a spawn pool once their measured cost pays for one, and merges by index,
 so output is identical for every worker count and path.
@@ -31,7 +32,7 @@ import pickle
 import tempfile
 import time
 from collections import deque
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import islice
 from math import isqrt, lcm
 from typing import Iterator, NamedTuple
@@ -77,14 +78,7 @@ class BentCertificate(NamedTuple):
 
     @property
     def kind(self) -> str:
-        if not self.bent:
-            return "not_bent"
-        kinds = []
-        if self.self_dual:
-            kinds.append("self_dual")
-        if self.conjugate_self_dual:
-            kinds.append("conjugate_self_dual")
-        return "+".join(kinds) if kinds else "bent"
+        return _kind(*self[:3])
 
     @property
     def unit(self) -> CycInt | None:
@@ -96,6 +90,13 @@ class BentCertificate(NamedTuple):
         if mode not in _MODES:
             raise ValueError(f"unknown mode {mode!r}")
         return self[_MODES.index(mode)]  # fields 0-2 follow _MODES
+
+
+def _kind(bent: bool, self_dual: bool, conjugate_self_dual: bool) -> str:
+    """not_bent, bent, or the dual kinds that hold, joined by "+"."""
+    if not bent:
+        return "not_bent"
+    return "+".join(m for m, f in zip(_MODES[1:], (self_dual, conjugate_self_dual)) if f) or "bent"
 
 
 def index_digits(indices, k: int, length: int) -> np.ndarray:
@@ -199,18 +200,6 @@ def _dual_entry_order(row: tuple[int, ...], n: int, ambient: int) -> int | None:
     return None
 
 
-def _build_certificate(k: int, n: int, x, counts: np.ndarray, flags) -> BentCertificate:
-    """The certificate of one candidate from its (k, n) exponent counts."""
-    bent, sd, csd = (bool(f) for f in flags)
-    rows = [tuple(row) for row in counts.T.astype(np.int64).tolist()]
-    dual = tuple(CycInt(k, row) for row in rows)
-    sd_unit = dual[0].times_root(-x[0]).reduce() if sd else None
-    csd_unit = dual[0].times_root(x[0]).reduce() if csd else None
-    ambient = dual_entry_ambient_phase(n, k) if bent else None  # None: n not self-conjugate mod k
-    orders = None if ambient is None else tuple(_dual_entry_order(row, n, ambient) for row in rows)
-    return BentCertificate(bent, sd, csd, dual, sd_unit, csd_unit, orders)
-
-
 def check_bent(h: LogMatrix, x: LogVector) -> BentCertificate:
     """Certify whether x is bent / self-dual / conjugate self-dual for h.
 
@@ -227,8 +216,14 @@ def check_bent(h: LogMatrix, x: LogVector) -> BentCertificate:
     xs = np.asarray(x.entries, dtype=np.int64)
     counts = count_tensor(h.entries, -xs[None], k)[:, 0].T  # column i: exponents of the terms of (Hx)_i
     bent = bool(_bent(counts[..., None], k)[0])
-    sd, csd = (f[0] for f in _duals(counts[..., None], xs[:, None], k)) if bent else (False, False)
-    return _build_certificate(k, n, x.entries, counts, (bent, sd, csd))
+    sd, csd = (bool(f[0]) for f in _duals(counts[..., None], xs[:, None], k)) if bent else (False, False)
+    rows = [tuple(row) for row in counts.T.tolist()]
+    dual = tuple(CycInt(k, row) for row in rows)
+    sd_unit = dual[0].times_root(-x.entries[0]).reduce() if sd else None
+    csd_unit = dual[0].times_root(x.entries[0]).reduce() if csd else None
+    ambient = dual_entry_ambient_phase(n, k) if bent else None  # None: n not self-conjugate mod k
+    orders = None if ambient is None else tuple(_dual_entry_order(row, n, ambient) for row in rows)
+    return BentCertificate(bent, sd, csd, dual, sd_unit, csd_unit, orders)
 
 
 def ksw_vector(k: int, m: int) -> LogVector:
@@ -244,36 +239,13 @@ def ksw_vector(k: int, m: int) -> LogVector:
     return LogVector(k, (c[:t] * c[t:]).sum(axis=0) % k)
 
 
-class SearchHit:
-    """One hit of search_bent: candidate index, vector and certificate, unpacked in
-    that order.  The hit keeps the (k, n) exponent counts of Hx and its three flags;
-    the certificate is built from them on first read and kept, so a stream that
-    prints indices and vectors never builds one.  Hits compare by all three fields."""
+class SearchHit(NamedTuple):
+    """One hit of search_bent: candidate index, vector and BentCertificate.kind;
+    check_bent(h, hit.vector) gives its certificate."""
 
-    def __init__(self, index: int, vector: LogVector, counts: np.ndarray, flags: tuple[bool, ...]):
-        self.index = index
-        self.vector = vector
-        self._counts = counts
-        self._flags = flags
-
-    @cached_property
-    def certificate(self) -> BentCertificate:
-        x = self.vector
-        return _build_certificate(x.phase, len(x), x.entries, self._counts, self._flags)
-
-    def __iter__(self):
-        return iter((self.index, self.vector, self.certificate))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SearchHit):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.vector))
-
-    def __repr__(self) -> str:
-        return f"SearchHit(index={self.index}, vector={self.vector})"
+    index: int
+    vector: LogVector
+    kind: str
 
 
 _scan = None  # a pool worker's scan, installed once per process
@@ -347,8 +319,8 @@ def _count_table(h: LogMatrix) -> np.ndarray:
 def _scan_bent(start: int, stop: int, head: np.ndarray, table: np.ndarray, flag: int) -> list:
     """Hits among candidate indices [start, stop), decided one block of counts at a
     time: _bent on the block, then _duals on its bent candidates, whose digits are
-    taken once.  Each hit keeps its counts and flags for its certificate.  Blocks
-    and the table weigh k cells per count: _bent makes k products of each."""
+    taken once.  Blocks and the table weigh k cells per count: _bent makes k
+    products of each."""
     k = head.shape[1]
     n = len(table) // k
     hits = []
@@ -360,18 +332,15 @@ def _scan_bent(start: int, stop: int, head: np.ndarray, table: np.ndarray, flag:
         counts, digits = counts[:, :, bent], index_digits(lo + bent, k, n)
         flags = (np.ones(bent.size, bool), *_duals(counts, digits, k))
         found = np.flatnonzero(flags[flag])
-        kept = counts[:, :, found]  # a copy of the hits' counts only, not of the block
-        indices = (lo + bent[found]).tolist()
-        vectors = digits[:, found].T.tolist()
-        hit_flags = list(zip(*(f[found].tolist() for f in flags)))
-        hits.extend(SearchHit(indices[j], LogVector(k, vectors[j]), kept[:, :, j], hit_flags[j])
-                    for j in range(found.size))
+        vectors = (LogVector(k, v) for v in digits[:, found].T.tolist())
+        kinds = map(_kind, *(f[found].tolist() for f in flags))
+        hits.extend(map(SearchHit, (lo + bent[found]).tolist(), vectors, kinds))
     return hits
 
 
 def search_bent(h: LogMatrix, mode: str = "any", budget: int | None = None,
                 workers: int = 1) -> Iterator[SearchHit]:
-    """Stream every candidate vector whose certificate matches mode.
+    """Stream every candidate vector whose kind matches mode.
 
     Candidates are base-k counters over the entries, most significant digit
     first.  For mode="any" the first entry is pinned to 0: adding a constant
@@ -380,8 +349,9 @@ def search_bent(h: LogMatrix, mode: str = "any", budget: int | None = None,
     representative can have a different unit.  Budget caps the number of
     candidates scanned and a partial result is normal; output order is by
     candidate index regardless of worker count.  Indices are int64, so a
-    space of 2**63 or more candidates needs a budget.  A hit's certificate is
-    built on its first read, in the process that reads it.
+    space of 2**63 or more candidates needs a budget.  A hit is a plain
+    (index, vector, kind) record; check_bent(h, hit.vector) gives its
+    certificate.
     """
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}")

@@ -207,7 +207,7 @@ def _cmd_bent_search(args) -> int:
         for hit in hits:
             if args.json:
                 _print_json({"index": hit.index, "vector": list(hit.vector.entries),
-                             "kind": hit.certificate.kind})
+                             "kind": hit.kind})
             else:
                 print(f"{hit.index}: " + " ".join(str(e) for e in hit.vector.entries))
     return 0

@@ -8,11 +8,13 @@ so H H* = nI is decided by integer arithmetic alone.
 
 One kernel, count_tensor, produces every count tensor here: A H*, A B and
 H H* alike, as k float32 matmuls of one-hot stacks, (n x kn)(kn x n) each,
-in O(k n^2) memory; a table counted against itself (H H*) takes floor(k/2)
-of them.  Every count is at most the row width n, so the matmuls
-are exact integer arithmetic while n < 2**24, and reducing a count tensor
-in int64 is exact while max_reduction(k) * n < 2**62; the kernel
-raises ValueError outside those bounds through cyclotomic.check_exact.
+in O(k n^2) memory.  Its one loop, _times_unit, rolls the one-hot of the
+second table by t for the t-th matmul; a table counted against itself (H H*)
+passes its own one-hot and takes floor(k/2) of them.  Every count is at most
+the row width n, so the matmuls are exact integer arithmetic while
+n < 2**24, and reducing a count tensor in int64 is exact while
+max_reduction(k) * n < 2**62; the kernel raises ValueError outside those
+bounds through cyclotomic.check_exact.
 A one-row second table gives per-row counts: Hx in check_bent, the Bush
 block sums.  counts_match is the one way to compare a count tensor with a
 target in Z[zeta_k]; unitary_order keeps powers in cyclotomic.canonical form.
@@ -192,21 +194,23 @@ def _one_hot(x: np.ndarray, k: int, dtype) -> np.ndarray:
     return oh
 
 
-def _times_unit(left: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
-    """out[i, j, t] = sum of left[i, s, m] over all (s, m) with s - b[j, m] = t mod k.
+def _times_unit(left: np.ndarray, right: np.ndarray, shifts: Iterable[int]) -> np.ndarray:
+    """(k, rows, len(right)) stack whose slice t, for t in shifts, sums left[i, s, m]
+    over all (s, m) with right[j, s - t mod k, m] = 1; the other slices are unset.
 
     Read left as a matrix over Z[zeta_k] whose entry (i, m) has coefficient
-    left[i, s, m] at zeta^s, and b as the exponent table of a unit matrix B;
-    out is then the coefficient tensor of left B*.  It runs as k matmuls
-    (rows x k width)(k width x len(b)) in left's dtype, so the caller bounds
-    the partial sums to keep them exact.  Float results come back as int64.
+    left[i, s, m] at zeta^s, and right as the one-hot stack of the exponent table
+    b of a unit matrix B: slice t is then the coefficient at zeta^t of left B*.
+    Rolling right's value axis by t gives the one-hot of b + t, so each t is one
+    matmul (rows x k width)(k width x len(b)) in left's dtype, and the caller
+    bounds the partial sums to keep them exact.
     """
-    rows, _, width = left.shape
+    rows, k, width = left.shape
     flat = left.reshape(rows, k * width)
-    out = np.empty((k, rows, b.shape[0]), dtype=left.dtype)
-    for t in range(k):
-        np.matmul(flat, _one_hot((b + t) % k, k, left.dtype).reshape(-1, k * width).T, out=out[t])
-    return out.transpose(1, 2, 0).astype(object if left.dtype == object else np.int64)
+    out = np.empty((k, rows, len(right)), dtype=left.dtype)
+    for t in shifts:
+        np.matmul(flat, np.roll(right, t, axis=1).reshape(-1, k * width).T, out=out[t])
+    return out
 
 
 def count_tensor(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
@@ -214,35 +218,26 @@ def count_tensor(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
 
     Entry (i, j) is the group-ring form of sum_m zeta^(a[i, m] - b[j, m]):
     the counts of (A, B) give A B*, those of (A, -B^T) give A B.  This is
-    the one count kernel: k float32 matmuls of one-hot stacks, floor(k/2) of
-    them when b is a, exact because every count is at most the row width.
-    Reducing an entry, whose k counts sum to the width, moves no coefficient
-    past max_reduction(k) times the width, so that is checked against int64
-    first.
+    the one count kernel: k float32 matmuls of one-hot stacks, exact because
+    every count is at most the row width.  A table counted against itself
+    takes the matmuls for t = 1..k/2 alone: the counts at -t are those at t
+    transposed, and the k counts of an entry sum to the width.  Reducing an
+    entry moves no coefficient past max_reduction(k) times the width, so that
+    is checked against int64 first.
     """
     a, b = np.asarray(a), np.asarray(b)
     width = a.shape[1]
     check_exact(max_reduction(k) * width, np.int64)
     check_exact(width, np.float32)
-    if b is a:
-        return _gram_counts(a, k)
-    return _times_unit(_one_hot(a % k, k, np.float32), b, k)
-
-
-def _gram_counts(a: np.ndarray, k: int) -> np.ndarray:
-    """count_tensor(a, a, k) from the matmuls for t = 1..k/2 alone: the counts at -t
-    are those at t transposed, and the k counts of an entry sum to the width."""
-    rows, width = a.shape
     left = _one_hot(a % k, k, np.float32)
-    flat = left.reshape(rows, k * width)
-    out = np.empty((k, rows, rows), dtype=np.float32)
-    for t in range(1, k // 2 + 1):
-        # rolling the value axis by t gives the one-hot of a + t
-        np.matmul(flat, np.roll(left, t, axis=1).reshape(rows, k * width).T, out=out[t])
-    del left, flat  # free the one-hot before the int64 copy below
-    for t in range(k // 2 + 1, k):
-        out[t] = out[k - t].T
-    out[0] = width - out[1:].sum(axis=0)
+    if b is not a:
+        out = _times_unit(left, _one_hot(b % k, k, np.float32), range(k))
+    else:
+        out = _times_unit(left, left, range(1, k // 2 + 1))
+        for t in range(k // 2 + 1, k):
+            out[t] = out[k - t].T
+        out[0] = width - out[1:].sum(axis=0)
+    del left  # free the one-hot before the int64 copy below
     return out.transpose(1, 2, 0).astype(np.int64)
 
 
@@ -359,8 +354,9 @@ def unitary_order(h: LogMatrix, max_t: int) -> int | None:
         if t > 1:
             # an entry of P H sums k * n coefficients of P; reducing scales it by <= max_reduction(k)
             bound = max_reduction(k) * k * n * int(np.abs(p).max())
-            left = p.transpose(0, 2, 1).astype(_coeff_dtype(bound))
-            p = canonical(_times_unit(left, h_conj, k), k)
+            dtype = _coeff_dtype(bound)
+            prod = _times_unit(p.transpose(0, 2, 1).astype(dtype), _one_hot(h_conj, k, dtype), range(k))
+            p = canonical(prod.transpose(1, 2, 0).astype(object if dtype is object else np.int64), k)
         # divide out a factor of n when every reduced coefficient allows it
         while n > 1 and not (p % n).any():
             p //= n

@@ -15,7 +15,6 @@ function are read off its result, and self-conjugacy off multiplicative_order.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 from typing import NamedTuple
 
 TRIAL_DIVISION_BOUND = 2**32
@@ -255,7 +254,6 @@ def circulant_real_obstruction(n: int) -> bool:
     return p * p == n // 4 and p % 8 == 3 and is_prime(p)
 
 
-@lru_cache(maxsize=None)  # every bent certificate reads it: one answer per (n, k)
 def dual_entry_ambient_phase(n: int, k: int) -> int | None:
     """Phase whose roots of unity must contain all dual entries, when n is
     self-conjugate mod k: 2k for even k, 4k for odd k.  None otherwise.

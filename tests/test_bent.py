@@ -111,8 +111,9 @@ def test_dual_entries_are_ambient_roots_when_self_conjugate():
         hits = list(search_bent(h, mode="any", budget=200))
         assert hits
         for hit in hits:
-            assert hit.certificate.dual_entry_orders is not None
-            for e, order in zip(hit.certificate.dual, hit.certificate.dual_entry_orders):
+            cert = check_bent(h, hit.vector)
+            assert cert.dual_entry_orders is not None
+            for e, order in zip(cert.dual, cert.dual_entry_orders):
                 assert order is not None
                 lifted = e.embed(ambient)
                 y = CycInt(ambient, tuple(c // s for c in lifted.reduce().coeffs))
@@ -136,7 +137,8 @@ def test_dual_entry_orders_match_the_float_order(h):
     hits = list(search_bent(h, mode="any"))
     assert hits
     for hit in hits:
-        for e, got in zip(hit.certificate.dual, hit.certificate.dual_entry_orders):
+        cert = check_bent(h, hit.vector)
+        for e, got in zip(cert.dual, cert.dual_entry_orders):
             o = dual_entry_order_float(e.coeffs, k, n, ambient)
             assert o is not None
             assert got == (o if square or o % 2 == 0 else 2 * o), (hit.index, e)
@@ -169,7 +171,7 @@ def test_obstructions_and_the_order_condition_by_enumeration():
         if hits and is_self_conjugate(n, k):
             ordered += 1
             for hit in hits:
-                orders = hit.certificate.dual_entry_orders
+                orders = check_bent(h, hit.vector).dual_entry_orders
                 assert orders is not None and None not in orders, (label, hit.index)
     assert fired == ["F(C_2)", "F(C_6)", "F(C_2^3)"]
     assert ordered > 30
@@ -220,8 +222,8 @@ def test_search_fc22_completeness():
     assert found == pinned
     # every bent vector is a scalar shift of a pinned hit
     assert len(brute) == 2 * len(pinned)
-    for index, vector, cert in hits:
-        assert cert.bent
+    for index, vector, kind in hits:
+        assert check_bent(h, vector).bent
 
 
 def test_search_fc4_count_regression():
@@ -238,7 +240,7 @@ def test_search_finds_ksw():
     hits = list(search_bent(h, mode="conjugate_self_dual"))
     assert ksw_vector(3, 2).entries in {hit.vector.entries for hit in hits}
     for hit in hits:
-        assert hit.certificate.conjugate_self_dual
+        assert check_bent(h, hit.vector).conjugate_self_dual
 
 
 def test_search_budget_prefix():

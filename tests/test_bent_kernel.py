@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from butson import bent
-from butson.bent import check_bent, index_digits, ksw_vector, search_bent
+from butson.bent import SearchHit, check_bent, index_digits, ksw_vector, search_bent
 from butson.cli import main
 from butson.cyclotomic import CycInt, check_exact, reduction_matrix
 from butson.fileio import serialize_matrix
@@ -173,7 +173,7 @@ def test_ksw_search_hits_match_check_bent(monkeypatch):
     assert len(hits) == 66
     assert ksw_vector(3, 2) in {hit.vector for hit in hits}
     for hit in hits:
-        assert hit.certificate == check_bent(h, hit.vector)
+        assert check_bent(h, hit.vector).kind == hit.kind == "conjugate_self_dual"
 
 
 @pytest.mark.parametrize("mode", ["any", "conjugate_self_dual"])
@@ -201,32 +201,52 @@ def test_closing_the_stream_stops_the_pool(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
-def test_pooled_hits_carry_their_certificates(monkeypatch):
-    # workers send counts and flags; each certificate is built where it is read
+def test_pooled_hits_equal_inline_hits_and_survive_pickling(monkeypatch):
+    # hits are plain (index, vector, kind) tuples, sent back from spawned workers as they are
     h = character_table([3, 3])
     inline = list(search_bent(h, mode="any"))
     _force_pool(monkeypatch, 1000)
     pooled = list(search_bent(h, mode="any", workers=2))
-    assert len(pooled) == 162 and not any("certificate" in vars(hit) for hit in pooled)
-    assert pooled == inline
-    assert [hit.certificate for hit in pooled] == [hit.certificate for hit in inline]
-    index, vector, cert = pooled[-1]
-    assert (index, vector, cert) == (inline[-1].index, inline[-1].vector, check_bent(h, vector))
-    assert pickle.loads(pickle.dumps(pooled[-1])) == inline[-1]
+    assert len(pooled) == 162 and pooled == inline
+    assert all(type(hit) is SearchHit for hit in pooled)
+    index, vector, kind = pooled[-1]
+    assert (index, vector, kind) == (inline[-1].index, inline[-1].vector, check_bent(h, vector).kind)
+    assert pickle.loads(pickle.dumps(pooled)) == inline
+    assert len(set(pooled)) == len(pooled)
 
 
-def test_the_text_stream_builds_no_certificate(capsys, monkeypatch, tmp_path):
-    path = tmp_path / "h.bh"
+_FULL_SCANS = [
+    (character_table([3, 3]), "any"), (character_table([3, 3]), "self_dual"),
+    (character_table([3, 3]), "conjugate_self_dual"), (character_table([2] * 4), "any"),
+    (fourier_matrix(4), "self_dual"), (fourier_matrix(8), "conjugate_self_dual"),
+    (sylvester_matrix(2), "self_dual"),
+]
+
+
+@pytest.mark.parametrize("h,mode", _FULL_SCANS)
+def test_hit_kinds_match_check_bent_on_full_scans(h, mode):
+    hits = list(search_bent(h, mode=mode))
+    assert hits
+    for hit in hits:
+        assert hit.kind == check_bent(h, hit.vector).kind
+        assert mode == "any" or mode in hit.kind.split("+")
+
+
+def test_a_json_search_builds_no_certificate(capsys, monkeypatch, tmp_path):
+    # the kinds come from the search's flags: with the CycInt of the certificates
+    # made unusable, --json still prints the golden stream
+    path = tmp_path / "f33.bh"
     path.write_text(serialize_matrix(character_table([3, 3])))
-    argv = ["bent-search", str(path), "--mode", "conjugate_self_dual"]
-    want = _cli_stdout(capsys, argv)
 
-    def unread(*args):
+    def unusable(*args):
         raise AssertionError("a certificate was built")
 
-    monkeypatch.setattr(bent, "_build_certificate", unread)
+    monkeypatch.setattr(bent, "CycInt", unusable)
+    with pytest.raises(AssertionError, match="a certificate was built"):
+        check_bent(character_table([3, 3]), ksw_vector(3, 2))
+    argv = ["bent-search", str(path), "--budget", "3000", "--workers", "2", "--json"]
+    want = (Path(__file__).resolve().parent / "golden" / "bent-search-any-json.out").read_text()
     assert _cli_stdout(capsys, argv) == want
-    assert len(want.splitlines()) == 66
 
 
 def _cli_stdout(capsys, argv):

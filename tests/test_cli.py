@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 import json
 import os
 import subprocess
@@ -246,12 +245,6 @@ def test_a_violated_shape_rule_alone_exits_0(capsys, n, k):
     payload = json.loads(out)
     assert code == 0 and payload["any_violated"] is False
     assert [v["rule"] for v in payload["verdicts"] if v["violated"]] == ["entry-root-form"]
-
-
-def test_main_leaves_the_collector_unfrozen(capsys):
-    before = gc.get_freeze_count()
-    assert main(["obstructions", "--n", "9", "--k", "3"]) == 0
-    assert gc.get_freeze_count() == before
 
 
 def _buffered_env() -> dict:

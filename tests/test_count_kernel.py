@@ -117,11 +117,20 @@ def test_exactness_guards_raise_before_allocating(monkeypatch):
         count_tensor(huge, huge, 105)
     # the widest table both guards allow reaches the kernel; with zero rows only
     # the one-hot column index (128 MiB) is allocated
-    monkeypatch.setattr(matrices, "_times_unit", lambda left, b, k: left.shape)
+    calls, times_unit = [], matrices._times_unit
+
+    def spy(left, right, shifts):
+        calls.append((left.shape, right.shape, right is left, list(shifts)))
+        return times_unit(left, right, shifts)
+
+    monkeypatch.setattr(matrices, "_times_unit", spy)
     widest = np.broadcast_to(np.int8(0), (0, 2**24 - 1))
-    assert count_tensor(widest, widest.copy(), 105) == (0, 105, 2**24 - 1)
-    # a table counted against itself takes the Gram path, which never calls _times_unit
+    assert count_tensor(widest, widest.copy(), 105).shape == (0, 0, 105)
+    # a table counted against itself takes the Gram path: the same loop on its one
+    # one-hot stack, for t = 1..k/2 only
     assert count_tensor(widest, widest, 105).shape == (0, 0, 105)
+    hot = (0, 105, 2**24 - 1)
+    assert calls == [(hot, hot, False, list(range(105))), (hot, hot, True, list(range(1, 53)))]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB and RLIMIT_AS is enforced on Linux")
