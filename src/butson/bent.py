@@ -10,13 +10,12 @@ across i is the defining identity and whose norm must be n.
 
 Every exhaustive scan of Z_k^n, here and in codes, sums a table contrib[j, v,
 f], what x_j = v adds to output f, over prefix blocks and a suffix table
-(suffix_table, digit_blocks).  Both are sized in bytes, _BLOCK_BYTES times a
-weight, so sums in a narrow dtype come in proportionally larger blocks: the
-search's float32 blocks hold 2**16 cells, the radius scan's uint8 blocks
-2**18.  The search's sums are the exponent counts of every entry of Hx:
-_bent reduces their autocorrelations exactly (cyclotomic.check_exact bounds
-the range), and _duals decides the two dual verdicts on the bent candidates
-only; check_bent runs both on a batch of one and is the one place a
+(suffix_table, digit_blocks) in contrib's dtype, each at most _BLOCK_BYTES:
+2**16 float32 cells in a search, 2**18 uint8 cells in a radius scan.  The
+search's sums are the exponent counts of every entry of Hx: _bent reduces
+their autocorrelations exactly (cyclotomic.check_exact bounds the range),
+and _duals decides the two dual verdicts on the bent candidates only;
+check_bent runs both on a batch of one and is the one place a
 certificate (CycInt dual, units, dual-entry orders) is built.  A search hit is
 a plain (index, vector, kind) record, its kind read off the three flags, so a
 search builds no certificate.
@@ -55,7 +54,7 @@ from .matrices import (
 )
 from .numtheory import _MODES, dual_entry_ambient_phase
 
-_BLOCK_BYTES = 1 << 18  # bytes of one block of digit sums and of the suffix table, times their weight
+_BLOCK_BYTES = 1 << 18  # bytes of one block of digit sums, and of the suffix table
 _CHUNK = 1 << 16  # fan_out chunk: quick to stream, worth a pool round trip
 _POOL_SECONDS = 1.0  # measured inline work left that pays for a spawn pool (two start in 0.25-0.4 s)
 
@@ -106,46 +105,43 @@ def index_digits(indices, k: int, length: int) -> np.ndarray:
     return np.asarray(indices, dtype=np.int64)[None, :] // np.array(places, dtype=np.int64)[:, None] % k
 
 
-def block_size(cells: int, dtype, weight: int = 1) -> int:
-    """How many times `cells` sums of dtype fit in _BLOCK_BYTES when each sum weighs
-    `weight` cells (at least 1)."""
-    return max(1, _BLOCK_BYTES // (weight * cells * np.dtype(dtype).itemsize))
+def block_size(cells: int, dtype) -> int:
+    """How many times `cells` sums of dtype fit in _BLOCK_BYTES (at least 1)."""
+    return max(1, _BLOCK_BYTES // (cells * np.dtype(dtype).itemsize))
 
 
-def digit_sum(contrib: np.ndarray, x: np.ndarray, dtype) -> np.ndarray:
-    """(F, B) sums over j of contrib[j, x[j, b]], added one coordinate at a time
-    as gathered (B, F) rows, the fastest way, with no (n, F, B) temporary."""
-    out = np.zeros((x.shape[1], contrib.shape[2]), dtype=dtype)
+def digit_sum(contrib: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """(F, B) sums over j of contrib[j, x[j, b]] in contrib's dtype, added one coordinate
+    at a time as gathered (B, F) rows, the fastest way, with no (n, F, B) temporary."""
+    out = np.zeros((x.shape[1], contrib.shape[2]), dtype=contrib.dtype)
     for j, row in enumerate(x):
         out += contrib[j].take(row, axis=0)
     return out.T.copy()
 
 
-def suffix_table(contrib: np.ndarray, dtype, weight: int = 1) -> tuple[np.ndarray, np.ndarray]:
+def suffix_table(contrib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(head, table): contrib of the first n - s coordinates, and the (F, k**s) digit
-    sums of every suffix on the last s, for the largest s with k**s <= block_size(F, dtype, weight).
-    The table grows by one leading coordinate at a time: digit v before the t digits
-    of index a gives index v k**t + a, so each step is one broadcast addition."""
+    sums of every suffix on the last s, for the largest s with k**s <= block_size(F,
+    contrib.dtype).  The table grows by one leading coordinate at a time: digit v before
+    the t digits of index a gives index v k**t + a, so each step is one broadcast addition."""
     n, k, f = contrib.shape
-    fit = block_size(f, dtype, weight)
-    s = max(s for s in range(n + 1) if k**s <= fit)
-    table = np.zeros((f, 1), dtype)
-    for col in np.ascontiguousarray(contrib[n - s :][::-1].transpose(0, 2, 1), dtype):  # (F, k) each
+    s = max(s for s in range(n + 1) if k**s <= block_size(f, contrib.dtype))
+    table = np.zeros((f, 1), contrib.dtype)
+    for col in np.ascontiguousarray(contrib[n - s :][::-1].transpose(0, 2, 1)):  # (F, k) each
         table = (col[:, :, None] + table[:, None, :]).reshape(f, -1)
     return contrib[: n - s], table
 
 
-def digit_blocks(start: int, stop: int, head: np.ndarray, table: np.ndarray,
-                 weight: int = 1) -> Iterator[tuple[int, np.ndarray]]:
+def digit_blocks(start: int, stop: int, head: np.ndarray, table: np.ndarray) -> Iterator[tuple[int, np.ndarray]]:
     """(first index, (F, B) digit sums) of blocks of indices [start, stop), in order.
     Index p k**s + j sums prefix p on the digits of head and column j of table; a
     block takes at most block_size whole prefixes and is clipped to [start, stop)."""
     size = table.shape[1]
-    step = block_size(table.size, table.dtype, weight)
+    step = block_size(table.size, table.dtype)
     last = -(-stop // size)
     for p in range(start // size, last, step):
         prefix = index_digits(np.arange(p, min(p + step, last)), head.shape[1], head.shape[0])
-        sums = (digit_sum(head, prefix, table.dtype)[:, :, None] + table[:, None, :]).reshape(len(table), -1)
+        sums = (digit_sum(head, prefix)[:, :, None] + table[:, None, :]).reshape(len(table), -1)
         lo = max(start, p * size)
         yield lo, sums[:, lo - p * size : stop - p * size]
 
@@ -156,15 +152,15 @@ def _verdict_bound(n: int, k: int) -> int:
     return max_reduction(k) * n * n
 
 
-def _bent(counts: np.ndarray, k: int) -> np.ndarray:
-    """Exact bent flags of a batch of candidates.
+def _bent(counts: np.ndarray) -> np.ndarray:
+    """Exact bent flags of a batch of candidates, in counts.dtype.
 
     counts[t, i, b] is the number of terms of (H x_b)_i equal to zeta^t.  x_b is
     bent when each entry's autocorrelations d_t = sum_s counts[s] counts[s - t],
     the coefficients of z conj(z), reduce to n: one matmul of reduction_matrix(k)[s - u]
-    with the products counts[s] counts[u].  Arithmetic stays in counts.dtype.
+    with the k**2 products counts[s] counts[u], k times the size of counts.
     """
-    _, n, size = counts.shape
+    k, n, size = counts.shape
     check_exact(_verdict_bound(n, k), counts.dtype)
     r = reduction_matrix(k).astype(counts.dtype)
     s = np.arange(k)
@@ -173,11 +169,11 @@ def _bent(counts: np.ndarray, k: int) -> np.ndarray:
     return (red[0] == n).all(axis=0) & ~red[1:].any(axis=(0, 1))
 
 
-def _duals(counts: np.ndarray, digits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+def _duals(counts: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Exact (self_dual, conjugate_self_dual) flags of bent candidates, candidate b
     being digits[:, b] with counts[:, :, b]: (Hx)_i times zeta^(-x_i), or zeta^(x_i),
     reduces to the same element for every i.  _bent's exactness guard covers these sums."""
-    _, n, size = counts.shape
+    k, n, size = counts.shape
     r = reduction_matrix(k).astype(counts.dtype).T
     s = np.arange(k)[:, None, None]
     units = ((r @ np.take_along_axis(counts, rot % k, axis=0).reshape(k, -1)).reshape(len(r), n, size)
@@ -215,8 +211,8 @@ def check_bent(h: LogMatrix, x: LogVector) -> BentCertificate:
     k, n = h.phase, h.order
     xs = np.asarray(x.entries, dtype=np.int64)
     counts = count_tensor(h.entries, -xs[None], k)[:, 0].T  # column i: exponents of the terms of (Hx)_i
-    bent = bool(_bent(counts[..., None], k)[0])
-    sd, csd = (bool(f[0]) for f in _duals(counts[..., None], xs[:, None], k)) if bent else (False, False)
+    bent = bool(_bent(counts[..., None])[0])
+    sd, csd = (bool(f[0]) for f in _duals(counts[..., None], xs[:, None])) if bent else (False, False)
     rows = [tuple(row) for row in counts.T.tolist()]
     dual = tuple(CycInt(k, row) for row in rows)
     sd_unit = dual[0].times_root(-x.entries[0]).reduce() if sd else None
@@ -319,18 +315,18 @@ def _count_table(h: LogMatrix) -> np.ndarray:
 def _scan_bent(start: int, stop: int, head: np.ndarray, table: np.ndarray, flag: int) -> list:
     """Hits among candidate indices [start, stop), decided one block of counts at a
     time: _bent on the block, then _duals on its bent candidates, whose digits are
-    taken once.  Blocks and the table weigh k cells per count: _bent makes k
-    products of each."""
+    taken once.  A block holds at most _BLOCK_BYTES of counts, and _bent's products
+    of it k times that."""
     k = head.shape[1]
     n = len(table) // k
     hits = []
-    for lo, sums in digit_blocks(start, stop, head, table, k):
+    for lo, sums in digit_blocks(start, stop, head, table):
         counts = sums.reshape(k, n, -1)
-        bent = np.flatnonzero(_bent(counts, k))
+        bent = np.flatnonzero(_bent(counts))
         if not bent.size:
             continue
         counts, digits = counts[:, :, bent], index_digits(lo + bent, k, n)
-        flags = (np.ones(bent.size, bool), *_duals(counts, digits, k))
+        flags = (np.ones(bent.size, bool), *_duals(counts, digits))
         found = np.flatnonzero(flags[flag])
         vectors = (LogVector(k, v) for v in digits[:, found].T.tolist())
         kinds = map(_kind, *(f[found].tolist() for f in flags))
@@ -364,7 +360,7 @@ def search_bent(h: LogMatrix, mode: str = "any", budget: int | None = None,
     if total >= 2**63:
         raise ValueError(f"{total} candidates pass the int64 index range; give a budget")
     check_exact(_verdict_bound(n, k), np.float32)
-    head, table = suffix_table(_count_table(h), np.float32, k)
+    head, table = suffix_table(_count_table(h))
     scan = partial(_scan_bent, head=head, table=table, flag=_MODES.index(mode))
     for hits in fan_out(scan, total, workers):
         yield from hits
@@ -424,14 +420,14 @@ def tensor_corollary_check(h: LogMatrix, m: LogMatrix | None = None, variant: in
             raise ValueError(f"variant {variant} needs a second matrix")
         if not verify_hadamard(m):
             raise NotHadamardError("tensor constructions need Butson Hadamard input")
-        k = h.phase  # the product counts below raise ValueError unless phases and orders agree
+        # the product counts below raise ValueError unless phases and orders agree
         if variant == 2:
-            if not counts_match(product_counts(h, m), k, product_counts(m, h)):
+            if not counts_match(product_counts(h, m), product_counts(m, h)):
                 raise NotCommutingError("H M != M H")
             big = kronecker(h, h.conjugate())
             expected = "self_dual"
         else:
-            if not counts_match(hermitian_product_counts(h, m), k, hermitian_product_counts(m, h)):
+            if not counts_match(hermitian_product_counts(h, m), hermitian_product_counts(m, h)):
                 raise NotAmicableError("H M* != M H*")
             if not (m.entries == m.entries.T).all():
                 raise NotSymmetricError("M is not symmetric")

@@ -63,7 +63,7 @@ def _block_sums_hold(base: LogMatrix, n: int) -> bool:
     counts = count_tensor(lines, np.zeros((1, n), np.int64), k).reshape(2, n, n, n, k)
     target = np.zeros((n, n, 1, k), dtype=np.int64)
     target[np.arange(n), np.arange(n), :, 0] = n
-    return counts_match(counts, k, target)
+    return counts_match(counts, target)
 
 
 def projector(p: int, a: int) -> LogMatrix:
@@ -100,12 +100,12 @@ def verify_projector_algebra(p: int) -> bool:
             return False
         products = count_tensor(ra.entries, stacked, p).reshape(p, p, p, p).transpose(1, 0, 2, 3)
         sq = products[a]
-        if not counts_match(sq, p, p * np.eye(p, dtype=np.int64)[ra.entries]):
+        if not counts_match(sq, p * np.eye(p, dtype=np.int64)[ra.entries]):
             return False
         total += sq
-        if not counts_match(np.delete(products, a, axis=0), p, zero):
+        if not counts_match(np.delete(products, a, axis=0), zero):
             return False
-    return counts_match(total, p, p * p)
+    return counts_match(total, p * p)
 
 
 def bush_circulant(p: int, a: int) -> BushMatrix:
@@ -134,7 +134,7 @@ def conjugate_self_bent_check(m: LogMatrix) -> bool:
     if s * s != m.order:
         raise ValueError(f"order {m.order} is not a perfect square")
     want = s * np.eye(m.phase, dtype=np.int64)[m.conjugate().entries]
-    return counts_match(product_counts(m, m), m.phase, want)
+    return counts_match(product_counts(m, m), want)
 
 
 class BushModification(NamedTuple):

@@ -185,14 +185,14 @@ def covering_radius(
     # contrib[j, v, w] = [w_j != v]: the distance coordinate j adds to codeword w
     contrib = (c.word_array().T[:, None, :] != np.arange(k)[:, None]).astype(dtype)
     if strategy == "exhaustive":
-        head, table = suffix_table(contrib, dtype)
+        head, table = suffix_table(contrib)
         scan = partial(_scan_radius_range, head=head, table=table)
         return CoveringRadiusResult(max(fan_out(scan, k**n, workers)), True)
     step = block_size(len(c), dtype)
     sizes = (min(step, samples - lo) * n for lo in range(0, samples, step))
     best = 0
     for draws in _randrange_blocks(random.Random(seed), k, sizes):
-        best = max(best, int(digit_sum(contrib, draws.reshape(-1, n).T, dtype).min(axis=0).max()))
+        best = max(best, int(digit_sum(contrib, draws.reshape(-1, n).T).min(axis=0).max()))
     return CoveringRadiusResult(best, False)
 
 

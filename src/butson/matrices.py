@@ -7,10 +7,10 @@ exponent-difference counts and reduced modulo the k-th cyclotomic polynomial,
 so H H* = nI is decided by integer arithmetic alone.
 
 One kernel, count_tensor, produces every count tensor here: A H*, A B and
-H H* alike, as k float32 matmuls of one-hot stacks, (n x kn)(kn x n) each,
-in O(k n^2) memory.  Its one loop, _times_unit, rolls the one-hot of the
-second table by t for the t-th matmul; a table counted against itself (H H*)
-passes its own one-hot and takes floor(k/2) of them.  Every count is at most
+H H* alike, as float32 matmuls of one-hot stacks, (n x kn)(kn x n) each, in
+O(k n^2) memory.  Its one loop, _times_unit, rolls the one-hot of the second
+table by t for the t-th matmul, t = 1..k-1 (floor(k/2) of them for H H*), and
+t = 0 takes the row width less the rest.  Every count is at most
 the row width n, so the matmuls are exact integer arithmetic while
 n < 2**24, and reducing a count tensor in int64 is exact while
 max_reduction(k) * n < 2**62; the kernel raises ValueError outside those
@@ -28,6 +28,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import CycInt, canonical, check_exact, exact_limit, max_reduction, reduction_matrix
+from .numtheory import TRIAL_DIVISION_BOUND  # exact checks factor the phase, so it must stay below this
 
 
 class LogMatrix:
@@ -36,6 +37,8 @@ class LogMatrix:
     def __init__(self, phase: int, entries):
         if phase < 1:
             raise ValueError(f"phase must be positive, got {phase}")
+        if phase >= TRIAL_DIVISION_BOUND:
+            raise ValueError(f"phase {phase} is not below the trial-division bound 2**32")
         arr = np.asarray(entries, dtype=np.int64) % phase
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"entries must be square, got shape {arr.shape}")
@@ -114,6 +117,8 @@ class LogVector:
     def __init__(self, phase: int, entries: Iterable[int]):
         if phase < 1:
             raise ValueError(f"phase must be positive, got {phase}")
+        if phase >= TRIAL_DIVISION_BOUND:
+            raise ValueError(f"phase {phase} is not below the trial-division bound 2**32")
         self.phase = phase
         self.entries = tuple(int(v) % phase for v in entries)
 
@@ -209,7 +214,7 @@ def _times_unit(left: np.ndarray, right: np.ndarray, shifts: Iterable[int]) -> n
     flat = left.reshape(rows, k * width)
     out = np.empty((k, rows, len(right)), dtype=left.dtype)
     for t in shifts:
-        np.matmul(flat, np.roll(right, t, axis=1).reshape(-1, k * width).T, out=out[t])
+        np.matmul(flat, np.roll(right, t, axis=1).reshape(len(right), k * width).T, out=out[t])
     return out
 
 
@@ -218,10 +223,10 @@ def count_tensor(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
 
     Entry (i, j) is the group-ring form of sum_m zeta^(a[i, m] - b[j, m]):
     the counts of (A, B) give A B*, those of (A, -B^T) give A B.  This is
-    the one count kernel: k float32 matmuls of one-hot stacks, exact because
-    every count is at most the row width.  A table counted against itself
-    takes the matmuls for t = 1..k/2 alone: the counts at -t are those at t
-    transposed, and the k counts of an entry sum to the width.  Reducing an
+    the one count kernel: float32 matmuls of one-hot stacks for t = 1..k-1,
+    exact because every count is at most the row width; the k counts of an
+    entry sum to the width, which gives t = 0.  A table counted against itself
+    takes t = 1..k/2 alone: the counts at -t are those at t transposed.  Reducing an
     entry moves no coefficient past max_reduction(k) times the width, so that
     is checked against int64 first.
     """
@@ -231,25 +236,25 @@ def count_tensor(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     check_exact(width, np.float32)
     left = _one_hot(a % k, k, np.float32)
     if b is not a:
-        out = _times_unit(left, _one_hot(b % k, k, np.float32), range(k))
+        out = _times_unit(left, _one_hot(b % k, k, np.float32), range(1, k))
     else:
         out = _times_unit(left, left, range(1, k // 2 + 1))
         for t in range(k // 2 + 1, k):
             out[t] = out[k - t].T
-        out[0] = width - out[1:].sum(axis=0)
+    out[0] = width - out[1:].sum(axis=0)
     del left  # free the one-hot before the int64 copy below
     return out.transpose(1, 2, 0).astype(np.int64)
 
 
-def counts_match(counts: np.ndarray, k: int, target) -> bool:
-    """Do counts and target represent the same matrix over Z[zeta_k]?
+def counts_match(counts: np.ndarray, target) -> bool:
+    """Do counts and target, k counts per entry, represent the same matrix over Z[zeta_k]?
 
     An integer target c stands for the scalar matrix c I (0 for the zero
     matrix); an array target is a count tensor that broadcasts against
     counts.  Both sides are reduced with reduction_matrix(k) and compared
     exactly.
     """
-    r = reduction_matrix(k)
+    r = reduction_matrix(counts.shape[-1])
     reduced = counts @ r
     if np.ndim(target):
         return bool((reduced == target @ r).all())
@@ -268,7 +273,7 @@ def verify_hadamard(h: LogMatrix) -> bool:
     orthogonal rows is invertible, and H* H = nI follows.
     """
     if h._hadamard is None:
-        h._hadamard = counts_match(count_tensor(h.entries, h.entries, h.phase), h.phase, h.order)
+        h._hadamard = counts_match(count_tensor(h.entries, h.entries, h.phase), h.order)
     return h._hadamard
 
 
@@ -367,6 +372,6 @@ def unitary_order(h: LogMatrix, max_t: int) -> int | None:
             target = root ** (t - 2 * scale) if t >= 2 * scale else None
         else:
             target = None
-        if target is not None and counts_match(p, k, target):
+        if target is not None and counts_match(p, target):
             return t
     return None

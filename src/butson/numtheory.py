@@ -77,14 +77,12 @@ def multiplicative_order(a: int, m: int) -> int:
     """Least t >= 1 with a^t = 1 mod m; order in the trivial group (m=1) is 1."""
     if m < 1:
         raise ValueError(f"modulus must be positive, got {m}")
-    if m == 1:
-        return 1
     if math.gcd(a, m) != 1:
         raise ValueError(f"{a} is not a unit mod {m}")
-    t, x = 1, a % m
-    while x != 1:
-        x = x * a % m
-        t += 1
+    t = totient(m)  # a multiple of the order: divide out each prime while a^(t/p) stays 1
+    for p in factorize(t):
+        while t % p == 0 and pow(a, t // p, m) == 1:
+            t //= p
     return t
 
 

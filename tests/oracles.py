@@ -170,6 +170,15 @@ def _poly_divmod_brute(num, den):
     return quo, rem[:d]
 
 
+def multiplicative_order_brute(a: int, m: int) -> int:
+    """Least t >= 1 with a^t = 1 mod m, by stepping through the powers of a."""
+    t, x = 1, a % m
+    while x != 1 % m:
+        x = x * a % m
+        t += 1
+    return t
+
+
 def _mobius_brute(m: int) -> int:
     sign, p = 1, 2
     while p * p <= m:

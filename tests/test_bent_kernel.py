@@ -11,6 +11,7 @@ import os
 import pickle
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from math import isqrt
 from pathlib import Path
@@ -31,6 +32,7 @@ from butson.matrices import (
     character_table,
     fourier_matrix,
     sylvester_matrix,
+    verify_hadamard,
 )
 
 from oracles import bent_kinds_float, brute_force_bent_vectors, complex_value, unit_matrix
@@ -96,11 +98,12 @@ def test_batched_kernel_matches_ring_reference_and_float_oracle(case):
     h, xs = case
     k, n = h.phase, h.order
     x = np.array(xs, dtype=np.int64).T  # candidates are columns
-    counts = bent.digit_sum(bent._count_table(h), x, np.float32).reshape(k, n, -1)
+    counts = bent.digit_sum(bent._count_table(h), x).reshape(k, n, -1)
+    assert counts.dtype == np.float32  # the count table's own dtype
     # _duals decides bent candidates only; the others stay False, as in check_bent
-    flags = (bent._bent(counts, k), np.zeros(len(xs), bool), np.zeros(len(xs), bool))
+    flags = (bent._bent(counts), np.zeros(len(xs), bool), np.zeros(len(xs), bool))
     hit = np.flatnonzero(flags[0])
-    flags[1][hit], flags[2][hit] = bent._duals(counts[:, :, hit], x[:, hit], k)
+    flags[1][hit], flags[2][hit] = bent._duals(counts[:, :, hit], x[:, hit])
     hx = unit_matrix(h.entries, k) @ unit_matrix(x, k)  # column b is H x_b in floats
     for b, vec in enumerate(xs):
         z, bent_, sd, csd = _reference(h, vec)
@@ -117,24 +120,23 @@ def test_batched_kernel_matches_ring_reference_and_float_oracle(case):
 
 @st.composite
 def _table_and_cap(draw):
-    """A small contribution table, a block weight, and a cap in int64 cells that fixes
-    the suffix length s, 0 <= s <= n."""
+    """A small contribution table and a cap in int64 cells that fixes the suffix
+    length s, 0 <= s <= n."""
     k = draw(st.integers(2, 4))
     n = draw(st.integers(1, {2: 8, 3: 5, 4: 4}[k]))
     f = draw(st.integers(1, 5))
-    weight = draw(st.integers(1, 3))
     cells = st.lists(st.integers(-50, 50), min_size=n * k * f, max_size=n * k * f)
     contrib = np.array(draw(cells), dtype=np.int64).reshape(n, k, f)
     s = draw(st.integers(0, n))
-    table = weight * f * k**s
+    table = f * k**s
     cap = table + draw(st.integers(0, table * (k - 1) - 1 if s < n else 4 * table))
-    return contrib, weight, s, cap
+    return contrib, s, cap
 
 
 @settings(max_examples=150, deadline=None)
 @given(_table_and_cap(), st.data())
 def test_digit_blocks_tile_the_range_with_brute_force_sums(case, data):
-    contrib, weight, s, cap = case
+    contrib, s, cap = case
     n, k, f = contrib.shape
     start = data.draw(st.integers(0, k**n - 1))
     stop = data.draw(st.integers(start + 1, k**n))
@@ -142,13 +144,13 @@ def test_digit_blocks_tile_the_range_with_brute_force_sums(case, data):
     brute = contrib[np.arange(n)[:, None], x].sum(axis=0).T  # column i: sum_j contrib[j, x_j] of index i
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bent, "_BLOCK_BYTES", cap * np.dtype(np.int64).itemsize)
-        head, table = bent.suffix_table(contrib, np.int64, weight)
+        head, table = bent.suffix_table(contrib)
         assert len(head) == n - s and table.shape == (f, k**s) and table.dtype == np.int64
         tail = np.arange(n - s, n)[:, None]  # the last s coordinates of the indices below k**s
         assert (table == contrib[tail, x[n - s :, : k**s]].sum(axis=0).T).all()
         at = start
-        for first, sums in bent.digit_blocks(start, stop, head, table, weight):
-            assert first == at and 1 <= sums.shape[1] <= bent.block_size(table.size, np.int64, weight) * k**s
+        for first, sums in bent.digit_blocks(start, stop, head, table):
+            assert first == at and 1 <= sums.shape[1] <= bent.block_size(table.size, np.int64) * k**s
             assert (sums == brute[:, at : at + sums.shape[1]]).all()
             at += sums.shape[1]
         assert at == stop
@@ -179,8 +181,8 @@ def test_ksw_search_hits_match_check_bent(monkeypatch):
 @pytest.mark.parametrize("mode", ["any", "conjugate_self_dual"])
 def test_budgets_off_the_batch_grid(monkeypatch, mode):
     h = character_table([3, 3])
-    _, table = bent.suffix_table(bent._count_table(h), np.float32, 3)
-    step = bent.block_size(table.size, table.dtype, 3) * table.shape[1]  # candidates of one block
+    _, table = bent.suffix_table(bent._count_table(h))
+    step = bent.block_size(table.size, table.dtype) * table.shape[1]  # candidates of one block
     full = list(search_bent(h, mode=mode))
     for budget in (1, step - 1, step, step + 1, 2 * step + 1, 3**8 - 1, 3**9 - 1):
         want = [hit for hit in full if hit.index < budget]
@@ -190,6 +192,23 @@ def test_budgets_off_the_batch_grid(monkeypatch, mode):
     for workers in (2, 3):
         assert list(search_bent(h, mode=mode, budget=3**9 - 1, workers=workers)) == [
             hit for hit in full if hit.index < 3**9 - 1]
+
+
+@pytest.mark.parametrize("h", [fourier_matrix(13), character_table([4, 4]), character_table([3, 3])],
+                         ids=["F(C_13)", "F(C_4^2)", "F(C_3^2)"])
+def test_search_memory_is_bounded_by_the_block(h):
+    # a block of float32 counts holds at most _BLOCK_BYTES, and the counts read from
+    # it at most that again; _bent's k products take k times as much and their
+    # reduction one block more; the suffix table holds at most one block: k + 4
+    assert verify_hadamard(h)
+    tracemalloc.start()
+    try:
+        for _ in search_bent(h, budget=2**16):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < (h.phase + 4) * bent._BLOCK_BYTES
 
 
 def test_closing_the_stream_stops_the_pool(monkeypatch):
@@ -324,12 +343,12 @@ def test_guard_fires_at_the_float_mantissa_without_allocating():
     zeros = lambda dtype, n: np.broadcast_to(np.zeros((), dtype), (2, n, 3))  # noqa: E731
     # k = 2: max|reduction_matrix| = 1, so the bound is n^2 against 2^24 and 2^53
     with pytest.raises(ValueError, match="exact integer range"):
-        bent._bent(zeros(np.float32, 2**12), 2)
+        bent._bent(zeros(np.float32, 2**12))
     with pytest.raises(ValueError, match="exact integer range"):
-        bent._bent(zeros(np.float64, 2**27), 2)
+        bent._bent(zeros(np.float64, 2**27))
     with pytest.raises(ValueError, match="exact integer range"):
-        bent._bent(zeros(np.int64, 2**31), 2)
-    assert not bent._bent(zeros(np.float32, 2**12 - 1), 2).any()
+        bent._bent(zeros(np.int64, 2**31))
+    assert not bent._bent(zeros(np.float32, 2**12 - 1)).any()
     # a phase whose reduction matrix has larger entries moves the bound down
     big = int(np.abs(reduction_matrix(105)).max())
     assert big > 1
@@ -338,7 +357,7 @@ def test_guard_fires_at_the_float_mantissa_without_allocating():
     with pytest.raises(ValueError, match="exact integer range"):
         check_exact(bent._verdict_bound(n + 1, 105), np.float32)
     with pytest.raises(ValueError, match="exact integer range"):
-        bent._bent(np.broadcast_to(np.float32(0), (105, n + 1, 1)), 105)
+        bent._bent(np.broadcast_to(np.float32(0), (105, n + 1, 1)))
 
 
 def test_index_range_guard_and_digits():

@@ -428,6 +428,33 @@ def test_an_instance_too_large_to_allocate_exits_2(capsys):
     assert code == 2 and not out and err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "hadamard", "{big}"],
+    ["bent-check", "{big}", "{vec}"],
+    ["construct", "fourier", "--n", "100000000000000000000"],
+])
+def test_a_phase_past_the_trial_division_bound_exits_2(capsys, tmp_path, argv):
+    # every exact check builds Phi_k through factorize, which takes k < 2**32
+    big, vec = tmp_path / "big.bh", tmp_path / "big.vec"
+    big.write_text("BH 1 100000000000000000000000\n0\n")
+    vec.write_text("VEC 1 100000000000000000000000\n0\n")
+    code, out, err = run(capsys, [a.format(big=big, vec=vec) for a in argv])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "2**32" in err
+
+
+@pytest.mark.parametrize("k,code,out", [("2147483647", 1, "square-p-part    violated"),
+                                         ("100000000000000000000000", 2, "")])
+def test_obstructions_at_a_large_phase_end_at_once(k, code, out):
+    # the order of 3 mod k comes from the primes of totient(k), not from up to k powers.
+    # 3 is a non-residue mod the prime 2**31 - 1, so its order there is even and 3 is
+    # self-conjugate: the odd 3-part of n is a violation.  10**23 is past factorize
+    proc = subprocess.run([sys.executable, "-m", "butson", "obstructions", "--n", "3", "--k", k],
+                          capture_output=True, text=True, timeout=10, env=_buffered_env())
+    assert proc.returncode == code and out in proc.stdout
+    assert (proc.stderr == "") if code == 1 else proc.stderr.startswith("error: ")
+
+
 def test_construct_rm_lists_words(capsys):
     code, out, _ = run(capsys, ["construct", "rm", "--q", "2", "--m", "2"])
     assert code == 0

@@ -330,7 +330,7 @@ def test_distance_dtype_is_guarded_before_any_allocation(monkeypatch):
     seen = []
     digit_sum = codes.digit_sum
     monkeypatch.setattr(codes, "digit_sum",
-                        lambda contrib, x, dtype: seen.append(dtype) or digit_sum(contrib, x, dtype))
+                        lambda contrib, x: seen.append(contrib.dtype) or digit_sum(contrib, x))
     for n in (2**7 - 1, 2**7, 2**14 - 1, 2**14):
         covering_radius(ZkCode(2, [(0,) * n]), "sampled", samples=1)
     assert seen == [np.uint8, np.int16, np.int16, np.int32]

@@ -66,7 +66,7 @@ _HADAMARD = [fourier_matrix(k) for k in range(1, 17)] + [
 @given(st.data())
 def test_gram_path_matches_the_general_path(data):
     # count_tensor(a, a, k) makes the matmuls for t = 1..k/2 only; a copy of a
-    # is another object and goes through _times_unit with all k of them
+    # is another object and goes through _times_unit for t = 1..k-1
     if data.draw(st.booleans(), label="hadamard"):
         h = data.draw(st.sampled_from(_HADAMARD), label="h")
         k, n = h.phase, h.order
@@ -81,6 +81,31 @@ def test_gram_path_matches_the_general_path(data):
         a = np.array(data.draw(_tables(k, rows, width, lo=-30), label="a"), dtype=np.int64)
         a = a.reshape(rows, width)
     assert (count_tensor(a, a, k) == count_tensor(a, a.copy(), k)).all()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_count_tensor_matches_per_entry_bincounts(data):
+    # both paths fill t = 0 as the width less the other counts; zero widths and zero
+    # rows give empty or all-zero tensors
+    k = data.draw(st.integers(1, 13), label="k")
+    width = data.draw(st.integers(0, 8), label="width")
+
+    def table(label):
+        rows = data.draw(st.integers(0, 6), label=f"{label} rows")
+        cells = data.draw(_tables(k, rows, width, lo=-30), label=label)
+        return np.array(cells, dtype=np.int64).reshape(rows, width)
+
+    a = table("a")
+    b = a if data.draw(st.booleans(), label="gram") else table("b")
+    want = np.array([[np.bincount((x - y) % k, minlength=k) for y in b] for x in a], dtype=np.int64)
+    got = count_tensor(a, b, k)
+    assert got.dtype == np.int64 and got.shape == (len(a), len(b), k)
+    assert (got == want.reshape(got.shape)).all()
+
+
+def test_the_empty_matrix_is_hadamard():
+    assert verify_hadamard(LogMatrix(3, np.zeros((0, 0))))
 
 
 @pytest.mark.parametrize("k,rows,width", [(3, 81, 81), (8, 16, 16), (5, 2 * 5**3, 5), (7, 2 * 7**3, 7)])
@@ -98,12 +123,12 @@ def test_one_row_table_gives_per_row_bincounts(k, rows, width):
 
 def test_counts_match_compares_in_the_ring():
     zero = np.array([[[1, 1, 1]]])  # 1 + zeta_3 + zeta_3^2 = 0
-    assert counts_match(zero, 3, 0)
-    assert counts_match(zero, 3, np.zeros(3, dtype=np.int64))
-    assert counts_match(np.array([[[2, 1, 1]]]), 3, 1)
-    assert not counts_match(np.array([[[2, 1, 1]]]), 3, 2)
-    assert not counts_match(np.array([[[0, 1, 0]]]), 3, 0)  # zeta_3 on the diagonal
-    assert not counts_match(np.array([[[1, 0, 0], [0, 1, 0]]]), 3, 1)  # off-diagonal zeta_3
+    assert counts_match(zero, 0)
+    assert counts_match(zero, np.zeros(3, dtype=np.int64))
+    assert counts_match(np.array([[[2, 1, 1]]]), 1)
+    assert not counts_match(np.array([[[2, 1, 1]]]), 2)
+    assert not counts_match(np.array([[[0, 1, 0]]]), 0)  # zeta_3 on the diagonal
+    assert not counts_match(np.array([[[1, 0, 0], [0, 1, 0]]]), 1)  # off-diagonal zeta_3
 
 
 def test_exactness_guards_raise_before_allocating(monkeypatch):
@@ -130,7 +155,7 @@ def test_exactness_guards_raise_before_allocating(monkeypatch):
     # one-hot stack, for t = 1..k/2 only
     assert count_tensor(widest, widest, 105).shape == (0, 0, 105)
     hot = (0, 105, 2**24 - 1)
-    assert calls == [(hot, hot, False, list(range(105))), (hot, hot, True, list(range(1, 53)))]
+    assert calls == [(hot, hot, False, list(range(1, 105))), (hot, hot, True, list(range(1, 53)))]
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB and RLIMIT_AS is enforced on Linux")

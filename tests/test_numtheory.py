@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from butson.bent import check_bent, index_digits, search_bent
 from butson.matrices import LogVector, character_table, fourier_matrix
@@ -23,7 +25,7 @@ from butson.numtheory import (
     totient,
 )
 
-from oracles import _mobius_brute
+from oracles import _mobius_brute, multiplicative_order_brute
 
 
 def test_p_part_examples():
@@ -225,3 +227,22 @@ def test_moebius_matches_the_brute_force():
 def test_totient_agrees_with_gcd_count():
     for n in range(1, 200):
         assert totient(n) == sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3000), st.integers(-40, 40))
+def test_multiplicative_order_matches_stepping_through_powers(m, a):
+    if math.gcd(a, m) != 1:
+        with pytest.raises(ValueError, match="not a unit"):
+            multiplicative_order(a, m)
+    else:
+        assert multiplicative_order(a, m) == multiplicative_order_brute(a, m)
+
+
+def test_multiplicative_order_past_the_reach_of_stepping():
+    # 2**31 - 2 = 2 * 3**2 * 7 * 11 * 31 * 151 * 331: t is an order iff a^t = 1 and
+    # no a^(t/p) is, for p among those primes
+    m = 2**31 - 1
+    for a in (3, 7, 16807):
+        t = multiplicative_order(a, m)
+        assert pow(a, t, m) == 1 and all(pow(a, t // p, m) != 1 for p in factorize(t))
