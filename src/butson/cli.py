@@ -20,6 +20,14 @@ rationals print as a/b.
 Given a fixed seed and inputs, output bytes are reproducible, including
 under --workers changes.
 
+A query command (every one but construct) answers with records and an exit
+code, and main() prints them: with --json one JSON object per record, one per
+line, and otherwise the text that the command's renderer makes of the same
+record, so the two cannot disagree.  bent-search yields its records lazily,
+one per hit.  Construct commands write a matrix, vector or code and answer with
+no record; bush without --out, --verify-algebra or --json writes its matrix to
+stdout, and its record renders as no text.
+
 Each command imports the modules it runs, so `obstructions` and `--help` never
 load numpy, and only JSON output loads json.  main() builds the parser branch
 of the command it is given; help and parse errors come from the whole tree.
@@ -34,7 +42,7 @@ import argparse
 import io
 import os
 import sys
-from contextlib import closing, redirect_stderr, redirect_stdout
+from contextlib import redirect_stderr, redirect_stdout
 from math import isqrt
 
 from .numtheory import _MODES
@@ -48,39 +56,33 @@ def _emit(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _print_json(payload) -> None:
-    import json  # only JSON output loads it
-
-    print(json.dumps(payload))
+def _cyc_json(z) -> dict | None:
+    return None if z is None else {"str": str(z), "phase": z.phase, "coeffs": list(z.coeffs)}
 
 
-def _cyc_json(z) -> dict:
-    return {"str": str(z), "phase": z.phase, "coeffs": list(z.coeffs)}
-
-
-def _write_constructed(h, args) -> int:
+def _write_constructed(h, args):
     from .fileio import serialize_matrix, serialize_matrix_json
 
     if args.format == "json":
         _emit(serialize_matrix_json(h), args.out)
     else:
         _emit(serialize_matrix(h), args.out)
-    return 0
+    return (), 0
 
 
-def _cmd_construct_fourier(args) -> int:
+def _cmd_construct_fourier(args):
     from .matrices import fourier_matrix
 
     return _write_constructed(fourier_matrix(args.n), args)
 
 
-def _cmd_construct_sylvester(args) -> int:
+def _cmd_construct_sylvester(args):
     from .matrices import sylvester_matrix
 
     return _write_constructed(sylvester_matrix(args.m), args)
 
 
-def _cmd_construct_kron(args) -> int:
+def _cmd_construct_kron(args):
     from .fileio import read_matrix
     from .matrices import kronecker
 
@@ -89,21 +91,21 @@ def _cmd_construct_kron(args) -> int:
     return _write_constructed(kronecker(left, right), args)
 
 
-def _cmd_construct_bush(args) -> int:
+def _cmd_construct_bush(args):
     from .bush import bush_circulant
 
     return _write_constructed(bush_circulant(args.p, args.a).base, args)
 
 
-def _cmd_construct_ksw(args) -> int:
+def _cmd_construct_ksw(args):
     from .bent import ksw_vector
     from .fileio import serialize_vector
 
     _emit(serialize_vector(ksw_vector(args.k, args.m)), args.out)
-    return 0
+    return (), 0
 
 
-def _cmd_construct_rm(args) -> int:
+def _cmd_construct_rm(args):
     from .codes import min_distance, reed_muller_1
 
     code = reed_muller_1(args.q, args.m)
@@ -111,23 +113,23 @@ def _cmd_construct_rm(args) -> int:
              f"{len(code)} words, min distance {min_distance(code)}"]
     lines.extend(" ".join(str(e) for e in w) for w in code.words)
     _emit("\n".join(lines) + "\n", args.out)
-    return 0
+    return (), 0
 
 
-def _cmd_verify_hadamard(args) -> int:
+def _verdict(record: dict):
+    """A verify command's answer: its one record, exit 0 when the check holds and 1 when not."""
+    return [record], 0 if record["result"] else 1
+
+
+def _cmd_verify_hadamard(args):
     from .fileio import read_matrix
     from .matrices import verify_hadamard
 
     h = read_matrix(args.matrix)
-    ok = verify_hadamard(h)
-    if args.json:
-        _print_json({"check": "hadamard", "n": h.order, "k": h.phase, "result": ok})
-    else:
-        print(f"hadamard: {str(ok).lower()}")
-    return 0 if ok else 1
+    return _verdict({"check": "hadamard", "n": h.order, "k": h.phase, "result": verify_hadamard(h)})
 
 
-def _cmd_verify_bush(args) -> int:
+def _cmd_verify_bush(args):
     from .bush import BushMatrix
     from .fileio import read_matrix
 
@@ -141,79 +143,68 @@ def _cmd_verify_bush(args) -> int:
             BushMatrix(h, block)
         except ValueError as e:  # BushStructureError is one
             reason = str(e)
-    ok = reason is None
-    if args.json:
-        _print_json({"check": "bush", "n": h.order, "k": h.phase, "result": ok,
+    return _verdict({"check": "bush", "n": h.order, "k": h.phase, "result": reason is None,
                      "reason": reason})
-    else:
-        print(f"bush: {str(ok).lower()}" + ("" if ok else f" ({reason})"))
-    return 0 if ok else 1
 
 
-def _cmd_verify_unbiased(args) -> int:
+def _cmd_verify_unbiased(args):
     from .fileio import read_matrix
     from .matrices import is_unbiased
 
-    a = read_matrix(args.left)
-    b = read_matrix(args.right)
-    z = is_unbiased(a, b)
-    ok = z is not None
-    if args.json:
-        _print_json({"check": "unbiased", "result": ok,
-                     "constant": _cyc_json(z) if ok else None})
-    else:
-        print(f"unbiased: {str(ok).lower()}" + (f" with constant {z}" if ok else ""))
-    return 0 if ok else 1
+    z = is_unbiased(read_matrix(args.left), read_matrix(args.right))
+    return _verdict({"check": "unbiased", "result": z is not None, "constant": _cyc_json(z)})
 
 
-def _cmd_bent_check(args) -> int:
+def _text_verify(r):
+    line = f"{r['check']}: {str(r['result']).lower()}"
+    if r.get("reason") is not None:
+        line += f" ({r['reason']})"
+    if r.get("constant") is not None:
+        line += f" with constant {r['constant']['str']}"
+    yield line
+
+
+def _cmd_bent_check(args):
     from .bent import check_bent
     from .fileio import read_matrix, read_vector
 
-    h = read_matrix(args.matrix)
-    x = read_vector(args.vector)
-    cert = check_bent(h, x)
-    if args.json:
-        payload = {
-            "kind": cert.kind,
-            "bent": cert.bent,
-            "self_dual": cert.self_dual,
-            "conjugate_self_dual": cert.conjugate_self_dual,
-            "self_dual_unit": _cyc_json(cert.self_dual_unit) if cert.self_dual_unit else None,
-            "conjugate_self_dual_unit": (
-                _cyc_json(cert.conjugate_self_dual_unit) if cert.conjugate_self_dual_unit else None
-            ),
-            "dual_entry_orders": list(cert.dual_entry_orders) if cert.dual_entry_orders else None,
-        }
-        _print_json(payload)
-    else:
-        print(f"kind: {cert.kind}")
-        if cert.self_dual_unit is not None:
-            print(f"self-dual unit: {cert.self_dual_unit}")
-        if cert.conjugate_self_dual_unit is not None:
-            print(f"conjugate self-dual unit: {cert.conjugate_self_dual_unit}")
-        if cert.dual_entry_orders is not None:
-            print("dual entry orders: " + " ".join(str(o) for o in cert.dual_entry_orders))
-    return 0 if cert.bent else 1
+    cert = check_bent(read_matrix(args.matrix), read_vector(args.vector))
+    record = {
+        "kind": cert.kind,
+        "bent": cert.bent,
+        "self_dual": cert.self_dual,
+        "conjugate_self_dual": cert.conjugate_self_dual,
+        "self_dual_unit": _cyc_json(cert.self_dual_unit),
+        "conjugate_self_dual_unit": _cyc_json(cert.conjugate_self_dual_unit),
+        "dual_entry_orders": list(cert.dual_entry_orders) if cert.dual_entry_orders else None,
+    }
+    return [record], 0 if cert.bent else 1
 
 
-def _cmd_bent_search(args) -> int:
+def _text_bent_check(r):
+    yield f"kind: {r['kind']}"
+    if r["self_dual_unit"] is not None:
+        yield f"self-dual unit: {r['self_dual_unit']['str']}"
+    if r["conjugate_self_dual_unit"] is not None:
+        yield f"conjugate self-dual unit: {r['conjugate_self_dual_unit']['str']}"
+    if r["dual_entry_orders"] is not None:
+        yield "dual entry orders: " + " ".join(str(o) for o in r["dual_entry_orders"])
+
+
+def _cmd_bent_search(args):
     from .bent import search_bent
     from .fileio import read_matrix
 
-    h = read_matrix(args.matrix)
-    # closing stops the scan and its worker pool when output ends early
-    with closing(search_bent(h, args.mode, args.budget, args.workers)) as hits:
-        for hit in hits:
-            if args.json:
-                _print_json({"index": hit.index, "vector": list(hit.vector.entries),
-                             "kind": hit.kind})
-            else:
-                print(f"{hit.index}: " + " ".join(str(e) for e in hit.vector.entries))
-    return 0
+    hits = search_bent(read_matrix(args.matrix), args.mode, args.budget, args.workers)
+    return ({"index": hit.index, "vector": list(hit.vector.entries), "kind": hit.kind}
+            for hit in hits), 0
 
 
-def _cmd_covering_radius(args) -> int:
+def _text_hit(r):
+    yield f"{r['index']}: " + " ".join(str(e) for e in r["vector"])
+
+
+def _cmd_covering_radius(args):
     from .codes import (
         bent_lower_bound,
         code_from_matrix,
@@ -246,101 +237,86 @@ def _cmd_covering_radius(args) -> int:
         result = covering_radius(code, "sampled", samples=args.sample, seed=args.seed)
     upper = None
     if matrix is not None and matrix.phase > 2 and is_prime(matrix.phase):
-        upper = leducq_upper_bound(matrix.order, matrix.phase)
-    premises = {
-        "self_complementary": is_self_complementary(code),
-        "strength_2": has_strength_2(code),
+        bound = leducq_upper_bound(matrix.order, matrix.phase)
+        upper = {"rational_part": str(bound.rational_part),
+                 "root_coefficient": str(bound.root_coefficient),
+                 "radicand": bound.radicand, "floor": bound.floor}
+    record = {
+        "radius_or_bound": result.value,
+        "exact": result.exact,
+        "upper_bound": upper,
+        "lower_bound": lower,
+        "premises": {
+            "self_complementary": is_self_complementary(code),
+            "strength_2": has_strength_2(code),
+        },
     }
-    if args.json:
-        payload = {
-            "radius_or_bound": result.value,
-            "exact": result.exact,
-            "upper_bound": (
-                {
-                    "rational_part": str(upper.rational_part),
-                    "root_coefficient": str(upper.root_coefficient),
-                    "radicand": upper.radicand,
-                    "floor": upper.floor,
-                }
-                if upper
-                else None
-            ),
-            "lower_bound": lower,
-            "premises": premises,
-        }
-        _print_json(payload)
-    else:
-        label = "radius" if result.exact else "radius lower bound (sampled)"
-        print(f"{label}: {result.value}")
-        if upper is not None:
-            print(
-                f"upper bound: {upper.rational_part} "
-                f"+ {upper.root_coefficient}*sqrt({upper.radicand}) "
-                f"(floor {upper.floor})"
-            )
-        if lower is not None:
-            print(f"lower bound: {lower}")
-        print(f"self-complementary: {str(premises['self_complementary']).lower()}")
-        print(f"strength 2: {str(premises['strength_2']).lower()}")
-    return 0
+    return [record], 0
 
 
-def _cmd_obstructions(args) -> int:
+def _text_covering_radius(r):
+    yield ("radius" if r["exact"] else "radius lower bound (sampled)") + f": {r['radius_or_bound']}"
+    if (upper := r["upper_bound"]) is not None:
+        yield (f"upper bound: {upper['rational_part']} + {upper['root_coefficient']}"
+               f"*sqrt({upper['radicand']}) (floor {upper['floor']})")
+    if r["lower_bound"] is not None:
+        yield f"lower bound: {r['lower_bound']}"
+    yield f"self-complementary: {str(r['premises']['self_complementary']).lower()}"
+    yield f"strength 2: {str(r['premises']['strength_2']).lower()}"
+
+
+def _cmd_obstructions(args):
     from .numtheory import bent_obstructions
 
     report = bent_obstructions(args.n, args.k)
-    if args.json:
-        payload = {
-            "n": args.n,
-            "k": args.k,
-            "any_violated": report.any_violated,
-            "verdicts": [
-                {"rule": v.rule, "applicable": v.applicable, "violated": v.violated,
-                 "witness": v.witness}
-                for v in report.verdicts
-            ],
-        }
-        _print_json(payload)
-    else:
-        print(f"obstructions for n={args.n}, k={args.k}:")
-        for v in report.verdicts:
-            status = "violated" if v.violated else ("clear" if v.applicable else "n/a")
-            print(f"  {v.rule:<16} {status:<9} {v.witness}")
-    return 1 if report.any_violated else 0
+    record = {
+        "n": args.n,
+        "k": args.k,
+        "any_violated": report.any_violated,
+        "verdicts": [
+            {"rule": v.rule, "applicable": v.applicable, "violated": v.violated,
+             "witness": v.witness}
+            for v in report.verdicts
+        ],
+    }
+    return [record], 1 if report.any_violated else 0
 
 
-def _cmd_order(args) -> int:
+def _text_obstructions(r):
+    yield f"obstructions for n={r['n']}, k={r['k']}:"
+    for v in r["verdicts"]:
+        status = "violated" if v["violated"] else ("clear" if v["applicable"] else "n/a")
+        yield f"  {v['rule']:<16} {status:<9} {v['witness']}"
+
+
+def _cmd_order(args):
     from .fileio import read_matrix
     from .matrices import unitary_order
 
     h = read_matrix(args.matrix)
     t = unitary_order(h, args.max_t)
-    if args.json:
-        _print_json({"n": h.order, "k": h.phase, "max_t": args.max_t, "order": t})
-    else:
-        print(f"order: {t}" if t is not None else f"no order up to {args.max_t}")
-    return 0 if t is not None else 1
+    return [{"n": h.order, "k": h.phase, "max_t": args.max_t, "order": t}], 0 if t is not None else 1
 
 
-def _cmd_bush(args) -> int:
+def _text_order(r):
+    yield f"order: {r['order']}" if r["order"] is not None else f"no order up to {r['max_t']}"
+
+
+def _cmd_bush(args):
     from .bush import bush_circulant, verify_projector_algebra
     from .fileio import serialize_matrix
 
     b = bush_circulant(args.p, args.a)
-    if args.out is not None:
-        _emit(serialize_matrix(b.base), args.out)
-    algebra = None
-    if args.verify_algebra:
-        algebra = verify_projector_algebra(args.p)
-    if args.json:
-        _print_json({"p": args.p, "a": args.a, "n": b.base.order,
-                     "written": args.out, "algebra": algebra})
-    else:
-        if args.out is None and not args.verify_algebra:
-            sys.stdout.write(serialize_matrix(b.base))
-        if algebra is not None:
-            print(f"projector algebra: {str(algebra).lower()}")
-    return 1 if algebra is False else 0
+    if args.out is not None or not (args.verify_algebra or args.json):
+        _emit(serialize_matrix(b.base), args.out)  # to --out, or to stdout when nothing else answers
+    algebra = verify_projector_algebra(args.p) if args.verify_algebra else None
+    record = {"p": args.p, "a": args.a, "n": b.base.order, "written": args.out, "algebra": algebra}
+    return [record], 1 if algebra is False else 0
+
+
+def _text_bush(r):
+    if r["algebra"] is not None:
+        yield f"projector algebra: {str(r['algebra']).lower()}"
 
 
 def _parse_rm_pair(text: str) -> tuple[int, int]:
@@ -417,23 +393,23 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p = vsub.add_parser("hadamard", help="rows pairwise orthogonal over the exact ring")
         p.add_argument("matrix")
         _add_json(p)
-        p.set_defaults(func=_cmd_verify_hadamard)
+        p.set_defaults(func=_cmd_verify_hadamard, text=_text_verify)
         p = vsub.add_parser("bush", help="Hadamard plus block row/column sum conditions")
         p.add_argument("matrix")
         _add_json(p)
-        p.set_defaults(func=_cmd_verify_bush)
+        p.set_defaults(func=_cmd_verify_bush, text=_text_verify)
         p = vsub.add_parser("unbiased", help="H1* H2 / sqrt(n) has constant-modulus entries")
         p.add_argument("left")
         p.add_argument("right")
         _add_json(p)
-        p.set_defaults(func=_cmd_verify_unbiased)
+        p.set_defaults(func=_cmd_verify_unbiased, text=_text_verify)
 
     if command in (None, "bent-check"):
         p = sub.add_parser("bent-check", help="certify a vector file against a matrix file")
         p.add_argument("matrix")
         p.add_argument("vector")
         _add_json(p)
-        p.set_defaults(func=_cmd_bent_check)
+        p.set_defaults(func=_cmd_bent_check, text=_text_bent_check)
 
     if command in (None, "bent-search"):
         p = sub.add_parser("bent-search", help="stream bent vectors over the full candidate space")
@@ -442,7 +418,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--budget", type=_positive_int, default=None, help="max candidates to scan")
         p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
         _add_json(p)
-        p.set_defaults(func=_cmd_bent_search)
+        p.set_defaults(func=_cmd_bent_search, text=_text_hit)
 
     if command in (None, "covering-radius"):
         p = sub.add_parser("covering-radius", help="exact or sampled covering radius with bounds")
@@ -459,21 +435,21 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--bent-vector", default=None, help="vector file for the phase-3 lower bound")
         _add_json(p)
-        p.set_defaults(func=_cmd_covering_radius)
+        p.set_defaults(func=_cmd_covering_radius, text=_text_covering_radius)
 
     if command in (None, "obstructions"):
         p = sub.add_parser("obstructions", help="arithmetic non-existence report for bent vectors")
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--k", type=int, required=True)
         _add_json(p)
-        p.set_defaults(func=_cmd_obstructions)
+        p.set_defaults(func=_cmd_obstructions, text=_text_obstructions)
 
     if command in (None, "order"):
         p = sub.add_parser("order", help="least t with (M/sqrt(n))^t = I, up to --max-t")
         p.add_argument("matrix")
         p.add_argument("--max-t", type=int, default=64)
         _add_json(p)
-        p.set_defaults(func=_cmd_order)
+        p.set_defaults(func=_cmd_order, text=_text_order)
 
     if command in (None, "bush"):
         p = sub.add_parser("bush", help="Bush family: write B_a and optionally check the algebra")
@@ -482,7 +458,7 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--out", default=None)
         p.add_argument("--verify-algebra", action="store_true")
         _add_json(p)
-        p.set_defaults(func=_cmd_bush)
+        p.set_defaults(func=_cmd_bush, text=_text_bush)
 
     return parser
 
@@ -505,8 +481,18 @@ def main(argv=None) -> int:
         args = _parse(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
+    records = ()
     try:
-        code = args.func(args)
+        records, code = args.func(args)
+        if getattr(args, "json", False):
+            import json  # only JSON output loads it
+
+            for record in records:
+                print(json.dumps(record))
+        else:
+            for record in records:
+                for line in args.text(record):
+                    print(line)
         sys.stdout.flush()  # a closed pipe surfaces here, inside the handler below
         return code
     except BrokenPipeError:
@@ -516,6 +502,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, MemoryError) as e:  # FileFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
+    finally:
+        if hasattr(records, "close"):
+            records.close()  # a search's stream: stops its scan and worker pool
 
 
 def run() -> None:

@@ -40,6 +40,7 @@ from .numtheory import is_prime
 
 _TILE_CELLS = 2**19  # float32 cells (2 MiB) of one tile's one-hot and of one tile pair's counts
 _RM_ENTRIES = 2**22  # most entries reed_muller_1 builds
+_INDICES = 2**63  # ambient indices are int64: an exhaustive scan stays below this many
 
 
 class BudgetExceededError(ValueError):
@@ -160,10 +161,11 @@ def covering_radius(
 
     The exhaustive strategy scans all modulus**length ambient vectors (guarded
     by `budget`, raising BudgetExceededError otherwise) and returns the exact
-    radius.  The sampled strategy draws `samples` ambient vectors, coordinate by
-    coordinate, as random.Random(seed).randrange(modulus) would, and returns the
-    largest observed min-distance, which is a lower bound on the radius and is
-    flagged exact=False; it needs a modulus below 2**32.  Multi-worker scans
+    radius; its indices are int64, so 2**63 or more vectors raise ValueError
+    whatever the budget.  The sampled strategy draws `samples` ambient vectors,
+    coordinate by coordinate, as random.Random(seed).randrange(modulus) would,
+    and returns the largest observed min-distance, which is a lower bound on the
+    radius and is flagged exact=False; it needs a modulus below 2**32.  Multi-worker scans
     partition the ambient space into contiguous index ranges and reduce by max,
     so the result does not depend on the worker count.  Distances and their sums
     are at most length, held in uint8, int16 or int32, the first whose
@@ -175,6 +177,8 @@ def covering_radius(
     check_exact(n, dtype)
     if strategy == "exhaustive" and k**n > budget:
         raise BudgetExceededError(f"ambient space {k}^{n} = {k**n} vectors exceeds budget {budget}")
+    if strategy == "exhaustive" and k**n >= _INDICES:
+        raise ValueError(f"ambient space {k}^{n} = {k**n} vectors passes the int64 index range")
     if strategy == "sampled":
         if samples < 1:
             raise ValueError(f"samples must be positive, got {samples}")

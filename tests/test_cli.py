@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -209,6 +210,18 @@ def test_covering_radius_sampled_is_seed_reproducible(capsys, tmp_path):
     assert payload["radius_or_bound"] <= 5
 
 
+def test_an_exhaustive_radius_past_the_int64_index_range_exits_2(capsys, monkeypatch):
+    # 3^81 ambient vectors: a budget cannot let them through, and no scan starts
+    def no_scan(*args, **kwargs):
+        raise AssertionError("the scan started")
+
+    monkeypatch.setattr(codes, "fan_out", no_scan)
+    code, out, err = run(capsys, ["covering-radius", "--rm", "3,4", "--budget", str(10**40),
+                                  "--workers", "2"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "int64 index range" in err
+
+
 @pytest.mark.parametrize("count", ["0", "-5", "two"])
 def test_covering_radius_sample_count_must_be_positive(capsys, count):
     code, out, err = run(capsys, ["covering-radius", "--rm", "2,2", "--sample", count])
@@ -335,6 +348,50 @@ def test_one_branch_parses_as_the_whole_tree(capsys, monkeypatch, tmp_path):
     assert {code for code, _, _ in got} == {0, 1, 2}
 
 
+def _branches(parser):
+    """Every leaf parser of the tree."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield parser
+    for action in subs:
+        for branch in action.choices.values():
+            yield from _branches(branch)
+
+
+def test_every_branch_that_takes_json_has_a_text_renderer():
+    branches = list(_branches(_build_parser()))
+    takes_json = {b.prog: any("--json" in a.option_strings for a in b._actions) for b in branches}
+    assert sum(takes_json.values()) == 9
+    for b in branches:
+        assert callable(b.get_default("text")) == takes_json[b.prog], b.prog
+
+
+def test_text_is_the_renderer_applied_to_each_json_record(capsys, monkeypatch, tmp_path):
+    # every query command of the parser corpus and the golden cases, run with and
+    # without --json: text renders the same records, with the same exit code
+    from test_golden import CLI_CASES
+
+    monkeypatch.chdir(tmp_path)  # the golden cases read the files their constructs write
+    parse, _ = _parser_corpus(tmp_path)
+    renderers = set()
+    for argv in [argv for _, argv in CLI_CASES] + parse:
+        code, out, err = run(capsys, argv)
+        if code == 2 and not out:  # a usage error answers nothing
+            continue
+        args = cli._parse(argv)
+        text = getattr(args, "text", None)
+        if text is None or (args.command == "bush" and not (args.out or args.verify_algebra)):
+            continue  # writers: their text output is a matrix or a file
+        plain = [a for a in argv if not (a.startswith("--j") and "--json".startswith(a))]
+        code, out, err = run(capsys, plain)
+        jcode, jout, jerr = run(capsys, plain + ["--json"])
+        assert (code, err) == (jcode, jerr), argv
+        records = [json.loads(line) for line in jout.splitlines()]
+        assert out == "".join(line + "\n" for r in records for line in text(r)), argv
+        renderers.add(text)
+    assert len(renderers) == 7  # one shared by the verify commands, one for each other query
+
+
 @pytest.mark.parametrize("argv,code", [
     (["construct", "fourier", "--n", "300"], 0),  # about 330 KB, past any pipe buffer
     (["--help"], 0),  # left unflushed by main(): run() flushes it
@@ -357,6 +414,33 @@ def test_a_reader_that_leaves_early_ends_the_stream_with_exit_0():
     proc.stdout.close()  # like `| head -n 1`: the rest meets a closed pipe
     assert proc.wait(timeout=60) == 0
     assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_a_reader_that_leaves_a_search_early_closes_the_search(tmp_path, json_flag):
+    # an endless search stands in for a long scan; closing it is what stops a pool
+    path = tmp_path / "f3.bh"
+    path.write_text(serialize_matrix(fourier_matrix(3)))
+    script = "\n".join([
+        "import itertools, sys",
+        "from butson import bent, cli",
+        "def endless(*args):",
+        "    try:",
+        "        for i in itertools.count():",
+        "            yield bent.SearchHit(i, bent.LogVector(3, (0, 1, 2)), 'bent')",
+        "    finally:",
+        "        sys.stderr.write('search closed\\n')",
+        "bent.search_bent = endless",
+        f"sys.argv = {['butson', 'bent-search', str(path), *json_flag]!r}",
+        "cli.run()",
+    ])
+    proc = subprocess.Popen([sys.executable, "-c", script], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_buffered_env())
+    assert proc.stdout.readline().startswith(b'{"index": 0' if json_flag else b"0: 0 1 2")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 0
+    assert proc.stderr.read() == b"search closed\n"
     proc.stderr.close()
 
 

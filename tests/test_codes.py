@@ -303,12 +303,14 @@ def _long_code(draw):
 @given(_long_code())
 def test_uint8_scans_match_brute_force_up_to_length_127(case):
     # the first k**m ambient vectors are 0 on the shared prefix and run over every
-    # tail, so their largest min-distance is the prefix weight plus the tails' radius
+    # tail, so their largest min-distance is the prefix weight plus the tails' radius.
+    # Only those are scanned, so the int64 guard on the whole space is lifted
     k, prefix, tails = case
     c = ZkCode(k, [(*prefix, *t) for t in tails])
     scans = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(codes, "fan_out", lambda scan, total, workers: scans.append(scan) or [0])
+        mp.setattr(codes, "_INDICES", math.inf)
         covering_radius(c, budget=k**c.length)
     assert scans[0].keywords["table"].dtype == np.uint8
     weight = sum(e != 0 for e in prefix)
@@ -334,6 +336,20 @@ def test_distance_dtype_is_guarded_before_any_allocation(monkeypatch):
     for n in (2**7 - 1, 2**7, 2**14 - 1, 2**14):
         covering_radius(ZkCode(2, [(0,) * n]), "sampled", samples=1)
     assert seen == [np.uint8, np.int16, np.int16, np.int32]
+
+
+def test_an_exhaustive_scan_past_the_int64_index_range_raises_at_once(monkeypatch):
+    # ambient indices are int64: 2**63 or more vectors raise whatever the budget,
+    # before the words are read or a scan starts; 2**62 gets past the guard
+    def stub(n):
+        return SimpleNamespace(modulus=2, length=n, word_array=None)
+    monkeypatch.setattr(codes, "fan_out", None)
+    with pytest.raises(ValueError, match="2\\^63 = 9223372036854775808 vectors passes the int64"):
+        covering_radius(stub(63), budget=2**64)
+    with pytest.raises(TypeError):  # word_array is read after the guard
+        covering_radius(stub(62), budget=2**64)
+    with pytest.raises(ValueError, match="int64 index range"):
+        covering_radius(reed_muller_1(3, 4), budget=10**40)
 
 
 class _CountingRandom(random.Random):
