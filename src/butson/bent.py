@@ -43,6 +43,7 @@ from .matrices import (
     LogMatrix,
     LogVector,
     NotHadamardError,
+    adjoint_counts,
     circulant_from_row,
     count_tensor,
     counts_match,
@@ -183,11 +184,11 @@ def _duals(counts: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 @lru_cache(maxsize=None)
 def _dual_entry_order(row: tuple[int, ...], n: int, ambient: int) -> int | None:
-    """Least divisor L of `ambient` with n**L a square r**2 and z**L = r, z the dual
-    entry with exponent counts row in phase `ambient`: for square n the order of
-    z / sqrt(n), else even, so that order or twice it.  None when no L qualifies."""
-    z = CycInt(len(row), row).embed(ambient)
-    power = CycInt.integer(ambient, 1)
+    """Least divisor L of `ambient` with n**L a square r**2 and z**L = r, z the dual entry with
+    counts row, in Z[zeta_k], which embeds in phase `ambient` injectively: for square n the
+    order of z / sqrt(n), else even, so that order or twice it.  None when no L qualifies."""
+    z = CycInt(len(row), row)
+    power = CycInt.integer(len(row), 1)
     for exp in range(1, ambient + 1):
         power = power * z
         r = isqrt(n**exp)
@@ -427,7 +428,8 @@ def tensor_corollary_check(h: LogMatrix, m: LogMatrix | None = None, variant: in
             big = kronecker(h, h.conjugate())
             expected = "self_dual"
         else:
-            if not counts_match(hermitian_product_counts(h, m), hermitian_product_counts(m, h)):
+            x = hermitian_product_counts(h, m)  # X = H M*, and X* = M H*
+            if not counts_match(x, adjoint_counts(x)):
                 raise NotAmicableError("H M* != M H*")
             if not (m.entries == m.entries.T).all():
                 raise NotSymmetricError("M is not symmetric")

@@ -1,25 +1,5 @@
 """Command-line front end: construction, verification, search, and bounds.
 
-Subcommands
-    construct fourier|sylvester|kron|bush|ksw|rm   build an object, write text or JSON
-    verify hadamard|bush|unbiased                  exact checks on matrix files
-    bent-check                                     certify a vector against a matrix
-    bent-search                                    stream bent vectors with candidate indices
-    covering-radius                                exact or sampled radius with bounds
-    obstructions                                   arithmetic non-existence report for (n, k)
-    order                                          multiplicative order of the rescaled matrix
-    bush                                           block-circulant family, optional algebra check
-
-Exit codes: 0 on success, 1 when a mathematical check comes out false
-(verification fails, an obstruction proves no bent vector exists, no order
-found), 2 on usage or I/O errors, on instances too large to allocate and on
-input that fails a command's precondition: a non-Hadamard matrix exits 1 from
-verify, which decides that property, and 2 from bent-check, bent-search, order
-and covering-radius --code-from, which need it.  Numeric output is exact;
-rationals print as a/b.
-Given a fixed seed and inputs, output bytes are reproducible, including
-under --workers changes.
-
 A query command (every one but construct) answers with records and an exit
 code, and main() prints them: with --json one JSON object per record, one per
 line, and otherwise the text that the command's renderer makes of the same
@@ -46,6 +26,18 @@ from contextlib import redirect_stderr, redirect_stdout
 from math import isqrt
 
 from .numtheory import _MODES
+
+_DESCRIPTION = """\
+Exit codes: 0 on success, 1 when a mathematical check comes out false
+(verification fails, an obstruction proves no bent vector exists, no order
+found), 2 on usage or I/O errors, on instances too large to allocate and on
+input that fails a command's precondition: a non-Hadamard matrix exits 1 from
+verify, which decides that property, and 2 from bent-check, bent-search, order
+and covering-radius --code-from, which need it.  Numeric output is exact;
+rationals print as a/b.
+Given a fixed seed and inputs, output bytes are reproducible, including
+under --workers changes.
+"""
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -349,7 +341,7 @@ def _add_out(p) -> None:
 
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The whole parser tree, or with a command name its top level and that branch only."""
-    parser = argparse.ArgumentParser(prog="butson", description=__doc__,
+    parser = argparse.ArgumentParser(prog="butson", description=_DESCRIPTION,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     workers_help = ("most processes a scan may use (default 1); a pool starts only once the "

@@ -314,7 +314,7 @@ def reed_muller_1(q: int, m: int) -> ZkCode:
     function with nonzero linear part vanishes on exactly q^{m-1} points,
     and a nonzero constant vanishes nowhere, so the minimum weight over this
     linear code is q^m - q^{m-1}.  All three parameters are asserted after
-    construction.
+    construction; the distance is the least weight after the zero word 0.
     """
     if not is_prime(q):
         raise ValueError(f"q must be prime, got {q}")
@@ -328,7 +328,8 @@ def reed_muller_1(q: int, m: int) -> ZkCode:
     coeffs = index_digits(np.arange(q ** (m + 1)), q, m + 1)
     code = ZkCode(q, coeffs[0][:, None] + coeffs[1:].T @ points)
     assert code.length == q**m and len(code) == q ** (m + 1)
-    assert min_distance(code) == (q - 1) * q ** (m - 1)
+    code._min_distance = int(np.count_nonzero(code.word_array()[1:], axis=1).min())
+    assert code._min_distance == (q - 1) * q ** (m - 1)
     return code
 
 

@@ -17,11 +17,12 @@ Batched callers multiply by the table in a dtype that check_exact has cleared.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .numtheory import divisors, moebius, totient
+from .numtheory import divisors, factorize, moebius, totient
 
 
 def _times_binomial(c: list[int], d: int) -> list[int]:
@@ -112,6 +113,36 @@ def canonical(c: np.ndarray, k: int) -> np.ndarray:
 def reduce_coeffs(coeffs: Sequence[int], k: int) -> tuple[int, ...]:
     """Canonical length-k coefficient tuple: remainder mod Phi_k, zero-padded."""
     return tuple(canonical(np.array(coeffs, dtype=object), k).tolist())
+
+
+def square_root(n: int, k: int) -> CycInt | None:
+    """+sqrt(n) as an element of Z[zeta_k], or None when Q(zeta_k) does not hold it.
+
+    Write n = a^2 m with m squarefree.  For an odd prime p the Gauss sum
+    g_p = sum_x (x|p) zeta_p^x is sqrt(p) when p = 1 mod 4 and i sqrt(p) when
+    p = 3 mod 4, and zeta_8 + zeta_8^-1 = sqrt(2); so sqrt(n) is a (-i)^c times
+    the g_p over the odd p | m, times sqrt(2) for even m, c counting the p = 3
+    mod 4.  That lies in Q(zeta_k) exactly when the conductor of Q(sqrt(m))
+    divides k: every odd p | m divides k, 4 | k when c is odd, 8 | k when m is even.
+    The product is left unreduced, so its coefficients sum to at most n in magnitude.
+    """
+    factors = factorize(n)
+    odd = [p for p, e in factors.items() if e % 2 and p > 2]
+    c = sum(p % 4 == 3 for p in odd)
+    even = factors.get(2, 0) % 2
+    if k % (prod(odd) * (8 if even else 4 if c % 2 else 1)):
+        return None
+    root = CycInt.integer(k, prod(p ** (e // 2) for p, e in factors.items()) * (-1) ** (c // 2))
+    for p in odd:
+        gauss = [0] * k
+        for x in range(1, p):
+            gauss[x * k // p] = 1 if pow(x, (p - 1) // 2, p) == 1 else -1  # Euler's criterion
+        root = root * CycInt(k, gauss)
+    if c % 2:
+        root = root.times_root(3 * k // 4)  # -i
+    if even:
+        root = root * (CycInt.root(k, k // 8) + CycInt.root(k, -k // 8))
+    return root
 
 
 class CycInt:

@@ -16,18 +16,18 @@ n < 2**24, and reducing a count tensor in int64 is exact while
 max_reduction(k) * n < 2**62; the kernel raises ValueError outside those
 bounds through cyclotomic.check_exact.
 A one-row second table gives per-row counts: Hx in check_bent, the Bush
-block sums.  counts_match is the one way to compare a count tensor with a
-target in Z[zeta_k]; unitary_order keeps powers in cyclotomic.canonical form.
+block sums.  counts_match compares a count tensor with a target in Z[zeta_k];
+unitary_order keeps powers in cyclotomic.canonical form and compares those.
 """
 
 from __future__ import annotations
 
-from math import isqrt, lcm
+from math import lcm
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycInt, canonical, check_exact, exact_limit, max_reduction, reduction_matrix
+from .cyclotomic import CycInt, canonical, check_exact, exact_limit, max_reduction, reduction_matrix, square_root
 from .numtheory import TRIAL_DIVISION_BOUND  # exact checks factor the phase, so it must stay below this
 
 
@@ -334,44 +334,49 @@ def _coeff_dtype(bound: int):
     return np.float64 if bound < exact_limit(np.float64) else object
 
 
-def unitary_order(h: LogMatrix, max_t: int) -> int | None:
-    """Smallest t with H^t = n^(t/2) I, or None if none up to max_t.
+def adjoint_counts(counts: np.ndarray) -> np.ndarray:
+    """Counts of X* from the (n, n, k) counts of X: swap i and j, and read coefficient -t."""
+    k = counts.shape[-1]
+    return counts.swapaxes(0, 1)[..., -np.arange(k) % k]
 
-    Equivalently the multiplicative order of H / sqrt(n); odd t can only
-    qualify when n is a perfect square.  Powers are exact: H^t is carried as
-    an (n, n, k) tensor of canonical coefficients, divided by n whenever
-    every coefficient allows it so they stay small, and compared against the
-    matching power of sqrt(n) times the identity.  Each step multiplies by H
-    through the count kernel in float64 while a coefficient bound keeps
-    that exact, and in Python integers once it does not.
+
+def unitary_order(h: LogMatrix, max_t: int) -> int | None:
+    """Smallest t with H^t = sqrt(n)^t I, or None if none up to max_t.
+
+    Equivalently the multiplicative order of H / sqrt(n).  As H H* = nI, H^(2s) = n^s I
+    exactly when H^s is Hermitian, and H^(2s-1) = sqrt(n)^(2s-1) I exactly when H^s =
+    sqrt(n) (H^(s-1))*, which needs sqrt(n) in Z[zeta_k] (cyclotomic.square_root).  So
+    the powers up to about H^(max_t/2) suffice, exact (n, n, k) tensors of canonical
+    coefficients, divided by n whenever all allow it, which neither test sees.  Each
+    product by H is a count-kernel matmul in float64 while a coefficient bound keeps that
+    exact, else in Python ints; coefficients stay int64 while an adjoint reduces exactly there.
     """
     if max_t < 2:
         raise ValueError(f"max_t must be at least 2, got {max_t}")
     if not verify_hadamard(h):
         raise NotHadamardError("unitary order is defined for Butson Hadamard matrices")
     n, k = h.order, h.phase
-    root = isqrt(n)
-    square = root * root == n
+    root = square_root(n, k)
     h_conj = (-h.entries.T) % k  # P H = P (H*)*
+    prev = np.eye(n, dtype=np.int64)[:, :, None] * np.eye(1, k, dtype=np.int64)  # H^0 = I
     p = canonical(np.eye(k, dtype=np.int64)[h.entries], k)
-    scale = 0  # accumulated exponent: true power is p * n**scale
-    for t in range(1, max_t + 1):
-        if t > 1:
+    for s in range(1, (max_t + 1) // 2 + 1):
+        # t = 2s - 1: p = prev H is not yet divided, so both sides are at prev's scale; root's
+        # |coefficients| sum to at most n, so root prev* reduces within p's bound, in p's dtype
+        if root is not None:
+            adj = adjoint_counts(prev).astype(p.dtype)
+            side = sum(c * np.roll(adj, u, axis=-1) for u, c in enumerate(root.coeffs) if c)
+            if (p == canonical(side, k)).all():
+                return 2 * s - 1
+        while n > 1 and not (p % n).any():
+            p //= n
+        if 2 * s <= max_t and (p == canonical(adjoint_counts(p), k)).all():
+            return 2 * s
+        if 2 * s < max_t:
             # an entry of P H sums k * n coefficients of P; reducing scales it by <= max_reduction(k)
             bound = max_reduction(k) * k * n * int(np.abs(p).max())
             dtype = _coeff_dtype(bound)
             prod = _times_unit(p.transpose(0, 2, 1).astype(dtype), _one_hot(h_conj, k, dtype), range(k))
-            p = canonical(prod.transpose(1, 2, 0).astype(object if dtype is object else np.int64), k)
-        # divide out a factor of n when every reduced coefficient allows it
-        while n > 1 and not (p % n).any():
-            p //= n
-            scale += 1
-        if t % 2 == 0:
-            target = n ** (t // 2 - scale) if t // 2 >= scale else None
-        elif square:
-            target = root ** (t - 2 * scale) if t >= 2 * scale else None
-        else:
-            target = None
-        if target is not None and counts_match(p, target):
-            return t
+            wide = max_reduction(k) * k * bound >= exact_limit(np.int64)
+            prev, p = p, canonical(prod.transpose(1, 2, 0).astype(object if wide else np.int64), k)
     return None

@@ -35,6 +35,19 @@ def unit_matrix(entries: np.ndarray, k: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.asarray(entries) / k)
 
 
+def unitary_order_float(entries: np.ndarray, k: int, max_t: int, tol: float = 1e-8) -> int | None:
+    """Least t <= max_t with (H / sqrt(n))^t close to I, H = unit_matrix(entries, k), by
+    repeated complex products; None when there is none."""
+    u = unit_matrix(entries, k)
+    u = u / np.sqrt(len(u))
+    power = np.eye(len(u))
+    for t in range(1, max_t + 1):
+        power = power @ u
+        if np.allclose(power, np.eye(len(u)), atol=tol):
+            return t
+    return None
+
+
 def is_hadamard_float(entries: np.ndarray, k: int, tol: float = 1e-8) -> bool:
     h = unit_matrix(entries, k)
     n = h.shape[0]

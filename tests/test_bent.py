@@ -88,16 +88,20 @@ def test_certificate_norms():
 
 
 def test_dual_entry_orders_present_when_self_conjugate():
-    # 9 is self conjugate mod 3, so dual entries live in phase 4*3 = 12
-    cert = check_bent(character_table([3, 3]), ksw_vector(3, 2))
-    assert cert.dual_entry_orders is not None
-    assert all(o is not None for o in cert.dual_entry_orders)
-    for e, o in zip(cert.dual, cert.dual_entry_orders):
-        # entry = 3 y with y a root of order o in phase 12
-        y_pow = CycInt.integer(12, 1)
-        for _ in range(o):
-            y_pow = y_pow * e.embed(12)
-        assert y_pow == 3**o
+    # n is self-conjugate mod the odd phase k in each, so dual entries live in phase 4k
+    for h, x in [(character_table([3, 3]), ksw_vector(3, 2)),
+                 (fourier_matrix(5), LogVector(5, (0, 0, 1, 3, 1))),  # the first hit of search_bent
+                 (character_table([7, 7]), ksw_vector(7, 2))]:
+        cert = check_bent(h, x)
+        assert cert.dual_entry_orders is not None
+        assert all(o is not None for o in cert.dual_entry_orders)
+        n, ambient = h.order, 4 * h.phase
+        for e, o in zip(cert.dual, cert.dual_entry_orders):
+            # entry**o = sqrt(n)**o, checked by powers in phase `ambient`
+            y_pow = CycInt.integer(ambient, 1)
+            for _ in range(o):
+                y_pow = y_pow * e.embed(ambient)
+            assert isqrt(n**o) ** 2 == n**o and y_pow == isqrt(n**o)
 
 
 def test_dual_entries_are_ambient_roots_when_self_conjugate():

@@ -289,6 +289,17 @@ def test_the_process_entry_imports_no_pool_and_exits_flushed(capsys):
     assert proc.stderr == ""
 
 
+def test_help_names_every_command_and_no_internals(capsys):
+    code, out, _ = run(capsys, ["--help"])
+    assert code == 0
+    for command in ("construct", "verify", "bent-check", "bent-search", "covering-radius",
+                    "obstructions", "order", "bush"):
+        assert command in out
+    assert "Exit codes" in out
+    for internal in ("os._exit", "run()", "main()", "import"):
+        assert internal not in out
+
+
 def _parser_corpus(tmp_path) -> tuple[list[list[str]], list[list[str]]]:
     """(commands that parse, argv that print help or fail to parse)."""
     f9, vec = tmp_path / "f9.bh", tmp_path / "x.vec"

@@ -705,6 +705,18 @@ def test_reed_muller_parameters():
     assert brute == 6  # (q-1) q^(m-1), attained by every nonconstant function
 
 
+def test_reed_muller_minimum_distance_is_the_least_weight(monkeypatch):
+    for q, m in [(2, 1), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2)]:
+        rm = reed_muller_1(q, m)
+        assert min_distance(rm) == min_distance(ZkCode(q, rm.word_array().copy())) == (q - 1) * q ** (m - 1)
+
+    def pairwise(code):
+        raise AssertionError("reed_muller_1 counted pairs")
+
+    monkeypatch.setattr(codes, "min_distance", pairwise)
+    assert len(reed_muller_1(2, 10)) == 2**11  # 2**22 pairs would take seconds
+
+
 def test_reed_muller_rejections():
     for q, m in [(4, 2), (1, 2), (3, 0)]:
         try:

@@ -32,7 +32,7 @@ from butson.matrices import (
     verify_hadamard,
 )
 
-from oracles import difference_counts_brute, product_counts_brute
+from oracles import difference_counts_brute, product_counts_brute, unitary_order_float
 
 
 def _tables(k: int, rows: int, width: int, lo: int = 0):
@@ -225,7 +225,9 @@ def test_is_unbiased_matches_reference():
 
 
 def _unitary_order_reference(h: LogMatrix, max_t: int) -> int | None:
-    """Least t with H^t = sqrt(n)^t I, by CycInt powers with no rescaling."""
+    """Least t with H^t = sqrt(n)^t I, by CycInt powers with no rescaling.  It compares
+    with isqrt(n**t), so for non-square n it finds only even t: give it no matrix whose
+    order is odd there (unitary_order finds those through cyclotomic.square_root)."""
     n, k = h.order, h.phase
     rows = [[h.entry(i, j) for j in range(n)] for i in range(n)]
     p = rows
@@ -267,11 +269,22 @@ def test_unitary_order_paths_match_reference(monkeypatch):
 
 def test_unitary_order_falls_back_to_python_ints(monkeypatch):
     # No finite order: the coefficient bound grows by about half a bit per
-    # step, passes 2**53 near t = 100, and the remaining steps use Python ints.
+    # power, passes 2**53 near H^100, and the remaining products use Python
+    # ints.  Only the powers up to H^(max_t/2) are made.
     h = LogMatrix(4, [[1, 0, 0, 0], [0, 2, 0, 1], [1, 1, 3, 2], [2, 3, 3, 1]])
     chosen = _record_dtypes(monkeypatch)
-    assert unitary_order(h, 160) is None
+    assert unitary_order(h, 320) is None
     assert chosen[0] is np.float64 and chosen[-1] is object
-    assert _unitary_order_reference(h, 160) is None
+    assert _unitary_order_reference(h, 320) is None
     assert matrices._coeff_dtype(2**53 - 1) is np.float64
     assert matrices._coeff_dtype(2**53) is object
+
+
+def test_unitary_order_stays_in_float64_without_an_order(monkeypatch):
+    # a chirped F(C_16): H^s / n^j stays small, so every product is a float64 matmul
+    k, i = 32, np.arange(16)
+    h = LogMatrix(k, fourier_matrix(16).lift_phase(k).entries + ((3 * i * i + 5 * i) % k)[:, None])
+    chosen = _record_dtypes(monkeypatch)
+    assert unitary_order(h, 64) is None
+    assert unitary_order_float(h.entries, k, 64) is None
+    assert chosen and set(chosen) == {np.float64}

@@ -1,12 +1,14 @@
 from __future__ import annotations
 
+import math
 import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butson.cyclotomic import CycInt, canonical, cyclotomic_polynomial, reduce_coeffs, reduction_matrix
+from butson.cyclotomic import CycInt, canonical, cyclotomic_polynomial, reduce_coeffs, reduction_matrix, square_root
 from butson.numtheory import is_prime, totient
 
 from oracles import complex_value, cyclotomic_polynomial_brute, reduce_mod_phi_brute
@@ -191,3 +193,18 @@ def test_every_reduction_is_long_division_by_phi(data):
         assert got.dtype == batch.dtype and got.shape == batch.shape
         assert [tuple(int(v) for v in row) for row in got.reshape(6, k)] == [
             reduce_mod_phi_brute(row, k) for row in rows]
+
+
+@pytest.mark.parametrize("n, k", [(1, 1), (4, 2), (9, 3), (2, 8), (3, 12), (5, 5), (7, 28), (21, 21),
+                                  (15, 60), (13, 13), (12, 12), (8, 8), (10, 40), (45, 15), (6, 24)])
+def test_square_root_squares_to_n(n, k):
+    root = square_root(n, k)
+    assert root is not None and root * root == n
+    assert abs(complex_value(root.coeffs, k) - math.sqrt(n)) < 1e-9  # the positive root
+    assert sum(map(abs, root.coeffs)) <= n
+
+
+@pytest.mark.parametrize("n, k", [(3, 3), (2, 4), (7, 7), (3, 6), (6, 12), (10, 20), (2, 2), (5, 4)])
+def test_square_root_is_none_outside_the_field(n, k):
+    # the conductor of Q(sqrt(m)), m the squarefree part of n, does not divide k
+    assert square_root(n, k) is None

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from butson.cyclotomic import CycInt
 from butson.matrices import (
@@ -22,7 +24,7 @@ from butson.matrices import (
     verify_hadamard,
 )
 
-from oracles import is_hadamard_float, unit_matrix
+from oracles import is_hadamard_float, unit_matrix, unitary_order_float
 
 BH48_ROWS = [[0, 0, 0, 0], [0, 2, 4, 6], [0, 4, 0, 4], [0, 6, 4, 2]]
 
@@ -196,6 +198,34 @@ def test_unitary_order_circulant_divides_lcm():
     h = circulant_from_row(LogVector(4, (0, 0, 0, 2)))
     t = unitary_order(h, 16)
     assert t is not None and 4 % t == 0  # lcm(4, n, k) = 4
+
+
+@pytest.mark.parametrize("phase, rows, order", [
+    (12, [[5, 2, 6], [4, 5, 1], [0, 5, 5]], 3),  # H^3 = sqrt(3)^3 I, sqrt(3) = zeta_12 + zeta_12^11
+    (8, [[3, 6], [6, 5]], 3),
+    (5, [[2, 0, 2, 3, 0], [0, 0, 4, 4, 4], [0, 2, 3, 2, 0], [1, 2, 2, 4, 3], [0, 4, 2, 0, 1]], 5),
+    (10, [[1, 5, 0, 1, 6], [7, 3, 0, 3, 0], [4, 2, 1, 6, 5], [7, 7, 8, 5, 6], [8, 0, 3, 2, 5]], 15),
+])
+def test_unitary_order_finds_odd_orders_for_non_square_n(phase, rows, order):
+    # sqrt(n) lies in Z[zeta_k] for each of these, so an odd power can be a scalar
+    h = LogMatrix(phase, rows)
+    assert unitary_order(h, 64) == order == unitary_order_float(h.entries, phase, 64)
+
+
+_ORDER_BASES = [fourier_matrix(2), fourier_matrix(3), fourier_matrix(4), fourier_matrix(5),
+                fourier_matrix(6), character_table([2, 2])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_unitary_order_matches_the_float_order(data):
+    base = data.draw(st.sampled_from(_ORDER_BASES), label="base")
+    k = base.phase * data.draw(st.integers(1, 28 // base.phase), label="lift")
+    n = base.order
+    perm = st.permutations(range(n))
+    shifts = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    h = base.lift_phase(k).monomial_transform(data.draw(perm), data.draw(shifts), data.draw(perm), data.draw(shifts))
+    assert unitary_order(h, 24) == unitary_order_float(h.entries, k, 24)
 
 
 def test_unitary_order_rejects_non_hadamard():
