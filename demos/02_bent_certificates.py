@@ -11,6 +11,7 @@ rational scale.  check_bent decides all three properties exactly.
 
 from butson import (
     LogVector,
+    bush_circulant,
     character_table,
     check_bent,
     circulant_bent_bridge,
@@ -51,6 +52,11 @@ cert = tensor_corollary_check(f3, variant=1)
 print("\nphi(F(C_3)) for F(C_3)* (x) F(C_3)*:", cert.kind, "unit", cert.unit)
 cert = tensor_corollary_check(f3, f3, variant=2)
 print("phi(F(C_3)) for F(C_3) (x) conj(F(C_3)):", cert.kind, "unit", cert.unit)
+# A symmetric M with H M* = M H* makes phi(M) conjugate self-dual for
+# conj(H) (x) H*; the Bush matrix B_1 at p = 3 is amicable with itself.
+b1 = bush_circulant(3, 1).base
+cert = tensor_corollary_check(b1, b1, variant=3)
+print("phi(B_1) for conj(B_1) (x) B_1*:", cert.kind, "unit", cert.unit)
 
 # Conjugate self-dual bent vectors compose: the KSW vector tensored with
 # itself is conjugate self-dual for F(C_3^2) (x) F(C_3^2), of order 81.

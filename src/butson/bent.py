@@ -38,7 +38,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CycInt, check_exact, max_reduction, reduction_matrix
+from .cyclotomic import CycInt, check_exact, is_zero, max_reduction, reduction_matrix
 from .matrices import (
     LogMatrix,
     LogVector,
@@ -46,7 +46,6 @@ from .matrices import (
     adjoint_counts,
     circulant_from_row,
     count_tensor,
-    counts_match,
     fourier_matrix,
     hermitian_product_counts,
     kronecker,
@@ -404,7 +403,8 @@ def tensor_corollary_check(h: LogMatrix, m: LogMatrix | None = None, variant: in
     variant 1: phi(H) is conjugate self-dual (H* kron H*)-bent.
     variant 2: H M = M H  =>  phi(M) is self-dual (H kron conj(H))-bent.
     variant 3: H M* = M H* and M symmetric  =>  phi(M) is conjugate
-               self-dual (H kron H^T)-bent.
+               self-dual (conj(H) kron H*)-bent: conjugating H M* H = n M
+               gives conj(H) M conj(H) = n conj(M).
 
     Preconditions are checked exactly and reported as distinct errors; a
     passing precondition with a failing certificate means the construction
@@ -423,17 +423,17 @@ def tensor_corollary_check(h: LogMatrix, m: LogMatrix | None = None, variant: in
             raise NotHadamardError("tensor constructions need Butson Hadamard input")
         # the product counts below raise ValueError unless phases and orders agree
         if variant == 2:
-            if not counts_match(product_counts(h, m), product_counts(m, h)):
+            if not is_zero(product_counts(h, m) - product_counts(m, h)):
                 raise NotCommutingError("H M != M H")
             big = kronecker(h, h.conjugate())
             expected = "self_dual"
         else:
             x = hermitian_product_counts(h, m)  # X = H M*, and X* = M H*
-            if not counts_match(x, adjoint_counts(x)):
+            if not is_zero(x - adjoint_counts(x)):
                 raise NotAmicableError("H M* != M H*")
             if not (m.entries == m.entries.T).all():
                 raise NotSymmetricError("M is not symmetric")
-            big = kronecker(h, h.transpose())
+            big = kronecker(h.conjugate(), h.conj_transpose())
             expected = "conjugate_self_dual"
         x = vectorize(m)
     else:

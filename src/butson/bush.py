@@ -20,7 +20,8 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bent import BentCertificate, check_bent
-from .matrices import LogMatrix, LogVector, count_tensor, counts_match, product_counts, verify_hadamard
+from .cyclotomic import is_zero
+from .matrices import LogMatrix, LogVector, count_tensor, product_counts, verify_hadamard
 from .numtheory import is_prime
 
 
@@ -61,9 +62,9 @@ def _block_sums_hold(base: LogMatrix, n: int) -> bool:
     # block rows, then block columns, each counted against a zero row
     lines = np.concatenate([blocks, blocks.transpose(0, 1, 3, 2)]).reshape(-1, n)
     counts = count_tensor(lines, np.zeros((1, n), np.int64), k).reshape(2, n, n, n, k)
-    target = np.zeros((n, n, 1, k), dtype=np.int64)
-    target[np.arange(n), np.arange(n), :, 0] = n
-    return counts_match(counts, target)
+    idx = np.arange(n)
+    counts[:, idx, idx, :, 0] -= n
+    return is_zero(counts)
 
 
 def projector(p: int, a: int) -> LogMatrix:
@@ -79,33 +80,27 @@ def projector(p: int, a: int) -> LogMatrix:
 def verify_projector_algebra(p: int) -> bool:
     """Exactly verify the four projector identities for all residues a, b.
 
-    R_a* = R_a, R_a^2 = p R_a, R_a R_b = 0 for a != b, and
-    sum_a R_a^2 = p^2 I.  Each R_a is counted against all R_b stacked, one
-    count_tensor call per a whose (i, b, j) counts give every product R_a R_b,
-    and each product is compared with its target by counts_match in Z[zeta_p];
-    p is capped at 13 because the check is cubic in p per pair.
+    R_a* = R_a and R_a^T = R_(-a) are compared as exponent tables.  R_a^2 = p R_a,
+    R_a R_b = 0 for a != b, and sum_a R_a^2 = p^2 I come from one count_tensor of
+    the p^2 rows of every R_a against the p^2 columns of every R_b, each identity
+    a difference tested by is_zero in Z[zeta_p]; p is capped at 13 because that
+    count holds p^5 coefficients.
     """
     if p > 13:
         raise ValueError(f"projector algebra check supports p <= 13, got {p}")
-    blocks = [projector(p, a) for a in range(p)]  # raises ValueError unless p is an odd prime
-    # row (b, j) holds column j of R_b negated, so count_tensor gives every R_a R_b,
-    # as in product_counts
-    stacked = np.concatenate([-rb.entries.T for rb in blocks])
-    zero = np.zeros(p, dtype=np.int64)
-    total = np.zeros((p, p, p), dtype=np.int64)
-    for a, ra in enumerate(blocks):
-        if ra.conj_transpose() != ra:
-            return False
-        if blocks[(p - a) % p].transpose() != ra:
-            return False
-        products = count_tensor(ra.entries, stacked, p).reshape(p, p, p, p).transpose(1, 0, 2, 3)
-        sq = products[a]
-        if not counts_match(sq, p * np.eye(p, dtype=np.int64)[ra.entries]):
-            return False
-        total += sq
-        if not counts_match(np.delete(products, a, axis=0), zero):
-            return False
-    return counts_match(total, p * p)
+    # raises ValueError unless p is an odd prime
+    blocks = np.stack([projector(p, a).entries for a in range(p)])  # (a, i, j)
+    columns = blocks.transpose(0, 2, 1)
+    if (blocks != -columns % p).any() or (columns != blocks[-np.arange(p) % p]).any():
+        return False
+    # row (b, j) holds column j of R_b negated, as in product_counts, so the counts
+    # give every R_a R_b, indexed (a, i, b, j, t)
+    products = count_tensor(blocks.reshape(p * p, p), -columns.reshape(p * p, p), p).reshape((p,) * 5)
+    idx = np.arange(p)
+    total = products[idx, :, idx].sum(axis=0)  # sum_a R_a^2
+    total[idx, idx, 0] -= p * p
+    products[idx, :, idx] -= p * np.eye(p, dtype=np.int64)[blocks]
+    return is_zero(products) and is_zero(total)
 
 
 def bush_circulant(p: int, a: int) -> BushMatrix:
@@ -134,7 +129,7 @@ def conjugate_self_bent_check(m: LogMatrix) -> bool:
     if s * s != m.order:
         raise ValueError(f"order {m.order} is not a perfect square")
     want = s * np.eye(m.phase, dtype=np.int64)[m.conjugate().entries]
-    return counts_match(product_counts(m, m), want)
+    return is_zero(product_counts(m, m) - want)
 
 
 class BushModification(NamedTuple):

@@ -11,7 +11,9 @@ k-th cyclotomic polynomial, re-expanded with zeros in positions >= phi(k).
 One table, reduction_matrix(k), does every reduction.  canonical applies it and
 pads; CycInt reduces through canonical on object arrays of Python integers, so
 its arithmetic is exact at every scale and never touches floating point.
-Batched callers multiply by the table in a dtype that check_exact has cleared.
+Reduction is linear, so A = B exactly when A - B reduces to zero: is_zero is
+the one test of an exact identity, a difference reduced once.  Batched callers
+multiply by the table in a dtype that check_exact has cleared.
 """
 
 from __future__ import annotations
@@ -108,6 +110,12 @@ def canonical(c: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros(c.shape, dtype=c.dtype)
     out[..., : r.shape[1]] = c @ r
     return out
+
+
+def is_zero(c: np.ndarray) -> bool:
+    """Is every coefficient row of c (shape (..., k)) zero in Z[zeta_k]?  Reduced in
+    c's dtype, which, as for canonical, is the caller's to clear with check_exact."""
+    return not (c @ reduction_matrix(c.shape[-1])).any()
 
 
 def reduce_coeffs(coeffs: Sequence[int], k: int) -> tuple[int, ...]:
@@ -255,7 +263,7 @@ class CycInt:
             return NotImplemented
         if self.phase != other.phase:
             return False
-        return reduce_coeffs(self.coeffs, self.phase) == reduce_coeffs(other.coeffs, other.phase)
+        return is_zero(np.array([a - b for a, b in zip(self.coeffs, other.coeffs)], dtype=object))
 
     def __hash__(self) -> int:
         return hash((self.phase, reduce_coeffs(self.coeffs, self.phase)))

@@ -16,8 +16,10 @@ n < 2**24, and reducing a count tensor in int64 is exact while
 max_reduction(k) * n < 2**62; the kernel raises ValueError outside those
 bounds through cyclotomic.check_exact.
 A one-row second table gives per-row counts: Hx in check_bent, the Bush
-block sums.  counts_match compares a count tensor with a target in Z[zeta_k];
-unitary_order keeps powers in cyclotomic.canonical form and compares those.
+block sums.  Each identity is a difference, counts less target (H H* = nI
+takes n from coefficient 0 on the diagonal), that cyclotomic.is_zero reduces
+once, exact in int64 as check_exact leaves one addition of headroom.
+unitary_order keeps powers in cyclotomic.canonical form, which division by n needs.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import CycInt, canonical, check_exact, exact_limit, max_reduction, reduction_matrix, square_root
+from .cyclotomic import (CycInt, canonical, check_exact, exact_limit, is_zero, max_reduction,
+                         reduction_matrix, square_root)
 from .numtheory import TRIAL_DIVISION_BOUND  # exact checks factor the phase, so it must stay below this
 
 
@@ -246,26 +249,6 @@ def count_tensor(a: np.ndarray, b: np.ndarray, k: int) -> np.ndarray:
     return out.transpose(1, 2, 0).astype(np.int64)
 
 
-def counts_match(counts: np.ndarray, target) -> bool:
-    """Do counts and target, k counts per entry, represent the same matrix over Z[zeta_k]?
-
-    An integer target c stands for the scalar matrix c I (0 for the zero
-    matrix); an array target is a count tensor that broadcasts against
-    counts.  Both sides are reduced with reduction_matrix(k) and compared
-    exactly.
-    """
-    r = reduction_matrix(counts.shape[-1])
-    reduced = counts @ r
-    if np.ndim(target):
-        return bool((reduced == target @ r).all())
-    idx = np.arange(min(reduced.shape[:2]))
-    diag = reduced[idx, idx]
-    if not (diag[:, 0] == target).all() or diag[:, 1:].any():
-        return False
-    reduced[idx, idx] = 0
-    return not reduced.any()
-
-
 def verify_hadamard(h: LogMatrix) -> bool:
     """Exact check of H H* = nI via reduced exponent-difference counts.
 
@@ -273,7 +256,10 @@ def verify_hadamard(h: LogMatrix) -> bool:
     orthogonal rows is invertible, and H* H = nI follows.
     """
     if h._hadamard is None:
-        h._hadamard = counts_match(count_tensor(h.entries, h.entries, h.phase), h.order)
+        counts = count_tensor(h.entries, h.entries, h.phase)
+        idx = np.arange(h.order)
+        counts[idx, idx, 0] -= h.order
+        h._hadamard = is_zero(counts)
     return h._hadamard
 
 
@@ -362,15 +348,17 @@ def unitary_order(h: LogMatrix, max_t: int) -> int | None:
     p = canonical(np.eye(k, dtype=np.int64)[h.entries], k)
     for s in range(1, (max_t + 1) // 2 + 1):
         # t = 2s - 1: p = prev H is not yet divided, so both sides are at prev's scale; root's
-        # |coefficients| sum to at most n, so root prev* reduces within p's bound, in p's dtype
+        # |coefficients| sum to at most n, so root prev* reduces within p's bound, in p's dtype.
+        # Each test reduces a difference with p: that adds |p| to the partial sums, at most
+        # the bound again, which the one addition of headroom below exact_limit(int64) holds
         if root is not None:
             adj = adjoint_counts(prev).astype(p.dtype)
             side = sum(c * np.roll(adj, u, axis=-1) for u, c in enumerate(root.coeffs) if c)
-            if (p == canonical(side, k)).all():
+            if is_zero(p - side):
                 return 2 * s - 1
         while n > 1 and not (p % n).any():
             p //= n
-        if 2 * s <= max_t and (p == canonical(adjoint_counts(p), k)).all():
+        if 2 * s <= max_t and is_zero(p - adjoint_counts(p)):
             return 2 * s
         if 2 * s < max_t:
             # an entry of P H sums k * n coefficients of P; reducing scales it by <= max_reduction(k)

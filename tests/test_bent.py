@@ -4,6 +4,8 @@ import random
 from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from butson.bent import (
     NotAmicableError,
@@ -30,7 +32,7 @@ from butson.matrices import (
 )
 from butson.numtheory import bent_obstructions, is_self_conjugate
 
-from catalog import sample_bh48
+from catalog import catalog, sample_bh48
 from oracles import bent_kinds_float, brute_force_bent_vectors, dual_entry_order_float
 
 
@@ -325,6 +327,30 @@ def test_tensor_corollary_variant3():
     f2 = fourier_matrix(2)
     cert = tensor_corollary_check(f2, f2, variant=3)
     assert cert.conjugate_self_dual
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_tensor_corollary_variant3_on_complex_bush_matrices(p):
+    # conj(H) M conj(H) = n conj(M) needs the conjugate of H, which a real H hides
+    b = bush_circulant(p, 1).base
+    cert = tensor_corollary_check(b, b, variant=3)
+    assert cert.conjugate_self_dual and cert.conjugate_self_dual_unit == b.order
+
+
+_SYMMETRIC = [m for m in (e.matrix for e in catalog()) if m.order <= 25 and (m.entries == m.entries.T).all()]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.data())
+def test_tensor_corollary_variant3_on_symmetric_monomial_transforms(data):
+    # D P M P^T D stays symmetric and, like any matrix, is amicable with itself
+    m = data.draw(st.sampled_from(_SYMMETRIC), label="m")
+    n, k = m.order, m.phase
+    perm = data.draw(st.permutations(range(n)), label="perm")
+    d = data.draw(st.lists(st.integers(0, k - 1), min_size=n, max_size=n), label="d")
+    m = m.monomial_transform(perm, d, perm, d)
+    cert = tensor_corollary_check(m, m, variant=3)
+    assert cert.conjugate_self_dual and cert.conjugate_self_dual_unit == n
 
 
 def test_tensor_corollary_variant3_rejections():

@@ -70,6 +70,26 @@ def test_projector_algebra_rejects_broken_blocks(monkeypatch):
     assert verify_projector_algebra(5) is False
 
 
+def test_projector_algebra_counts_reject_symmetric_blocks(monkeypatch):
+    # R_1 and R_(p-1) change at (0, 1) and (1, 0) so that R_a* = R_a and R_a^T = R_(-a)
+    # still hold; R_1^2 = p R_1 fails, so the count is what rejects them
+    steps = {1: 1, 4: -1}
+
+    def symmetric_but_wrong(p, a):
+        r = projector(p, a)
+        if a not in steps:
+            return r
+        entries = r.entries.copy()
+        entries[0, 1] += steps[a]
+        entries[1, 0] -= steps[a]
+        return LogMatrix(p, entries)
+
+    monkeypatch.setattr(bush, "projector", symmetric_but_wrong)
+    blocks = [symmetric_but_wrong(5, a) for a in range(5)]
+    assert all(r.conj_transpose() == r and blocks[-a % 5].transpose() == r for a, r in enumerate(blocks))
+    assert verify_projector_algebra(5) is False
+
+
 def test_bush_circulant_structure():
     for p in (3, 5, 7, 11):
         for a in range(1, p):

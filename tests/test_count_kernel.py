@@ -18,12 +18,11 @@ from hypothesis import strategies as st
 import butson
 from butson import matrices
 from butson.bush import bush_circulant
-from butson.cyclotomic import CycInt, reduction_matrix
+from butson.cyclotomic import CycInt, is_zero, reduction_matrix
 from butson.matrices import (
     LogMatrix,
     character_table,
     count_tensor,
-    counts_match,
     fourier_matrix,
     hermitian_product_counts,
     is_unbiased,
@@ -121,14 +120,15 @@ def test_one_row_table_gives_per_row_bincounts(k, rows, width):
         assert (got[:, 0] == want).all()
 
 
-def test_counts_match_compares_in_the_ring():
+def test_is_zero_compares_in_the_ring():
     zero = np.array([[[1, 1, 1]]])  # 1 + zeta_3 + zeta_3^2 = 0
-    assert counts_match(zero, 0)
-    assert counts_match(zero, np.zeros(3, dtype=np.int64))
-    assert counts_match(np.array([[[2, 1, 1]]]), 1)
-    assert not counts_match(np.array([[[2, 1, 1]]]), 2)
-    assert not counts_match(np.array([[[0, 1, 0]]]), 0)  # zeta_3 on the diagonal
-    assert not counts_match(np.array([[[1, 0, 0], [0, 1, 0]]]), 1)  # off-diagonal zeta_3
+    one = np.array([1, 0, 0])
+    assert is_zero(zero)
+    assert is_zero(zero - np.zeros(3, dtype=np.int64))
+    assert is_zero(np.array([[[2, 1, 1]]]) - one)
+    assert not is_zero(np.array([[[2, 1, 1]]]) - 2 * one)
+    assert not is_zero(np.array([[[0, 1, 0]]]))  # zeta_3 on the diagonal
+    assert not is_zero(np.array([[[1, 0, 0], [0, 1, 0]]]) - [[[1, 0, 0], [0, 0, 0]]])  # off-diagonal zeta_3
 
 
 def test_exactness_guards_raise_before_allocating(monkeypatch):

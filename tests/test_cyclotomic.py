@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butson.cyclotomic import CycInt, canonical, cyclotomic_polynomial, reduce_coeffs, reduction_matrix, square_root
+from butson.cyclotomic import (
+    CycInt,
+    canonical,
+    cyclotomic_polynomial,
+    is_zero,
+    reduce_coeffs,
+    reduction_matrix,
+    square_root,
+)
 from butson.numtheory import is_prime, totient
 
 from oracles import complex_value, cyclotomic_polynomial_brute, reduce_mod_phi_brute
@@ -193,6 +201,33 @@ def test_every_reduction_is_long_division_by_phi(data):
         assert got.dtype == batch.dtype and got.shape == batch.shape
         assert [tuple(int(v) for v in row) for row in got.reshape(6, k)] == [
             reduce_mod_phi_brute(row, k) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_is_zero_agrees_with_long_division(data):
+    # random rows are almost never zero, so each row is planted as a sum of rotated
+    # copies of Phi_k (x^s Phi_k, read mod x^k - 1, is zero in Z[zeta_k]); then one
+    # coefficient is perturbed, which leaves a nonzero row
+    k = data.draw(st.integers(1, 30), label="k")
+    phi = cyclotomic_polynomial_brute(k)
+    rows = []
+    for _ in range(6):
+        row = [0] * k
+        for s, m in data.draw(st.lists(st.tuples(st.integers(0, k - 1), st.integers(-9, 9)), max_size=5)):
+            for j, c in enumerate(phi):
+                row[(s + j) % k] += m * c
+        rows.append(row)
+    dtype = data.draw(st.sampled_from([np.int64, object]), label="dtype")
+    batch = np.array(rows, dtype=dtype).reshape(2, 3, k)
+    assert all(not any(reduce_mod_phi_brute(row, k)) for row in rows)
+    assert is_zero(batch)
+    i = data.draw(st.integers(0, 5), label="row")
+    j = data.draw(st.integers(0, k - 1), label="coefficient")
+    rows[i][j] += data.draw(st.integers(-9, 9).filter(bool), label="step")
+    batch = np.array(rows, dtype=dtype).reshape(2, 3, k)
+    assert any(reduce_mod_phi_brute(rows[i], k))
+    assert not is_zero(batch)
 
 
 @pytest.mark.parametrize("n, k", [(1, 1), (4, 2), (9, 3), (2, 8), (3, 12), (5, 5), (7, 28), (21, 21),
