@@ -38,7 +38,7 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .cyclotomic import CycInt, check_exact, is_zero, max_reduction, reduction_matrix
+from .cyclotomic import CycInt, check_exact, is_zero, max_reduction, reduce
 from .matrices import (
     LogMatrix,
     LogVector,
@@ -152,19 +152,26 @@ def _verdict_bound(n: int, k: int) -> int:
     return max_reduction(k) * n * n
 
 
+@lru_cache(maxsize=None)
+def _norm_operator(k: int, dtype: np.dtype) -> np.ndarray:
+    """The read-only (phi(k), k**2) matrix whose column (s, u) is zeta^(s - u), reduced:
+    reduce of the one-hots of (s - u) mod k, in dtype."""
+    norm = reduce(np.eye(k, dtype=dtype)[(np.arange(k)[:, None] - np.arange(k)).ravel() % k]).T
+    norm.flags.writeable = False
+    return norm
+
+
 def _bent(counts: np.ndarray) -> np.ndarray:
     """Exact bent flags of a batch of candidates, in counts.dtype.
 
     counts[t, i, b] is the number of terms of (H x_b)_i equal to zeta^t.  x_b is
     bent when each entry's autocorrelations d_t = sum_s counts[s] counts[s - t],
-    the coefficients of z conj(z), reduce to n: one matmul of reduction_matrix(k)[s - u]
-    with the k**2 products counts[s] counts[u], k times the size of counts.
+    the coefficients of z conj(z), reduce to n: one matmul of _norm_operator with
+    the k**2 products counts[s] counts[u], k times the size of counts.
     """
     k, n, size = counts.shape
     check_exact(_verdict_bound(n, k), counts.dtype)
-    r = reduction_matrix(k).astype(counts.dtype)
-    s = np.arange(k)
-    norm = r[(s[:, None] - s) % k].reshape(k * k, -1).T
+    norm = _norm_operator(k, counts.dtype)
     red = (norm @ (counts[:, None] * counts[None]).reshape(k * k, -1)).reshape(-1, n, size)
     return (red[0] == n).all(axis=0) & ~red[1:].any(axis=(0, 1))
 
@@ -173,12 +180,10 @@ def _duals(counts: np.ndarray, digits: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Exact (self_dual, conjugate_self_dual) flags of bent candidates, candidate b
     being digits[:, b] with counts[:, :, b]: (Hx)_i times zeta^(-x_i), or zeta^(x_i),
     reduces to the same element for every i.  _bent's exactness guard covers these sums."""
-    k, n, size = counts.shape
-    r = reduction_matrix(k).astype(counts.dtype).T
-    s = np.arange(k)[:, None, None]
-    units = ((r @ np.take_along_axis(counts, rot % k, axis=0).reshape(k, -1)).reshape(len(r), n, size)
+    s = np.arange(len(counts))[:, None, None]
+    units = (reduce(np.moveaxis(np.take_along_axis(counts, rot % len(counts), axis=0), 0, -1))
              for rot in (s + digits, s - digits))
-    return tuple((unit == unit[:, :1]).all(axis=(0, 1)) for unit in units)
+    return tuple((unit == unit[:1]).all(axis=(0, 2)) for unit in units)
 
 
 @lru_cache(maxsize=None)

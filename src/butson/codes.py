@@ -33,7 +33,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .bent import block_size, check_bent, digit_blocks, digit_sum, fan_out, index_digits, suffix_table
-from .cyclotomic import check_exact, exact_limit
+from .cyclotomic import check_exact
 from .matrices import LogMatrix, LogVector, NotHadamardError, _one_hot, count_tensor, verify_hadamard
 from .numtheory import is_prime
 
@@ -168,13 +168,12 @@ def covering_radius(
     radius and is flagged exact=False; it needs a modulus below 2**32.  Multi-worker scans
     partition the ambient space into contiguous index ranges and reduce by max,
     so the result does not depend on the worker count.  Distances and their sums
-    are at most length, held in uint8, int16 or int32, the first whose
-    exact_limit passes the length, under check_exact.  Every argument is
-    checked before anything is allocated.
+    are at most length, held in uint8, int16 or int32, the first that
+    check_exact finds holds the length.  Every argument is checked before
+    anything is allocated.
     """
     k, n = c.modulus, c.length
-    dtype = next((d for d in (np.uint8, np.int16) if n < exact_limit(d)), np.int32)
-    check_exact(n, dtype)
+    dtype = check_exact(n, np.uint8, np.int16, np.int32)
     if strategy == "exhaustive" and k**n > budget:
         raise BudgetExceededError(f"ambient space {k}^{n} = {k**n} vectors exceeds budget {budget}")
     if strategy == "exhaustive" and k**n >= _INDICES:

@@ -8,12 +8,14 @@ counts there, so all hot paths stay permutation-and-add.  Equality and other
 decisions reduce to the canonical representative: the remainder modulo the
 k-th cyclotomic polynomial, re-expanded with zeros in positions >= phi(k).
 
-One table, reduction_matrix(k), does every reduction.  canonical applies it and
-pads; CycInt reduces through canonical on object arrays of Python integers, so
-its arithmetic is exact at every scale and never touches floating point.
+One routine, reduce, does every reduction: a product with the table
+reduction_matrix(k) in the dtype of its input.  canonical pads it; CycInt
+reduces through canonical on object arrays of Python integers, so its
+arithmetic is exact at every scale and never touches floating point.
 Reduction is linear, so A = B exactly when A - B reduces to zero: is_zero is
-the one test of an exact identity, a difference reduced once.  Batched callers
-multiply by the table in a dtype that check_exact has cleared.
+the one test of an exact identity, a difference reduced once.  One rule,
+check_exact, decides exactness: callers state the bound their integers stay
+within and get back the first candidate dtype that holds it, or an error.
 """
 
 from __future__ import annotations
@@ -59,12 +61,8 @@ def cyclotomic_polynomial(k: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def reduction_matrix(k: int) -> np.ndarray:
-    """The read-only k x phi(k) int64 matrix whose row j is x^j mod Phi_k.
-
-    Reducing a batch of coefficient rows C (shape (..., k)) is C @ reduction_matrix(k),
-    padded by canonical; max_reduction bounds the result and check_exact decides
-    whether a dtype holds it.
-    """
+    """The read-only k x phi(k) int64 matrix whose row j is x^j mod Phi_k, which
+    reduce multiplies by."""
     low = np.array(cyclotomic_polynomial(k)[:-1], dtype=np.int64)  # Phi_k = x^phi(k) + low
     m = np.eye(k, len(low), dtype=np.int64)
     for j in range(len(low), k):
@@ -93,29 +91,39 @@ def exact_limit(dtype) -> int:
     return 2 ** (np.iinfo(dtype).bits - (dtype.kind == "i") - 1)
 
 
-def check_exact(bound: int, dtype) -> None:
-    """The one exactness guard: raise ValueError unless every integer of magnitude
-    up to bound, result or partial sum, is below exact_limit(dtype)."""
-    limit = exact_limit(dtype)
-    if bound >= limit:
-        bits = limit.bit_length() - 1
-        raise ValueError(f"{bound} passes the exact integer range of {np.dtype(dtype)}, 2**{bits}")
+def check_exact(bound: int, *dtypes):
+    """The one exactness rule: the first of dtypes that holds every integer of
+    magnitude up to bound, result or partial sum, below its exact_limit; object
+    (Python ints) holds any.  Raise ValueError, naming the last, when none does."""
+    for dtype in dtypes:
+        if dtype is object or bound < exact_limit(dtype):
+            return dtype
+    bits = exact_limit(dtype).bit_length() - 1
+    raise ValueError(f"{bound} passes the exact integer range of {np.dtype(dtype)}, 2**{bits}")
+
+
+def reduce(c: np.ndarray) -> np.ndarray:
+    """The remainders mod Phi_k of a batch of coefficient rows c (shape (..., k)),
+    shape (..., phi(k)) in c's dtype: the one product with reduction_matrix(k).
+    Object arrays of Python ints are exact at any size; other dtypes are the
+    caller's to clear with check_exact: no partial sum of a reduced row passes
+    max_reduction(k) times the sum of the row's magnitudes."""
+    return c @ reduction_matrix(c.shape[-1]).astype(c.dtype, copy=False)
 
 
 def canonical(c: np.ndarray, k: int) -> np.ndarray:
-    """Canonical form of a batch of coefficient rows (shape (..., k)) in c's dtype: the
-    remainder mod Phi_k, zero-padded to length k.  Object arrays of Python ints are exact
-    at any size; other dtypes are the caller's to clear with check_exact."""
-    r = reduction_matrix(k)
-    out = np.zeros(c.shape, dtype=c.dtype)
-    out[..., : r.shape[1]] = c @ r
+    """Canonical form of a batch of coefficient rows (shape (..., k)) in c's dtype:
+    reduce(c), zero-padded to length k."""
+    red = reduce(c)
+    out = np.zeros(c.shape[:-1] + (k,), dtype=c.dtype)
+    out[..., : red.shape[-1]] = red
     return out
 
 
 def is_zero(c: np.ndarray) -> bool:
     """Is every coefficient row of c (shape (..., k)) zero in Z[zeta_k]?  Reduced in
-    c's dtype, which, as for canonical, is the caller's to clear with check_exact."""
-    return not (c @ reduction_matrix(c.shape[-1])).any()
+    c's dtype, as by reduce."""
+    return not reduce(c).any()
 
 
 def reduce_coeffs(coeffs: Sequence[int], k: int) -> tuple[int, ...]:

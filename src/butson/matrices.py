@@ -29,8 +29,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .cyclotomic import (CycInt, canonical, check_exact, exact_limit, is_zero, max_reduction,
-                         reduction_matrix, square_root)
+from .cyclotomic import CycInt, canonical, check_exact, is_zero, max_reduction, reduce, square_root
 from .numtheory import TRIAL_DIVISION_BOUND  # exact checks factor the phase, so it must stay below this
 
 
@@ -300,10 +299,9 @@ def is_unbiased(a: LogMatrix, b: LogMatrix) -> CycInt | None:
     z = CycInt(k, tuple(int(v) for v in counts[0, 0]))
     if z.norm_sq() != n:
         return None
-    r = reduction_matrix(k)
     # match[i, j, t]: entry (i, j) of A B* equals z * zeta^t
-    zrots = np.stack([np.roll(counts[0, 0], t) for t in range(k)]) @ r
-    match = ((counts @ r)[:, :, None, :] == zrots).all(axis=3)
+    zrots = reduce(np.stack([np.roll(counts[0, 0], t) for t in range(k)]))
+    match = (reduce(counts)[:, :, None, :] == zrots).all(axis=3)
     if not match.any(axis=2).all():
         return None
     if not verify_hadamard(LogMatrix(k, match.argmax(axis=2))):
@@ -312,12 +310,6 @@ def is_unbiased(a: LogMatrix, b: LogMatrix) -> CycInt | None:
 
 
 # -- exact unitary order -----------------------------------------------------
-
-
-def _coeff_dtype(bound: int):
-    """Matmul dtype for coefficients whose partial sums stay below bound in magnitude:
-    float64 while that is exact (below 2**53), else Python ints."""
-    return np.float64 if bound < exact_limit(np.float64) else object
 
 
 def adjoint_counts(counts: np.ndarray) -> np.ndarray:
@@ -350,7 +342,7 @@ def unitary_order(h: LogMatrix, max_t: int) -> int | None:
         # t = 2s - 1: p = prev H is not yet divided, so both sides are at prev's scale; root's
         # |coefficients| sum to at most n, so root prev* reduces within p's bound, in p's dtype.
         # Each test reduces a difference with p: that adds |p| to the partial sums, at most
-        # the bound again, which the one addition of headroom below exact_limit(int64) holds
+        # the bound again, which check_exact's one addition of headroom in int64 holds
         if root is not None:
             adj = adjoint_counts(prev).astype(p.dtype)
             side = sum(c * np.roll(adj, u, axis=-1) for u, c in enumerate(root.coeffs) if c)
@@ -363,8 +355,8 @@ def unitary_order(h: LogMatrix, max_t: int) -> int | None:
         if 2 * s < max_t:
             # an entry of P H sums k * n coefficients of P; reducing scales it by <= max_reduction(k)
             bound = max_reduction(k) * k * n * int(np.abs(p).max())
-            dtype = _coeff_dtype(bound)
+            dtype = check_exact(bound, np.float64, object)
             prod = _times_unit(p.transpose(0, 2, 1).astype(dtype), _one_hot(h_conj, k, dtype), range(k))
-            wide = max_reduction(k) * k * bound >= exact_limit(np.int64)
-            prev, p = p, canonical(prod.transpose(1, 2, 0).astype(object if wide else np.int64), k)
+            held = check_exact(max_reduction(k) * k * bound, np.int64, object)
+            prev, p = p, canonical(prod.transpose(1, 2, 0).astype(held), k)
     return None

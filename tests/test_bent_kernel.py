@@ -360,6 +360,21 @@ def test_guard_fires_at_the_float_mantissa_without_allocating():
         bent._bent(np.broadcast_to(np.float32(0), (105, n + 1, 1)))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_norm_operator_is_the_reduced_difference_table(dtype):
+    # column (s, u) is zeta^(s - u) reduced, built once per (k, dtype) and read-only
+    for k in range(1, 31):
+        s = np.arange(k)
+        norm = bent._norm_operator(k, np.dtype(dtype))
+        want = reduction_matrix(k).astype(dtype)[(s[:, None] - s) % k].reshape(k * k, -1).T
+        assert norm.dtype == np.dtype(dtype) and norm.shape == want.shape
+        assert (norm == want).all()
+        assert not norm.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            norm[0, 0] = 1
+        assert bent._norm_operator(k, np.dtype(dtype)) is norm
+
+
 def test_index_range_guard_and_digits():
     h = character_table([3, 3, 3, 3])  # 3^80 candidates in any mode
     with pytest.raises(ValueError, match="int64"):

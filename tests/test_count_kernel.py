@@ -242,15 +242,18 @@ def _unitary_order_reference(h: LogMatrix, max_t: int) -> int | None:
 
 
 def _record_dtypes(monkeypatch, force=None) -> list:
-    """Record the matmul dtype unitary_order picks per step, optionally overriding it."""
+    """Record the matmul dtype unitary_order picks per step, optionally overriding it:
+    its products are the check_exact calls with candidates (float64, object)."""
     chosen = []
-    pick = matrices._coeff_dtype
+    pick = matrices.check_exact
 
-    def record(bound):
-        chosen.append(pick(bound) if force is None else force)
+    def record(bound, *dtypes):
+        if dtypes != (np.float64, object):
+            return pick(bound, *dtypes)
+        chosen.append(pick(bound, *dtypes) if force is None else force)
         return chosen[-1]
 
-    monkeypatch.setattr(matrices, "_coeff_dtype", record)
+    monkeypatch.setattr(matrices, "check_exact", record)
     return chosen
 
 
@@ -276,8 +279,8 @@ def test_unitary_order_falls_back_to_python_ints(monkeypatch):
     assert unitary_order(h, 320) is None
     assert chosen[0] is np.float64 and chosen[-1] is object
     assert _unitary_order_reference(h, 320) is None
-    assert matrices._coeff_dtype(2**53 - 1) is np.float64
-    assert matrices._coeff_dtype(2**53) is object
+    assert matrices.check_exact(2**53 - 1, np.float64, object) is np.float64
+    assert matrices.check_exact(2**53, np.float64, object) is object
 
 
 def test_unitary_order_stays_in_float64_without_an_order(monkeypatch):

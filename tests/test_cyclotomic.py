@@ -11,8 +11,11 @@ from hypothesis import strategies as st
 from butson.cyclotomic import (
     CycInt,
     canonical,
+    check_exact,
     cyclotomic_polynomial,
     is_zero,
+    max_reduction,
+    reduce,
     reduce_coeffs,
     reduction_matrix,
     square_root,
@@ -201,6 +204,46 @@ def test_every_reduction_is_long_division_by_phi(data):
         assert got.dtype == batch.dtype and got.shape == batch.shape
         assert [tuple(int(v) for v in row) for row in got.reshape(6, k)] == [
             reduce_mod_phi_brute(row, k) for row in rows]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_reduce_is_long_division_by_phi_in_its_input_dtype(data):
+    # each dtype's rows are drawn within a bound that check_exact clears for it:
+    # a reduced coefficient's partial sums stay below max_reduction(k) * k * bound
+    k = data.draw(st.integers(1, 30), label="k")
+    lead = data.draw(st.sampled_from([(), (4,), (2, 3)]), label="leading shape")
+    for dtype, bound in ((np.float32, 2**12), (np.int64, 2**40), (object, 2**100)):
+        assert check_exact(max_reduction(k) * k * bound, dtype) is dtype
+        rows = data.draw(_coefficient_rows(k, bound, math.prod(lead)), label=f"{dtype} rows")
+        got = reduce(np.array(rows, dtype=dtype).reshape(lead + (k,)))
+        assert got.dtype == np.dtype(dtype) and got.shape == lead + (totient(k),)
+        for row, out in zip(rows, got.reshape(-1, totient(k))):
+            assert tuple(int(v) for v in out) == reduce_mod_phi_brute(row, k)[: totient(k)]
+
+
+# (dtype, exact_limit): the integers of smaller magnitude are exact in dtype
+LIMITS = [(np.uint8, 2**7), (np.int16, 2**14), (np.float32, 2**24), (np.float64, 2**53), (np.int64, 2**62)]
+
+
+@pytest.mark.parametrize("i", range(len(LIMITS)))
+def test_check_exact_picks_the_first_dtype_that_holds_the_bound(i):
+    dtype, limit = LIMITS[i]
+    wider = [d for d, _ in LIMITS[i:]]
+    assert check_exact(limit - 1, dtype) is dtype
+    assert check_exact(limit - 1, *wider) is dtype
+    assert check_exact(limit - 1, dtype, object) is dtype
+    assert check_exact(limit, dtype, object) is object
+    assert check_exact(limit, object, dtype) is object
+    if i + 1 < len(LIMITS):
+        assert check_exact(limit, *wider) is LIMITS[i + 1][0]
+    bits = limit.bit_length() - 1
+    message = f"^{limit} passes the exact integer range of {np.dtype(dtype)}, 2\\*\\*{bits}$"
+    with pytest.raises(ValueError, match=message):
+        check_exact(limit, dtype)
+    # no candidate holds the bound: the message names the last one
+    with pytest.raises(ValueError, match=message):
+        check_exact(limit, np.uint8, dtype)
 
 
 @settings(max_examples=150, deadline=None)
