@@ -191,7 +191,7 @@ def _dual_entry_order(row: tuple[int, ...], n: int, ambient: int) -> int | None:
     """Least divisor L of `ambient` with n**L a square r**2 and z**L = r, z the dual entry with
     counts row, in Z[zeta_k], which embeds in phase `ambient` injectively: for square n the
     order of z / sqrt(n), else even, so that order or twice it.  None when no L qualifies."""
-    z = CycInt(len(row), row)
+    z = CycInt(row)
     power = CycInt.integer(len(row), 1)
     for exp in range(1, ambient + 1):
         power = power * z
@@ -219,7 +219,7 @@ def check_bent(h: LogMatrix, x: LogVector) -> BentCertificate:
     bent = bool(_bent(counts[..., None])[0])
     sd, csd = (bool(f[0]) for f in _duals(counts[..., None], xs[:, None])) if bent else (False, False)
     rows = [tuple(row) for row in counts.T.tolist()]
-    dual = tuple(CycInt(k, row) for row in rows)
+    dual = tuple(CycInt(row) for row in rows)
     sd_unit = dual[0].times_root(-x.entries[0]).reduce() if sd else None
     csd_unit = dual[0].times_root(x.entries[0]).reduce() if csd else None
     ambient = dual_entry_ambient_phase(n, k) if bent else None  # None: n not self-conjugate mod k

@@ -417,11 +417,8 @@ def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--code-from", default=None, help="matrix file; the code is C_H")
         p.add_argument("--rm", type=_parse_rm_pair, default=None, metavar="Q,M",
                        help="first-order generalized Reed-Muller code")
-        strategy = p.add_mutually_exclusive_group()
-        strategy.add_argument("--exact", action="store_true",
-                              help="exhaustive ambient scan (the default)")
-        strategy.add_argument("--sample", type=_positive_int, default=None, metavar="N",
-                              help="sampled lower bound from N seeded draws")
+        p.add_argument("--sample", type=_positive_int, default=None, metavar="N",
+                       help="sampled lower bound from N seeded draws (default: exhaustive scan)")
         p.add_argument("--budget", type=int, default=2**30)
         p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
         p.add_argument("--seed", type=int, default=0)

@@ -34,7 +34,7 @@ import numpy as np
 
 from .bent import block_size, check_bent, digit_blocks, digit_sum, fan_out, index_digits, suffix_table
 from .cyclotomic import check_exact
-from .matrices import LogMatrix, LogVector, NotHadamardError, _one_hot, count_tensor, verify_hadamard
+from .matrices import LogMatrix, LogVector, NotHadamardError, _one_hot, verify_hadamard
 from .numtheory import is_prime
 
 
@@ -257,10 +257,10 @@ def bent_lower_bound(h: LogMatrix, x: LogVector) -> BentBound:
     (2/3)(n - R<w, v>) puts the witness -x at distance at least
     (2/3)(n - sqrt(n)) from the whole code.  x itself can be
     a codeword.  The returned distances are from the witness, one per codeword
-    of C_H in code order (row i, then alpha), read from one count_tensor of the
-    witness against the rows without building C_H: the witness agrees with
-    r_i + alpha where it differs from r_i by alpha, so its distance is n minus
-    that count.
+    of C_H in code order (row i, then alpha), read from the certificate's dual
+    without building C_H: coefficient t of dual entry i counts the m with
+    h_im + x_m = t, and the witness agrees with r_i + alpha exactly where
+    h_im + x_m = -alpha, so its distance is n minus coefficient -alpha.
     """
     if h.phase != 3:
         raise ValueError(f"the distance identity needs phase 3, got {h.phase}")
@@ -269,8 +269,8 @@ def bent_lower_bound(h: LogMatrix, x: LogVector) -> BentBound:
         raise ValueError("x is not a bent vector for h")
     n = h.order
     witness = tuple(-e % 3 for e in x.entries)
-    agree = count_tensor(np.array([witness]), h.entries, 3)[0]  # [i, alpha]: #{m : witness_m = r_im + alpha}
-    return BentBound(_ceil_two_thirds_gap(n), tuple((n - agree).ravel().tolist()), witness)
+    distances = tuple(n - z.coeffs[-alpha % 3] for z in cert.dual for alpha in range(3))
+    return BentBound(_ceil_two_thirds_gap(n), distances, witness)
 
 
 def is_self_complementary(c: ZkCode) -> bool:

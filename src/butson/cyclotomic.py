@@ -1,7 +1,8 @@
 """Exact arithmetic in Z[zeta_k], the ring of k-th cyclotomic integers.
 
 Elements are stored in the group-ring basis: a length-k integer vector whose
-j-th entry is the coefficient of zeta_k^j.  That basis is redundant (the
+j-th entry is the coefficient of zeta_k^j, so k is read off the length of the
+coefficient axis and is never passed beside it.  That basis is redundant (the
 power basis has only phi(k) coordinates), but conjugation is an index
 permutation and the Hermitian inner products of unit vectors are plain entry
 counts there, so all hot paths stay permutation-and-add.  Equality and other
@@ -111,11 +112,11 @@ def reduce(c: np.ndarray) -> np.ndarray:
     return c @ reduction_matrix(c.shape[-1]).astype(c.dtype, copy=False)
 
 
-def canonical(c: np.ndarray, k: int) -> np.ndarray:
-    """Canonical form of a batch of coefficient rows (shape (..., k)) in c's dtype:
-    reduce(c), zero-padded to length k."""
+def canonical(c: np.ndarray) -> np.ndarray:
+    """Canonical form of a batch of coefficient rows (shape (..., k), k the length of
+    the last axis) in c's dtype: reduce(c), zero-padded to length k."""
     red = reduce(c)
-    out = np.zeros(c.shape[:-1] + (k,), dtype=c.dtype)
+    out = np.zeros(c.shape, dtype=c.dtype)
     out[..., : red.shape[-1]] = red
     return out
 
@@ -126,9 +127,10 @@ def is_zero(c: np.ndarray) -> bool:
     return not reduce(c).any()
 
 
-def reduce_coeffs(coeffs: Sequence[int], k: int) -> tuple[int, ...]:
-    """Canonical length-k coefficient tuple: remainder mod Phi_k, zero-padded."""
-    return tuple(canonical(np.array(coeffs, dtype=object), k).tolist())
+def reduce_coeffs(coeffs: Sequence[int]) -> tuple[int, ...]:
+    """Canonical coefficient tuple of the k = len(coeffs) coefficients: remainder mod
+    Phi_k, zero-padded to length k."""
+    return tuple(canonical(np.array(coeffs, dtype=object)).tolist())
 
 
 def square_root(n: int, k: int) -> CycInt | None:
@@ -153,7 +155,7 @@ def square_root(n: int, k: int) -> CycInt | None:
         gauss = [0] * k
         for x in range(1, p):
             gauss[x * k // p] = 1 if pow(x, (p - 1) // 2, p) == 1 else -1  # Euler's criterion
-        root = root * CycInt(k, gauss)
+        root = root * CycInt(gauss)
     if c % 2:
         root = root.times_root(3 * k // 4)  # -i
     if even:
@@ -161,8 +163,15 @@ def square_root(n: int, k: int) -> CycInt | None:
     return root
 
 
+def _positive(phase: int) -> int:
+    """phase, checked: the one test that a phase is positive."""
+    if phase < 1:
+        raise ValueError(f"phase must be positive, got {phase}")
+    return phase
+
+
 class CycInt:
-    """An element of Z[zeta_k] in the group-ring basis.
+    """An element of Z[zeta_k] in the group-ring basis, k = phase = len(coeffs).
 
     Immutable.  Arithmetic never reduces; equality, hashing and norm tests
     reduce modulo Phi_k first, so two representations of the same ring
@@ -171,37 +180,29 @@ class CycInt:
 
     __slots__ = ("phase", "coeffs")
 
-    def __init__(self, phase: int, coeffs: Iterable[int]):
-        if phase < 1:
-            raise ValueError(f"phase must be positive, got {phase}")
+    def __init__(self, coeffs: Iterable[int]):
         c = tuple(int(v) for v in coeffs)
-        if len(c) != phase:
-            raise ValueError(f"need {phase} coefficients, got {len(c)}")
-        object.__setattr__(self, "phase", phase)
+        object.__setattr__(self, "phase", _positive(len(c)))
         object.__setattr__(self, "coeffs", c)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("CycInt is immutable")
 
     def __reduce__(self):
-        return CycInt, (self.phase, self.coeffs)
+        return CycInt, (self.coeffs,)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def zero(cls, phase: int) -> CycInt:
-        return cls(phase, (0,) * phase)
-
-    @classmethod
     def integer(cls, phase: int, value: int) -> CycInt:
-        return cls(phase, (value,) + (0,) * (phase - 1))
+        return cls((value,) + (0,) * (_positive(phase) - 1))
 
     @classmethod
     def root(cls, phase: int, exponent: int) -> CycInt:
         """zeta_phase ** exponent."""
-        c = [0] * phase
+        c = [0] * _positive(phase)
         c[exponent % phase] = 1
-        return cls(phase, c)
+        return cls(c)
 
     # -- ring operations ---------------------------------------------------
 
@@ -213,12 +214,12 @@ class CycInt:
         if isinstance(other, int):
             other = CycInt.integer(self.phase, other)
         self._same_phase(other)
-        return CycInt(self.phase, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return CycInt(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __neg__(self) -> CycInt:
-        return CycInt(self.phase, tuple(-a for a in self.coeffs))
+        return CycInt(tuple(-a for a in self.coeffs))
 
     def __sub__(self, other: CycInt | int) -> CycInt:
         if isinstance(other, int):
@@ -227,7 +228,7 @@ class CycInt:
 
     def __mul__(self, other: CycInt | int) -> CycInt:
         if isinstance(other, int):
-            return CycInt(self.phase, tuple(a * other for a in self.coeffs))
+            return CycInt(tuple(a * other for a in self.coeffs))
         self._same_phase(other)
         k = self.phase
         out = [0] * k
@@ -236,7 +237,7 @@ class CycInt:
                 for j, b in enumerate(other.coeffs):
                     if b:
                         out[(i + j) % k] += a * b
-        return CycInt(k, out)
+        return CycInt(out)
 
     __rmul__ = __mul__
 
@@ -246,13 +247,13 @@ class CycInt:
         t = exponent % k
         if t == 0:
             return self
-        return CycInt(k, self.coeffs[-t:] + self.coeffs[:-t])
+        return CycInt(self.coeffs[-t:] + self.coeffs[:-t])
 
     def conj(self) -> CycInt:
         """Complex conjugate: coefficient at j moves to (k - j) mod k."""
         k = self.phase
         c = self.coeffs
-        return CycInt(k, tuple(c[(k - j) % k] for j in range(k)))
+        return CycInt(tuple(c[(k - j) % k] for j in range(k)))
 
     def norm_sq(self) -> CycInt:
         """z * conj(z), canonically reduced; a rational integer for |z|^2 in Z."""
@@ -262,7 +263,7 @@ class CycInt:
 
     def reduce(self) -> CycInt:
         """Canonical representative modulo Phi_k."""
-        return CycInt(self.phase, reduce_coeffs(self.coeffs, self.phase))
+        return CycInt(reduce_coeffs(self.coeffs))
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -274,7 +275,7 @@ class CycInt:
         return is_zero(np.array([a - b for a, b in zip(self.coeffs, other.coeffs)], dtype=object))
 
     def __hash__(self) -> int:
-        return hash((self.phase, reduce_coeffs(self.coeffs, self.phase)))
+        return hash(reduce_coeffs(self.coeffs))  # its length is the phase
 
     def embed(self, new_phase: int) -> CycInt:
         """The same ring element expressed in Z[zeta_new]: zeta_k -> zeta_new^(new/k)."""
@@ -285,12 +286,12 @@ class CycInt:
         c = [0] * new_phase
         for j, a in enumerate(self.coeffs):
             c[j * step] += a
-        return CycInt(new_phase, c)
+        return CycInt(c)
 
     # -- display -----------------------------------------------------------
 
     def __repr__(self) -> str:
-        return f"CycInt({self.phase}, {self.coeffs})"
+        return f"CycInt({self.coeffs})"
 
     def __str__(self) -> str:
         terms = []

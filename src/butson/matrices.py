@@ -76,9 +76,6 @@ class LogMatrix:
     def conjugate(self) -> LogMatrix:
         return LogMatrix(self.phase, (-self.entries) % self.phase)
 
-    def transpose(self) -> LogMatrix:
-        return LogMatrix(self.phase, self.entries.T)
-
     def conj_transpose(self) -> LogMatrix:
         return LogMatrix(self.phase, (-self.entries.T) % self.phase)
 
@@ -105,9 +102,6 @@ class LogMatrix:
         a = self.entries[np.asarray(row_perm), :][:, np.asarray(col_perm)]
         a = a + np.asarray(row_shifts)[:, None] + np.asarray(col_shifts)[None, :]
         return LogMatrix(self.phase, a % self.phase)
-
-    def entry(self, i: int, j: int) -> CycInt:
-        return CycInt.root(self.phase, int(self.entries[i, j]))
 
     def column(self, j: int) -> LogVector:
         return LogVector(self.phase, self.entries[:, j])
@@ -296,7 +290,7 @@ def is_unbiased(a: LogMatrix, b: LogMatrix) -> CycInt | None:
     """
     counts = hermitian_product_counts(a, b)  # raises ValueError unless phases and orders agree
     k, n = a.phase, a.order
-    z = CycInt(k, tuple(int(v) for v in counts[0, 0]))
+    z = CycInt(counts[0, 0])
     if z.norm_sq() != n:
         return None
     # match[i, j, t]: entry (i, j) of A B* equals z * zeta^t
@@ -337,7 +331,7 @@ def unitary_order(h: LogMatrix, max_t: int) -> int | None:
     root = square_root(n, k)
     h_conj = (-h.entries.T) % k  # P H = P (H*)*
     prev = np.eye(n, dtype=np.int64)[:, :, None] * np.eye(1, k, dtype=np.int64)  # H^0 = I
-    p = canonical(np.eye(k, dtype=np.int64)[h.entries], k)
+    p = canonical(np.eye(k, dtype=np.int64)[h.entries])
     for s in range(1, (max_t + 1) // 2 + 1):
         # t = 2s - 1: p = prev H is not yet divided, so both sides are at prev's scale; root's
         # |coefficients| sum to at most n, so root prev* reduces within p's bound, in p's dtype.
@@ -358,5 +352,5 @@ def unitary_order(h: LogMatrix, max_t: int) -> int | None:
             dtype = check_exact(bound, np.float64, object)
             prod = _times_unit(p.transpose(0, 2, 1).astype(dtype), _one_hot(h_conj, k, dtype), range(k))
             held = check_exact(max_reduction(k) * k * bound, np.int64, object)
-            prev, p = p, canonical(prod.transpose(1, 2, 0).astype(held), k)
+            prev, p = p, canonical(prod.transpose(1, 2, 0).astype(held))
     return None

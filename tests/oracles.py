@@ -87,7 +87,8 @@ def hamming_distance(v, w) -> int:
 # For phase 3 the identity d(L(v), L(w)) = (2/3)(n - R<v, w>) recovers the Hamming
 # distance from the real part of the inner product z = s0 + s1 zeta + s2 zeta^2,
 # the rational s0 - (s1 + s2)/2; codes.bent_lower_bound reads its distances from
-# count_tensor instead, and the tests check the two against each other.
+# the coefficients of its bent certificate's dual instead, and the tests check the
+# two against each other.
 
 
 def ternary_real_inner(v, w) -> Fraction:

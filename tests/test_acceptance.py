@@ -235,9 +235,9 @@ def test_criterion_10_property_suites():
     # cyclotomic ring laws, 1000 randomized cases per phase
     for k in (2, 3, 4, 5, 6, 8, 9, 12, 13):
         for _ in range(1000):
-            a = CycInt(k, [rng.randrange(-9, 10) for _ in range(k)])
-            b = CycInt(k, [rng.randrange(-9, 10) for _ in range(k)])
-            c = CycInt(k, [rng.randrange(-9, 10) for _ in range(k)])
+            a = CycInt([rng.randrange(-9, 10) for _ in range(k)])
+            b = CycInt([rng.randrange(-9, 10) for _ in range(k)])
+            c = CycInt([rng.randrange(-9, 10) for _ in range(k)])
             assert a + b == b + a and a * b == b * a
             assert (a + b) + c == a + (b + c)
             assert a * (b + c) == a * b + a * c

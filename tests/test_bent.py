@@ -122,7 +122,7 @@ def test_dual_entries_are_ambient_roots_when_self_conjugate():
             for e, order in zip(cert.dual, cert.dual_entry_orders):
                 assert order is not None
                 lifted = e.embed(ambient)
-                y = CycInt(ambient, tuple(c // s for c in lifted.reduce().coeffs))
+                y = CycInt(tuple(c // s for c in lifted.reduce().coeffs))
                 p = CycInt.integer(ambient, 1)
                 for _ in range(order):
                     p = p * y

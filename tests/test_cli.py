@@ -164,8 +164,8 @@ def test_covering_radius_from_matrix_json(capsys, tmp_path):
     assert payload["premises"] == {"self_complementary": True, "strength_2": True}
 
 
-def test_covering_radius_rm_and_exact_flag(capsys):
-    code, out, _ = run(capsys, ["covering-radius", "--rm", "2,2", "--exact"])
+def test_covering_radius_rm(capsys):
+    code, out, _ = run(capsys, ["covering-radius", "--rm", "2,2"])
     assert code == 0
     assert out.splitlines()[0] == "radius: 1"
 
@@ -320,6 +320,7 @@ def _parser_corpus(tmp_path) -> tuple[list[list[str]], list[list[str]]]:
         ["bent-search", f9, "--wor", "2", "--budget", "300"],
         ["bent-search", f9, "--budget", "300", "--js"],
         ["covering-radius", "--rm", "2,2"],
+        ["covering-radius", "--sample", "3", "--rm", "2,2"],
         ["order", f9, "--max-t", "4"],
         ["bush", "--p", "3", "--a", "1", "--verify-algebra"],
     ]
@@ -331,7 +332,7 @@ def _parser_corpus(tmp_path) -> tuple[list[list[str]], list[list[str]]]:
         ["bent-search", f9, "--mode", "weird"], ["bent-search", f9, "--workers", "0"],
         ["bent-search"], ["construct"], ["construct", "nope"], ["verify", "hadamard"],
         ["covering-radius", "--rm", "2"], ["covering-radius", "--b", "3", "--rm", "2,2"],
-        ["covering-radius", "--exact", "--sample", "3", "--rm", "2,2"],
+        ["covering-radius", "--rm", "2,2", "--exact"],
         ["bush", "--p", "3"], ["order", f9, "--max-t", "x"],
         ["-h"], ["--help"], ["--he"], ["-h", "bent-search"], ["construct", "-h"],
         ["construct", "fourier", "-h"], ["verify", "--help"], ["verify", "unbiased", "-h"],

@@ -199,7 +199,8 @@ def _random_equivalent(base: LogMatrix, rng: random.Random) -> LogMatrix:
 def _is_unbiased_reference(a: LogMatrix, b: LogMatrix) -> CycInt | None:
     """is_unbiased by CycInt entries and a per-entry search over rotations of z."""
     n, k = a.order, a.phase
-    prod = [[sum((a.entry(i, m) * b.entry(j, m).conj() for m in range(n)), CycInt.zero(k))
+    prod = [[sum((CycInt.root(k, int(a.entries[i, m])) * CycInt.root(k, int(b.entries[j, m])).conj()
+                  for m in range(n)), CycInt.integer(k, 0))
              for j in range(n)] for i in range(n)]
     z = prod[0][0]
     if z.norm_sq() != n:
@@ -229,11 +230,11 @@ def _unitary_order_reference(h: LogMatrix, max_t: int) -> int | None:
     with isqrt(n**t), so for non-square n it finds only even t: give it no matrix whose
     order is odd there (unitary_order finds those through cyclotomic.square_root)."""
     n, k = h.order, h.phase
-    rows = [[h.entry(i, j) for j in range(n)] for i in range(n)]
+    rows = [[CycInt.root(k, int(h.entries[i, j])) for j in range(n)] for i in range(n)]
     p = rows
     for t in range(1, max_t + 1):
         if t > 1:
-            p = [[sum((p[i][m] * rows[m][j] for m in range(n)), CycInt.zero(k)).reduce()
+            p = [[sum((p[i][m] * rows[m][j] for m in range(n)), CycInt.integer(k, 0)).reduce()
                   for j in range(n)] for i in range(n)]
         c = isqrt(n**t)
         if c * c == n**t and all(p[i][j] == (c if i == j else 0) for i in range(n) for j in range(n)):

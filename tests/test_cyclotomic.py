@@ -41,7 +41,7 @@ def test_cyclotomic_polynomial_small():
 
 def test_canonical_reduce_examples():
     # 1 + z + z^2 = 0 at phase 3
-    z = CycInt(3, (1, 1, 1))
+    z = CycInt((1, 1, 1))
     assert z == 0
     # zeta_4^2 = -1
     assert CycInt.root(4, 2) == CycInt.integer(4, -1)
@@ -72,7 +72,7 @@ def test_embed_preserves_value():
     for k in [2, 3, 4, 6]:
         for mult in [2, 3, 4]:
             for _ in range(20):
-                z = CycInt(k, [rng.randrange(-5, 6) for _ in range(k)])
+                z = CycInt([rng.randrange(-5, 6) for _ in range(k)])
                 w = z.embed(k * mult)
                 a = complex_value(z.coeffs, k)
                 b = complex_value(w.coeffs, k * mult)
@@ -83,8 +83,8 @@ def test_reduce_is_ring_homomorphism():
     rng = random.Random(5)
     for k in PHASES:
         for _ in range(50):
-            a = CycInt(k, [rng.randrange(-9, 10) for _ in range(k)])
-            b = CycInt(k, [rng.randrange(-9, 10) for _ in range(k)])
+            a = CycInt([rng.randrange(-9, 10) for _ in range(k)])
+            b = CycInt([rng.randrange(-9, 10) for _ in range(k)])
             assert (a + b).reduce() == (a.reduce() + b.reduce())
             assert (a * b).reduce() == (a.reduce() * b.reduce())
 
@@ -96,7 +96,7 @@ def test_float_oracle_agreement():
     for k in PHASES:
         for _ in range(1000):
             coeffs = [rng.randrange(-20, 21) for _ in range(k)]
-            z = CycInt(k, coeffs)
+            z = CycInt(coeffs)
             exact = complex_value(z.reduce().coeffs, k)
             raw = complex_value(coeffs, k)
             assert abs(exact - raw) < 1e-9
@@ -106,7 +106,7 @@ def test_prime_phase_full_sum_vanishes():
     for k in PHASES:
         if not is_prime(k):
             continue
-        total = CycInt.zero(k)
+        total = CycInt.integer(k, 0)
         for t in range(k):
             total = total + CycInt.root(k, t)
         assert total == 0
@@ -116,9 +116,9 @@ def test_mul_commutative_associative():
     rng = random.Random(17)
     for k in PHASES:
         for _ in range(30):
-            a = CycInt(k, [rng.randrange(-6, 7) for _ in range(k)])
-            b = CycInt(k, [rng.randrange(-6, 7) for _ in range(k)])
-            c = CycInt(k, [rng.randrange(-6, 7) for _ in range(k)])
+            a = CycInt([rng.randrange(-6, 7) for _ in range(k)])
+            b = CycInt([rng.randrange(-6, 7) for _ in range(k)])
+            c = CycInt([rng.randrange(-6, 7) for _ in range(k)])
             assert a * b == b * a
             assert (a * b) * c == a * (b * c)
             assert a * (b + c) == a * b + a * c
@@ -128,8 +128,8 @@ def test_conj_properties():
     rng = random.Random(29)
     for k in PHASES:
         for _ in range(30):
-            a = CycInt(k, [rng.randrange(-6, 7) for _ in range(k)])
-            b = CycInt(k, [rng.randrange(-6, 7) for _ in range(k)])
+            a = CycInt([rng.randrange(-6, 7) for _ in range(k)])
+            b = CycInt([rng.randrange(-6, 7) for _ in range(k)])
             assert a.conj().conj() == a
             assert (a * b).conj() == a.conj() * b.conj()
             n2 = a.norm_sq()
@@ -143,7 +143,7 @@ def test_times_root_matches_mul():
     rng = random.Random(41)
     for k in PHASES:
         for _ in range(20):
-            a = CycInt(k, [rng.randrange(-6, 7) for _ in range(k)])
+            a = CycInt([rng.randrange(-6, 7) for _ in range(k)])
             t = rng.randrange(2 * k)
             assert a.times_root(t) == a * CycInt.root(k, t)
 
@@ -156,23 +156,37 @@ def test_reduction_matrix_matches_scalar_reduce():
         batch = np.array([[rng.randrange(-9, 10) for _ in range(k)] for _ in range(40)])
         reduced = batch @ r
         for row, out in zip(batch, reduced):
-            expect = CycInt(k, [int(v) for v in row]).reduce().coeffs[: totient(k)]
+            expect = CycInt([int(v) for v in row]).reduce().coeffs[: totient(k)]
             assert tuple(int(v) for v in out) == expect
+
+
+def test_the_phase_is_the_length_of_the_coefficients():
+    # 1 + zeta_4 + zeta_4^2 = zeta_4: four coefficients reduce mod Phi_4, never Phi_3
+    assert canonical(np.array([1, 1, 1, 0])).tolist() == [0, 1, 0, 0]
+    assert reduce_coeffs((1, 1, 1, 0)) == (0, 1, 0, 0)
+    assert reduce_coeffs((1, 1, 1)) == (0, 0, 0)
+    assert CycInt((1, 1, 1, 0)).phase == 4 and CycInt((1, 1, 1, 0)) == CycInt.root(4, 1)
+    assert repr(CycInt((1, 2))) == "CycInt((1, 2))"
+    for make in (lambda: CycInt(()), lambda: CycInt.integer(0, 1), lambda: CycInt.root(0, 1)):
+        with pytest.raises(ValueError, match="phase must be positive, got 0"):
+            make()
+    with pytest.raises(ValueError, match="phase must be positive, got -2"):
+        CycInt.root(-2, 1)
 
 
 def test_integer_comparison_and_hash():
     assert CycInt.integer(6, 5) == 5
     assert CycInt.root(4, 2) == -1
-    z1 = CycInt(3, (2, 1, 1))
-    z2 = CycInt(3, (1, 0, 0))
+    z1 = CycInt((2, 1, 1))
+    z2 = CycInt((1, 0, 0))
     assert z1 == z2 and hash(z1) == hash(z2)
 
 
 def test_str_rendering():
-    assert str(CycInt.zero(5)) == "0"
+    assert str(CycInt.integer(5, 0)) == "0"
     assert str(CycInt.integer(5, -3)) == "-3"
     assert str(CycInt.root(5, 1)) == "z"
-    s = str(CycInt(5, (1, -1, 2, 0, 0)))
+    s = str(CycInt((1, -1, 2, 0, 0)))
     assert "z^2" in s and s.startswith("1")
 
 
@@ -196,11 +210,11 @@ def test_every_reduction_is_long_division_by_phi(data):
     small = data.draw(_coefficient_rows(k, 2**20, 6), label="small")
     for coeffs in big:
         want = reduce_mod_phi_brute(coeffs, k)
-        assert reduce_coeffs(coeffs, k) == want
-        assert CycInt(k, coeffs).reduce().coeffs == want
+        assert reduce_coeffs(coeffs) == want
+        assert CycInt(coeffs).reduce().coeffs == want
     for rows, dtype in ((big, object), (small, np.int64), (small, np.float64)):
         batch = np.array(rows, dtype=dtype).reshape(2, 3, k)
-        got = canonical(batch, k)
+        got = canonical(batch)
         assert got.dtype == batch.dtype and got.shape == batch.shape
         assert [tuple(int(v) for v in row) for row in got.reshape(6, k)] == [
             reduce_mod_phi_brute(row, k) for row in rows]

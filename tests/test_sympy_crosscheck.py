@@ -34,4 +34,4 @@ def test_reduce_coeffs_is_the_remainder_mod_phi(case):
     k, coeffs = case
     rem = sympy.rem(sympy.Poly(list(reversed(coeffs)), X), _phi(k))
     want = [int(c) for c in reversed(rem.all_coeffs())]
-    assert reduce_coeffs(coeffs, k) == tuple(want + [0] * (k - len(want)))
+    assert reduce_coeffs(coeffs) == tuple(want + [0] * (k - len(want)))
