@@ -85,11 +85,6 @@ class BentCertificate(NamedTuple):
             return self.conjugate_self_dual_unit
         return self.self_dual_unit
 
-    def matches(self, mode: str) -> bool:
-        if mode not in _MODES:
-            raise ValueError(f"unknown mode {mode!r}")
-        return self[_MODES.index(mode)]  # fields 0-2 follow _MODES
-
 
 def _kind(bent: bool, self_dual: bool, conjugate_self_dual: bool) -> str:
     """not_bent, bent, or the dual kinds that hold, joined by "+"."""
@@ -444,7 +439,7 @@ def tensor_corollary_check(h: LogMatrix, m: LogMatrix | None = None, variant: in
     else:
         raise ValueError(f"variant must be 1, 2 or 3, got {variant}")
     cert = check_bent(big, x)
-    if not cert.matches(expected):
+    if not getattr(cert, expected):
         raise RuntimeError(
             f"tensor construction variant {variant} falsified: expected {expected}, got {cert.kind}"
         )

@@ -8,8 +8,12 @@ zeta_p^(a(j-i)); the algebra R_a^2 = p R_a, R_a R_b = 0 (a != b) makes every
 B_a a symmetric Bush-type BH(p^2, p) and yields explicit conjugate self-dual
 bent vectors, diagonal-scaling variants, and quaternary bent families.
 
-All identities here are verified exactly on construction; a failure raises
-rather than returning a silently wrong object.
+projector is the one formula for R_a and the one odd-prime check: B_a is read
+off the stack of the p projector tables, block (I, J) being R_(a(J - I)), and
+verify_projector_algebra reads the same stack.  bush_table builds B_a's table
+unverified; every BushMatrix, bush_circulant's included, is verified exactly on
+construction, and a failure raises rather than returning a silently wrong
+object.  The bush command verifies B_a only when it writes it.
 """
 
 from __future__ import annotations
@@ -77,6 +81,11 @@ def projector(p: int, a: int) -> LogMatrix:
     return LogMatrix(p, (a * (idx[None, :] - idx[:, None])) % p)
 
 
+def _projectors(p: int) -> np.ndarray:
+    """The exponent tables of R_0, ..., R_(p-1), stacked: shape (a, i, j)."""
+    return np.stack([projector(p, a).entries for a in range(p)])
+
+
 def verify_projector_algebra(p: int) -> bool:
     """Exactly verify the four projector identities for all residues a, b.
 
@@ -88,8 +97,7 @@ def verify_projector_algebra(p: int) -> bool:
     """
     if p > 13:
         raise ValueError(f"projector algebra check supports p <= 13, got {p}")
-    # raises ValueError unless p is an odd prime
-    blocks = np.stack([projector(p, a).entries for a in range(p)])  # (a, i, j)
+    blocks = _projectors(p)
     columns = blocks.transpose(0, 2, 1)
     if (blocks != -columns % p).any() or (columns != blocks[-np.arange(p) % p]).any():
         return False
@@ -103,21 +111,28 @@ def verify_projector_algebra(p: int) -> bool:
     return is_zero(products) and is_zero(total)
 
 
+def bush_table(p: int, a: int) -> LogMatrix:
+    """The exponent table of B_a, unverified: block (I, J) is R_(a(J - I)), read off
+    the projector stack at the labels that R_a itself holds.  bush_circulant verifies
+    it; the bush command verifies it only when it writes it."""
+    projector(p, 0)  # raises ValueError unless p is an odd prime
+    if not 1 <= a <= p - 1:
+        raise ValueError(f"residue a must be nonzero mod {p}, got {a}")
+    # indexed (I, r, J, c); requested before the stack, so a p too large is refused at once
+    table = np.empty((p, p, p, p), np.int64)
+    blocks = _projectors(p)
+    table.transpose(0, 2, 1, 3)[...] = blocks[blocks[a]]
+    return LogMatrix(p, table.reshape(p * p, p * p))
+
+
 def bush_circulant(p: int, a: int) -> BushMatrix:
-    """The block-circulant B_a with block (i, j) = R_((j-i)a mod p).
+    """The block-circulant B_a with block (i, j) = R_((j-i)a mod p), read off the
+    projector stack by bush_table.
 
     A symmetric Bush-type BH(p^2, p); construction re-verifies the Hadamard
     and block-sum conditions exactly.
     """
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
-    if not 1 <= a <= p - 1:
-        raise ValueError(f"residue a must be nonzero mod {p}, got {a}")
-    idx = np.arange(p, dtype=np.int64)
-    block_labels = ((idx[None, :] - idx[:, None]) * a) % p  # (I, J) -> residue of R
-    inner = (idx[None, :] - idx[:, None]) % p  # within-block (r, c) -> c - r
-    entries = (block_labels[:, None, :, None] * inner[None, :, None, :]) % p
-    return BushMatrix(LogMatrix(p, entries.reshape(p * p, p * p)), p)
+    return BushMatrix(bush_table(p, a), p)
 
 
 def conjugate_self_bent_check(m: LogMatrix) -> bool:

@@ -6,7 +6,8 @@ line, and otherwise the text that the command's renderer makes of the same
 record, so the two cannot disagree.  bent-search yields its records lazily,
 one per hit.  Construct commands write a matrix, vector or code and answer with
 no record; bush without --out, --verify-algebra or --json writes its matrix to
-stdout, and its record renders as no text.
+stdout, and its record renders as no text.  bush verifies B_a only when it
+writes it: otherwise its record reads the order off the unverified table.
 
 Each command imports the modules it runs, so `obstructions` and `--help` never
 load numpy, and only JSON output loads json.  main() builds the parser branch
@@ -295,14 +296,15 @@ def _text_order(r):
 
 
 def _cmd_bush(args):
-    from .bush import bush_circulant, verify_projector_algebra
+    from .bush import BushMatrix, bush_table, verify_projector_algebra
     from .fileio import serialize_matrix
 
-    b = bush_circulant(args.p, args.a)
+    table = bush_table(args.p, args.a)  # rejects p and a as bush_circulant does, unverified
     if args.out is not None or not (args.verify_algebra or args.json):
-        _emit(serialize_matrix(b.base), args.out)  # to --out, or to stdout when nothing else answers
+        # verified only when written: to --out, or to stdout when nothing else answers
+        _emit(serialize_matrix(BushMatrix(table, args.p).base), args.out)
     algebra = verify_projector_algebra(args.p) if args.verify_algebra else None
-    record = {"p": args.p, "a": args.a, "n": b.base.order, "written": args.out, "algebra": algebra}
+    record = {"p": args.p, "a": args.a, "n": table.order, "written": args.out, "algebra": algebra}
     return [record], 1 if algebra is False else 0
 
 

@@ -10,9 +10,10 @@ decisions reduce to the canonical representative: the remainder modulo the
 k-th cyclotomic polynomial, re-expanded with zeros in positions >= phi(k).
 
 One routine, reduce, does every reduction: a product with the table
-reduction_matrix(k) in the dtype of its input.  canonical pads it; CycInt
-reduces through canonical on object arrays of Python integers, so its
-arithmetic is exact at every scale and never touches floating point.
+reduction_matrix(k) in the dtype of its input.  canonical pads it; CycInt.reduce,
+the one canonical spelling of a CycInt that hashing and printing read, runs
+canonical on object arrays of Python integers, so its arithmetic is exact at
+every scale and never touches floating point.
 Reduction is linear, so A = B exactly when A - B reduces to zero: is_zero is
 the one test of an exact identity, a difference reduced once.  One rule,
 check_exact, decides exactness: callers state the bound their integers stay
@@ -23,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import prod
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -127,12 +128,6 @@ def is_zero(c: np.ndarray) -> bool:
     return not reduce(c).any()
 
 
-def reduce_coeffs(coeffs: Sequence[int]) -> tuple[int, ...]:
-    """Canonical coefficient tuple of the k = len(coeffs) coefficients: remainder mod
-    Phi_k, zero-padded to length k."""
-    return tuple(canonical(np.array(coeffs, dtype=object)).tolist())
-
-
 def square_root(n: int, k: int) -> CycInt | None:
     """+sqrt(n) as an element of Z[zeta_k], or None when Q(zeta_k) does not hold it.
 
@@ -181,7 +176,7 @@ class CycInt:
     __slots__ = ("phase", "coeffs")
 
     def __init__(self, coeffs: Iterable[int]):
-        c = tuple(int(v) for v in coeffs)
+        c = tuple(map(int, coeffs))
         object.__setattr__(self, "phase", _positive(len(c)))
         object.__setattr__(self, "coeffs", c)
 
@@ -262,8 +257,8 @@ class CycInt:
     # -- canonical form and predicates --------------------------------------
 
     def reduce(self) -> CycInt:
-        """Canonical representative modulo Phi_k."""
-        return CycInt(reduce_coeffs(self.coeffs))
+        """Canonical representative modulo Phi_k: the remainder, zero-padded to length k."""
+        return CycInt(canonical(np.array(self.coeffs, dtype=object)).tolist())
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, int):
@@ -275,7 +270,7 @@ class CycInt:
         return is_zero(np.array([a - b for a, b in zip(self.coeffs, other.coeffs)], dtype=object))
 
     def __hash__(self) -> int:
-        return hash(reduce_coeffs(self.coeffs))  # its length is the phase
+        return hash(self.reduce().coeffs)  # its length is the phase
 
     def embed(self, new_phase: int) -> CycInt:
         """The same ring element expressed in Z[zeta_new]: zeta_k -> zeta_new^(new/k)."""

@@ -4,7 +4,9 @@ p-parts, totients, multiplicative orders, self-conjugacy of a prime modulo k
 (some power of p is -1 mod k/k_p), splitting parameters (f, g) of a rational
 prime in the k-th cyclotomic field, and the arithmetic non-existence tests
 derived from them: square p-part conditions for bent vectors and the order
-test for real circulant Hadamard matrices.
+test for real circulant Hadamard matrices.  bent_obstructions is the one home
+of each bent-vector rule, the entry-root form n = 9 m^2 (k = 3) or 4 m^2
+(k = 4) included: its verdicts are the only spelling of the rules.
 
 Everything is exact integer arithmetic.  factorize is the one trial division,
 ample for the intended input range (below 2**32); larger inputs are rejected
@@ -156,22 +158,6 @@ def splitting_profile(p: int, k: int) -> SplittingProfile:
     return SplittingProfile(p=p, k=k, f=f, g=g, ramification_exponent=totient(kp))
 
 
-def entry_root_obstruction(n: int, k: int) -> bool:
-    """Necessary shape of n for phase-3/4 bent vectors with a base-phase dual entry.
-
-    Returns True iff n = 9*m**2 (k=3) or n = 4*m**2 (k=4).  False means no
-    bent vector can have a transform entry of the form sqrt(n) * zeta_k^t.
-    """
-    if k not in (3, 4):
-        raise ValueError(f"rule is specific to phases 3 and 4, got {k}")
-    if n < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    base = 9 if k == 3 else 4
-    if n % base != 0:
-        return False
-    return math.isqrt(n // base) ** 2 == n // base
-
-
 class ObstructionVerdict(NamedTuple):
     rule: str
     applicable: bool
@@ -232,8 +218,8 @@ def bent_obstructions(n: int, k: int) -> ObstructionReport:
         )
         verdicts.append(ObstructionVerdict("square-2-part", self_conj, violated, witness))
     if k in (3, 4):
-        holds = entry_root_obstruction(n, k)
         base = 9 if k == 3 else 4
+        holds = n % base == 0 and math.isqrt(n // base) ** 2 == n // base
         witness = (
             f"n={n} {'is' if holds else 'is not'} of the form {base}*m^2; "
             f"binds bent vectors with a transform entry sqrt(n)*zeta_{k}^t"

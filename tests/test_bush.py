@@ -102,6 +102,15 @@ def test_bush_circulant_structure():
             assert b.base.conjugate() == bush_circulant(p, p - a).base
 
 
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_bush_circulant_is_the_closed_form(p):
+    # entry (I p + r, J p + c) of B_a is (J - I) a (c - r) mod p
+    i, r, j, c = np.ogrid[:p, :p, :p, :p]
+    for a in range(1, p):
+        want = ((j - i) * a * (c - r) % p).reshape(p * p, p * p)
+        assert (bush_circulant(p, a).base.entries == want).all(), a
+
+
 def test_bush_example_p3():
     b1 = bush_circulant(3, 1)
     r = [projector(3, a).entries for a in range(3)]

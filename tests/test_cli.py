@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from butson import cli, codes
+from butson import bush, cli, codes
 from butson.bent import _MODES, ksw_vector
 from butson.cli import _build_parser, main
 from butson.fileio import read_matrix, read_vector, serialize_matrix, serialize_vector
@@ -508,6 +508,60 @@ def test_bush_subcommand_writes_and_checks(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert payload["n"] == 25 and payload["algebra"] is None
+
+
+@pytest.mark.parametrize("argv", [["bush", "--p", "13", "--a", "1", "--verify-algebra", "--json"],
+                                  ["bush", "--p", "5", "--a", "1", "--json"]])
+def test_bush_verifies_b_a_only_when_it_writes_it(capsys, monkeypatch, tmp_path, argv):
+    def refuse(table, block_size):
+        raise ValueError("BushMatrix built")
+
+    monkeypatch.setattr(bush, "BushMatrix", refuse)
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["n"] == int(argv[2]) ** 2
+    code, out, err = run(capsys, argv + ["--out", str(tmp_path / "b.bh")])
+    assert (code, out, err) == (2, "", "error: BushMatrix built\n")
+
+
+_BUSH_REJECTED = [(2, 1, "p must be an odd prime, got 2"), (15, 1, "p must be an odd prime, got 15"),
+                  (13, 0, "residue a must be nonzero mod 13, got 0"),
+                  (13, 13, "residue a must be nonzero mod 13, got 13")]
+
+
+@pytest.mark.parametrize("p,a,flag,code,stderr", [
+    *[(p, a, flag, 2, f"error: {message}\n")
+      for p, a, message in _BUSH_REJECTED for flag in ("--verify-algebra", "--json")],
+    (17, 1, "--verify-algebra", 2, "error: projector algebra check supports p <= 13, got 17\n"),
+    (17, 1, "--json", 0, ""),  # only the algebra check caps p
+])
+def test_bush_exit_codes_and_error_lines(capsys, p, a, flag, code, stderr):
+    got, out, err = run(capsys, ["bush", "--p", str(p), "--a", str(a), flag])
+    assert (got, err) == (code, stderr)
+    if code == 0:
+        assert json.loads(out)["n"] == 289
+    else:
+        assert out == ""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_bush_at_a_large_prime_is_refused_before_the_projector_stack():
+    # B_a at p = 1009 needs 7.5 TiB and is refused at once; its p^3 projector stack
+    # (7.6 GiB) would be filled first if it were built first.  The address-space cap
+    # turns that regression into a MemoryError of another shape in the child.
+    cap = 512 * 2**20
+    code = (
+        "import resource\n"
+        f"resource.setrlimit(resource.RLIMIT_AS, ({cap}, {cap}))\n"
+        "from butson.cli import main\n"
+        "raise SystemExit(main(['bush', '--p', '1009', '--a', '1', '--json']))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert (run.returncode, run.stdout) == (2, "")
+    assert run.stderr.startswith("error: Unable to allocate")
+    assert "shape (1009, 1009, 1009, 1009)" in run.stderr
 
 
 def test_construct_ksw_round_trip(capsys, tmp_path):

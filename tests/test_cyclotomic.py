@@ -16,7 +16,6 @@ from butson.cyclotomic import (
     is_zero,
     max_reduction,
     reduce,
-    reduce_coeffs,
     reduction_matrix,
     square_root,
 )
@@ -163,8 +162,8 @@ def test_reduction_matrix_matches_scalar_reduce():
 def test_the_phase_is_the_length_of_the_coefficients():
     # 1 + zeta_4 + zeta_4^2 = zeta_4: four coefficients reduce mod Phi_4, never Phi_3
     assert canonical(np.array([1, 1, 1, 0])).tolist() == [0, 1, 0, 0]
-    assert reduce_coeffs((1, 1, 1, 0)) == (0, 1, 0, 0)
-    assert reduce_coeffs((1, 1, 1)) == (0, 0, 0)
+    assert CycInt((1, 1, 1, 0)).reduce().coeffs == (0, 1, 0, 0)
+    assert CycInt((1, 1, 1)).reduce().coeffs == (0, 0, 0)
     assert CycInt((1, 1, 1, 0)).phase == 4 and CycInt((1, 1, 1, 0)) == CycInt.root(4, 1)
     assert repr(CycInt((1, 2))) == "CycInt((1, 2))"
     for make in (lambda: CycInt(()), lambda: CycInt.integer(0, 1), lambda: CycInt.root(0, 1)):
@@ -203,14 +202,13 @@ def _coefficient_rows(k: int, bound: int, count: int):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_every_reduction_is_long_division_by_phi(data):
-    # reduce_coeffs, CycInt.reduce and canonical all read reduction_matrix; the
+    # CycInt.reduce and canonical both read reduction_matrix; the
     # oracle divides by the Moebius form of Phi_k and never sees that table
     k = data.draw(st.integers(1, 64), label="k")
     big = data.draw(_coefficient_rows(k, 2**100, 6), label="big")
     small = data.draw(_coefficient_rows(k, 2**20, 6), label="small")
     for coeffs in big:
         want = reduce_mod_phi_brute(coeffs, k)
-        assert reduce_coeffs(coeffs) == want
         assert CycInt(coeffs).reduce().coeffs == want
     for rows, dtype in ((big, object), (small, np.int64), (small, np.float64)):
         batch = np.array(rows, dtype=dtype).reshape(2, 3, k)

@@ -20,6 +20,7 @@ from butson.matrices import (
     sylvester_matrix,
     verify_hadamard,
 )
+from butson.numtheory import _MODES
 
 B1_3 = bush_circulant(3, 1).base
 BH48 = LogMatrix(8, [[0, 0, 0, 0], [0, 2, 4, 6], [0, 4, 0, 4], [0, 6, 4, 2]])
@@ -91,4 +92,4 @@ def test_tensor_bent_composes_bent_and_conjugate_self_dual_vectors(pair, data):
     big = kronecker(h, g)
     for mode in ("any", "conjugate_self_dual"):
         x, y = (LogVector(3, data.draw(st.sampled_from(_hits(m, mode)))) for m in pair)
-        assert check_bent(big, tensor_bent(x, y)).matches(mode)
+        assert check_bent(big, tensor_bent(x, y))[_MODES.index(mode)]

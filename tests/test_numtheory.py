@@ -13,7 +13,6 @@ from butson.numtheory import (
     bent_obstructions,
     circulant_real_obstruction,
     dual_entry_ambient_phase,
-    entry_root_obstruction,
     factorize,
     is_prime,
     is_self_conjugate,
@@ -100,16 +99,16 @@ def test_splitting_profile_fg_totient_invariant():
 
 
 def test_entry_root_obstruction():
-    assert entry_root_obstruction(9, 3) is True
-    assert entry_root_obstruction(36, 3) is True
-    assert entry_root_obstruction(6, 3) is False
-    assert entry_root_obstruction(16, 4) is True
-    assert entry_root_obstruction(8, 4) is False
-    try:
-        entry_root_obstruction(9, 5)
-        raise AssertionError("expected ValueError")
-    except ValueError:
-        pass
+    def entry_root(n, k):
+        found = [v for v in bent_obstructions(n, k).verdicts if v.rule == "entry-root-form"]
+        return not found[0].violated if found else None
+
+    assert entry_root(9, 3) is True
+    assert entry_root(36, 3) is True
+    assert entry_root(6, 3) is False
+    assert entry_root(16, 4) is True
+    assert entry_root(8, 4) is False
+    assert entry_root(9, 5) is None  # the rule is specific to phases 3 and 4
 
 
 def test_bent_obstructions_per_prime_rule():

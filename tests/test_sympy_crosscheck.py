@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from butson.cyclotomic import cyclotomic_polynomial, reduce_coeffs
+from butson.cyclotomic import CycInt, cyclotomic_polynomial
 
 sympy = pytest.importorskip("sympy")
 X = sympy.Symbol("x")
@@ -34,4 +34,4 @@ def test_reduce_coeffs_is_the_remainder_mod_phi(case):
     k, coeffs = case
     rem = sympy.rem(sympy.Poly(list(reversed(coeffs)), X), _phi(k))
     want = [int(c) for c in reversed(rem.all_coeffs())]
-    assert reduce_coeffs(coeffs) == tuple(want + [0] * (k - len(want)))
+    assert CycInt(coeffs).reduce().coeffs == tuple(want + [0] * (k - len(want)))
