@@ -95,6 +95,7 @@ def verify_projector_algebra(p: int) -> bool:
     a difference tested by is_zero in Z[zeta_p]; p is capped at 13 because that
     count holds p^5 coefficients.
     """
+    projector(p, 0)  # raises ValueError unless p is an odd prime
     if p > 13:
         raise ValueError(f"projector algebra check supports p <= 13, got {p}")
     blocks = _projectors(p)
@@ -113,15 +114,17 @@ def verify_projector_algebra(p: int) -> bool:
 
 def bush_table(p: int, a: int) -> LogMatrix:
     """The exponent table of B_a, unverified: block (I, J) is R_(a(J - I)), read off
-    the projector stack at the labels that R_a itself holds.  bush_circulant verifies
-    it; the bush command verifies it only when it writes it."""
+    the projector stack at the labels that R_a itself holds.  B_a depends on a only
+    mod p, and a = 0 mod p is refused.  bush_circulant verifies the table; the bush
+    command verifies it only when it writes it."""
     projector(p, 0)  # raises ValueError unless p is an odd prime
-    if not 1 <= a <= p - 1:
+    residue = a % p
+    if residue == 0:
         raise ValueError(f"residue a must be nonzero mod {p}, got {a}")
     # indexed (I, r, J, c); requested before the stack, so a p too large is refused at once
     table = np.empty((p, p, p, p), np.int64)
     blocks = _projectors(p)
-    table.transpose(0, 2, 1, 3)[...] = blocks[blocks[a]]
+    table.transpose(0, 2, 1, 3)[...] = blocks[blocks[residue]]
     return LogMatrix(p, table.reshape(p * p, p * p))
 
 

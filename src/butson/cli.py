@@ -10,20 +10,17 @@ stdout, and its record renders as no text.  bush verifies B_a only when it
 writes it: otherwise its record reads the order off the unverified table.
 
 Each command imports the modules it runs, so `obstructions` and `--help` never
-load numpy, and only JSON output loads json.  main() builds the parser branch
-of the command it is given; help and parse errors come from the whole tree.
-`python -m butson` and the `butson` script enter through run(), which flushes
-stdout and stderr once main() returns and exits at once with its code,
-skipping the interpreter's teardown.
+load numpy, and only JSON output loads json.  `python -m butson` and the
+`butson` script enter through run(), which flushes stdout and stderr once
+main() returns and exits at once with its code, skipping the interpreter's
+teardown.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import os
 import sys
-from contextlib import redirect_stderr, redirect_stdout
 from math import isqrt
 
 from .numtheory import _MODES
@@ -341,135 +338,113 @@ def _add_out(p) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The whole parser tree, or with a command name its top level and that branch only."""
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="butson", description=_DESCRIPTION,
                                      formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True)
     workers_help = ("most processes a scan may use (default 1); a pool starts only once the "
                     "scan's measured remaining cost passes about a second")
 
-    if command in (None, "construct"):
-        construct = sub.add_parser("construct", help="build matrices, vectors, and codes")
-        csub = construct.add_subparsers(dest="what", required=True)
-        p = csub.add_parser("fourier", help="Fourier matrix of the cyclic group C_n")
-        p.add_argument("--n", type=int, required=True)
-        _add_out(p)
-        p.set_defaults(func=_cmd_construct_fourier)
-        p = csub.add_parser("sylvester", help="Sylvester matrix of order 2^m")
-        p.add_argument("--m", type=int, required=True)
-        _add_out(p)
-        p.set_defaults(func=_cmd_construct_sylvester)
-        p = csub.add_parser("kron", help="Kronecker product of two matrix files")
-        p.add_argument("left")
-        p.add_argument("right")
-        _add_out(p)
-        p.set_defaults(func=_cmd_construct_kron)
-        p = csub.add_parser("bush", help="block-circulant Bush matrix B_a of order p^2")
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--a", type=int, required=True)
-        _add_out(p)
-        p.set_defaults(func=_cmd_construct_bush)
-        p = csub.add_parser("ksw", help="quadratic-form bent vector for F(C_k^m)")
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--out", default=None)
-        p.set_defaults(func=_cmd_construct_ksw)
-        p = csub.add_parser("rm", help="first-order generalized Reed-Muller code")
-        p.add_argument("--q", type=int, required=True)
-        p.add_argument("--m", type=int, required=True)
-        p.add_argument("--out", default=None)
-        p.set_defaults(func=_cmd_construct_rm)
+    construct = sub.add_parser("construct", help="build matrices, vectors, and codes")
+    csub = construct.add_subparsers(dest="what", required=True)
+    p = csub.add_parser("fourier", help="Fourier matrix of the cyclic group C_n")
+    p.add_argument("--n", type=int, required=True)
+    _add_out(p)
+    p.set_defaults(func=_cmd_construct_fourier)
+    p = csub.add_parser("sylvester", help="Sylvester matrix of order 2^m")
+    p.add_argument("--m", type=int, required=True)
+    _add_out(p)
+    p.set_defaults(func=_cmd_construct_sylvester)
+    p = csub.add_parser("kron", help="Kronecker product of two matrix files")
+    p.add_argument("left")
+    p.add_argument("right")
+    _add_out(p)
+    p.set_defaults(func=_cmd_construct_kron)
+    p = csub.add_parser("bush", help="block-circulant Bush matrix B_a of order p^2")
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--a", type=int, required=True)
+    _add_out(p)
+    p.set_defaults(func=_cmd_construct_bush)
+    p = csub.add_parser("ksw", help="quadratic-form bent vector for F(C_k^m)")
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_construct_ksw)
+    p = csub.add_parser("rm", help="first-order generalized Reed-Muller code")
+    p.add_argument("--q", type=int, required=True)
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--out", default=None)
+    p.set_defaults(func=_cmd_construct_rm)
 
-    if command in (None, "verify"):
-        verify = sub.add_parser("verify", help="exact verification of matrix files")
-        vsub = verify.add_subparsers(dest="what", required=True)
-        p = vsub.add_parser("hadamard", help="rows pairwise orthogonal over the exact ring")
-        p.add_argument("matrix")
-        _add_json(p)
-        p.set_defaults(func=_cmd_verify_hadamard, text=_text_verify)
-        p = vsub.add_parser("bush", help="Hadamard plus block row/column sum conditions")
-        p.add_argument("matrix")
-        _add_json(p)
-        p.set_defaults(func=_cmd_verify_bush, text=_text_verify)
-        p = vsub.add_parser("unbiased", help="H1* H2 / sqrt(n) has constant-modulus entries")
-        p.add_argument("left")
-        p.add_argument("right")
-        _add_json(p)
-        p.set_defaults(func=_cmd_verify_unbiased, text=_text_verify)
+    verify = sub.add_parser("verify", help="exact verification of matrix files")
+    vsub = verify.add_subparsers(dest="what", required=True)
+    p = vsub.add_parser("hadamard", help="rows pairwise orthogonal over the exact ring")
+    p.add_argument("matrix")
+    _add_json(p)
+    p.set_defaults(func=_cmd_verify_hadamard, text=_text_verify)
+    p = vsub.add_parser("bush", help="Hadamard plus block row/column sum conditions")
+    p.add_argument("matrix")
+    _add_json(p)
+    p.set_defaults(func=_cmd_verify_bush, text=_text_verify)
+    p = vsub.add_parser("unbiased", help="H1* H2 / sqrt(n) has constant-modulus entries")
+    p.add_argument("left")
+    p.add_argument("right")
+    _add_json(p)
+    p.set_defaults(func=_cmd_verify_unbiased, text=_text_verify)
 
-    if command in (None, "bent-check"):
-        p = sub.add_parser("bent-check", help="certify a vector file against a matrix file")
-        p.add_argument("matrix")
-        p.add_argument("vector")
-        _add_json(p)
-        p.set_defaults(func=_cmd_bent_check, text=_text_bent_check)
+    p = sub.add_parser("bent-check", help="certify a vector file against a matrix file")
+    p.add_argument("matrix")
+    p.add_argument("vector")
+    _add_json(p)
+    p.set_defaults(func=_cmd_bent_check, text=_text_bent_check)
 
-    if command in (None, "bent-search"):
-        p = sub.add_parser("bent-search", help="stream bent vectors over the full candidate space")
-        p.add_argument("matrix")
-        p.add_argument("--mode", choices=_MODES, default="any")
-        p.add_argument("--budget", type=_positive_int, default=None, help="max candidates to scan")
-        p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
-        _add_json(p)
-        p.set_defaults(func=_cmd_bent_search, text=_text_hit)
+    p = sub.add_parser("bent-search", help="stream bent vectors over the full candidate space")
+    p.add_argument("matrix")
+    p.add_argument("--mode", choices=_MODES, default="any")
+    p.add_argument("--budget", type=_positive_int, default=None, help="max candidates to scan")
+    p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
+    _add_json(p)
+    p.set_defaults(func=_cmd_bent_search, text=_text_hit)
 
-    if command in (None, "covering-radius"):
-        p = sub.add_parser("covering-radius", help="exact or sampled covering radius with bounds")
-        p.add_argument("--code-from", default=None, help="matrix file; the code is C_H")
-        p.add_argument("--rm", type=_parse_rm_pair, default=None, metavar="Q,M",
-                       help="first-order generalized Reed-Muller code")
-        p.add_argument("--sample", type=_positive_int, default=None, metavar="N",
-                       help="sampled lower bound from N seeded draws (default: exhaustive scan)")
-        p.add_argument("--budget", type=int, default=2**30)
-        p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--bent-vector", default=None, help="vector file for the phase-3 lower bound")
-        _add_json(p)
-        p.set_defaults(func=_cmd_covering_radius, text=_text_covering_radius)
+    p = sub.add_parser("covering-radius", help="exact or sampled covering radius with bounds")
+    p.add_argument("--code-from", default=None, help="matrix file; the code is C_H")
+    p.add_argument("--rm", type=_parse_rm_pair, default=None, metavar="Q,M",
+                   help="first-order generalized Reed-Muller code")
+    p.add_argument("--sample", type=_positive_int, default=None, metavar="N",
+                   help="sampled lower bound from N seeded draws (default: exhaustive scan)")
+    p.add_argument("--budget", type=int, default=2**30)
+    p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--bent-vector", default=None, help="vector file for the phase-3 lower bound")
+    _add_json(p)
+    p.set_defaults(func=_cmd_covering_radius, text=_text_covering_radius)
 
-    if command in (None, "obstructions"):
-        p = sub.add_parser("obstructions", help="arithmetic non-existence report for bent vectors")
-        p.add_argument("--n", type=int, required=True)
-        p.add_argument("--k", type=int, required=True)
-        _add_json(p)
-        p.set_defaults(func=_cmd_obstructions, text=_text_obstructions)
+    p = sub.add_parser("obstructions", help="arithmetic non-existence report for bent vectors")
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--k", type=int, required=True)
+    _add_json(p)
+    p.set_defaults(func=_cmd_obstructions, text=_text_obstructions)
 
-    if command in (None, "order"):
-        p = sub.add_parser("order", help="least t with (M/sqrt(n))^t = I, up to --max-t")
-        p.add_argument("matrix")
-        p.add_argument("--max-t", type=int, default=64)
-        _add_json(p)
-        p.set_defaults(func=_cmd_order, text=_text_order)
+    p = sub.add_parser("order", help="least t with (M/sqrt(n))^t = I, up to --max-t")
+    p.add_argument("matrix")
+    p.add_argument("--max-t", type=int, default=64)
+    _add_json(p)
+    p.set_defaults(func=_cmd_order, text=_text_order)
 
-    if command in (None, "bush"):
-        p = sub.add_parser("bush", help="Bush family: write B_a and optionally check the algebra")
-        p.add_argument("--p", type=int, required=True)
-        p.add_argument("--a", type=int, required=True)
-        p.add_argument("--out", default=None)
-        p.add_argument("--verify-algebra", action="store_true")
-        _add_json(p)
-        p.set_defaults(func=_cmd_bush, text=_text_bush)
+    p = sub.add_parser("bush", help="Bush family: write B_a and optionally check the algebra")
+    p.add_argument("--p", type=int, required=True)
+    p.add_argument("--a", type=int, required=True)
+    p.add_argument("--out", default=None)
+    p.add_argument("--verify-algebra", action="store_true")
+    _add_json(p)
+    p.set_defaults(func=_cmd_bush, text=_text_bush)
 
     return parser
 
 
-def _parse(argv: list[str]) -> argparse.Namespace:
-    """argv parsed by the branch that argv[0] names, built alone.  Help and every
-    error, which may print the top-level usage or list the commands, come from
-    the whole tree instead: the branch's own output is discarded."""
-    if argv:
-        try:
-            with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
-                return _build_parser(argv[0]).parse_args(argv)
-        except SystemExit:
-            pass
-    return _build_parser().parse_args(argv)
-
-
 def main(argv=None) -> int:
     try:
-        args = _parse(sys.argv[1:] if argv is None else list(argv))
+        args = _build_parser().parse_args(sys.argv[1:] if argv is None else list(argv))
     except SystemExit as e:
         return 0 if e.code in (0, None) else int(e.code)
     records = ()

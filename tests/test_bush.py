@@ -50,8 +50,8 @@ def test_projector_algebra():
 
 
 def test_projector_algebra_needs_an_odd_prime():
-    for p in (2, 9):
-        with pytest.raises(ValueError, match="odd prime"):
+    for p in (2, 9, 0, -3):
+        with pytest.raises(ValueError, match=f"p must be an odd prime, got {p}"):
             verify_projector_algebra(p)
 
 

@@ -342,22 +342,32 @@ def _parser_corpus(tmp_path) -> tuple[list[list[str]], list[list[str]]]:
     return parse, other
 
 
-def test_one_branch_parses_as_the_whole_tree(capsys, monkeypatch, tmp_path):
-    # every command parses with its branch alone; help and errors come from the
-    # whole tree, so stdout, stderr and exit codes match it byte for byte
+def _asks_for_help(argv) -> bool:
+    return any(a == "-h" or (a.startswith("--h") and "--help".startswith(a)) for a in argv)
+
+
+def test_each_call_builds_one_parser_and_usage_goes_to_its_stream(capsys, monkeypatch, tmp_path):
+    # help prints usage on stdout and exits 0, a parse error prints usage and the
+    # error on stderr and exits 2, a command that parses prints no usage; each
+    # call of main builds the parser tree once
     monkeypatch.setenv("COLUMNS", "80")
     parse, other = _parser_corpus(tmp_path)
     build, built = cli._build_parser, []
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: built.append(command) or build(command))
-    got = []
+    monkeypatch.setattr(cli, "_build_parser", lambda *a: built.append(a) or build(*a))
+    exits = set()
     for argv in parse + other:
         built.clear()
-        got.append(run(capsys, argv))
-        assert built == [argv[0]] if argv in parse else built[-1] is None
-    monkeypatch.setattr(cli, "_build_parser", lambda command=None: build())
-    for argv, outcome in zip(parse + other, got):
-        assert outcome == run(capsys, argv), argv
-    assert {code for code, _, _ in got} == {0, 1, 2}
+        code, out, err = run(capsys, argv)
+        assert len(built) == 1, argv
+        exits.add(code)
+        if argv in parse:
+            assert "usage:" not in out + err, argv
+        elif _asks_for_help(argv):
+            assert (code, err) == (0, "") and out.startswith("usage: butson"), argv
+        else:
+            assert (code, out) == (2, ""), argv
+            assert err.startswith("usage: butson") and "error:" in err, argv
+    assert exits == {0, 1, 2}
 
 
 def _branches(parser):
@@ -390,7 +400,7 @@ def test_text_is_the_renderer_applied_to_each_json_record(capsys, monkeypatch, t
         code, out, err = run(capsys, argv)
         if code == 2 and not out:  # a usage error answers nothing
             continue
-        args = cli._parse(argv)
+        args = _build_parser().parse_args(argv)
         text = getattr(args, "text", None)
         if text is None or (args.command == "bush" and not (args.out or args.verify_algebra)):
             continue  # writers: their text output is a matrix or a file
@@ -534,14 +544,22 @@ _BUSH_REJECTED = [(2, 1, "p must be an odd prime, got 2"), (15, 1, "p must be an
       for p, a, message in _BUSH_REJECTED for flag in ("--verify-algebra", "--json")],
     (17, 1, "--verify-algebra", 2, "error: projector algebra check supports p <= 13, got 17\n"),
     (17, 1, "--json", 0, ""),  # only the algebra check caps p
+    (13, 14, "--json", 0, ""),  # a is read mod p
 ])
 def test_bush_exit_codes_and_error_lines(capsys, p, a, flag, code, stderr):
     got, out, err = run(capsys, ["bush", "--p", str(p), "--a", str(a), flag])
     assert (got, err) == (code, stderr)
     if code == 0:
-        assert json.loads(out)["n"] == 289
+        assert json.loads(out)["n"] == p * p
     else:
         assert out == ""
+
+
+@pytest.mark.parametrize("a", ["7", "-3"])
+def test_construct_bush_reads_a_mod_p(capsys, a):
+    want = run(capsys, ["construct", "bush", "--p", "5", "--a", "2"])
+    assert want[0] == 0
+    assert run(capsys, ["construct", "bush", "--p", "5", "--a", a]) == want
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
