@@ -93,10 +93,13 @@ def _kind(bent: bool, self_dual: bool, conjugate_self_dual: bool) -> str:
     return "+".join(m for m, f in zip(_MODES[1:], (self_dual, conjugate_self_dual)) if f) or "bent"
 
 
+_INDICES = 2**63  # scan indices are int64: a scan stays below this many
+
+
 def index_digits(indices, k: int, length: int) -> np.ndarray:
     """Base-k digits of indices in [0, 2**63 - 1), most significant in row 0: shape
     (length, len(indices)).  Place values past int64 clamp to its maximum, quotient 0."""
-    places = [min(k**p, 2**63 - 1) for p in range(length - 1, -1, -1)]
+    places = [min(k**p, _INDICES - 1) for p in range(length - 1, -1, -1)]
     return np.asarray(indices, dtype=np.int64)[None, :] // np.array(places, dtype=np.int64)[:, None] % k
 
 
@@ -357,7 +360,7 @@ def search_bent(h: LogMatrix, mode: str = "any", budget: int | None = None,
     total = k ** (n - 1) if mode == "any" else k**n
     if budget is not None:
         total = min(total, budget)
-    if total >= 2**63:
+    if total >= _INDICES:
         raise ValueError(f"{total} candidates pass the int64 index range; give a budget")
     check_exact(_verdict_bound(n, k), np.float32)
     head, table = suffix_table(_count_table(h))

@@ -12,7 +12,9 @@ in the narrowest of uint8, int16 and int32 that is exact for the length, so
 codes shorter than 128 scan one byte per codeword.  The sampled radius
 sums the same table over blocks of seeded draws: the values
 random.Random(seed).randrange(modulus) gives, coordinate by coordinate, read in
-bulk from the generator's 32-bit words, so the modulus must be below 2**32.
+bulk from the generator's 32-bit words, so the modulus must be below 2**32.  A
+sampled block holds at most _BLOCK_BYTES of sums and at most as much of draws,
+one byte each when the modulus is at most 256.
 
 Exact arithmetic backs the bound computations: the upper bound
 (q-1)n/q - sqrt(n)/q and the phase-3 lower bound ceil((2/3)(n - sqrt(n)))
@@ -32,7 +34,7 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bent import block_size, check_bent, digit_blocks, digit_sum, fan_out, index_digits, suffix_table
+from .bent import _INDICES, block_size, check_bent, digit_blocks, digit_sum, fan_out, index_digits, suffix_table
 from .cyclotomic import check_exact
 from .matrices import LogMatrix, LogVector, NotHadamardError, _one_hot, verify_hadamard
 from .numtheory import is_prime
@@ -40,7 +42,6 @@ from .numtheory import is_prime
 
 _TILE_CELLS = 2**19  # float32 cells (2 MiB) of one tile's one-hot and of one tile pair's counts
 _RM_ENTRIES = 2**22  # most entries reed_muller_1 builds
-_INDICES = 2**63  # ambient indices are int64: an exhaustive scan stays below this many
 
 
 class BudgetExceededError(ValueError):
@@ -129,19 +130,20 @@ def _scan_radius_range(start: int, stop: int, head: np.ndarray, table: np.ndarra
 
 def _randrange_blocks(rng: random.Random, k: int, sizes: Iterable[int]) -> Iterator[np.ndarray]:
     """rng.randrange(k) drawn sizes[0], sizes[1], ... values at a time, the same values
-    in the same order, read in bulk for 1 < k < 2**32.  randrange(k) keeps the top
-    b = k.bit_length() bits of one 32-bit word of the generator, trying the next word
-    while they reach k; getrandbits(32 m) holds the next m words, least significant
-    first.  Words are read at most 2**14 at a time, so a read adds 64 KiB or so to the
-    block it fills, and words read past one block carry over to the next."""
+    in the same order, read in bulk for 1 < k < 2**32 and held in the narrowest unsigned
+    dtype, one byte each when k <= 256.  randrange(k) keeps the top b = k.bit_length()
+    bits of one 32-bit word of the generator, trying the next word while they reach k;
+    getrandbits(32 m) holds the next m words, least significant first.  Words are read
+    at most 2**14 at a time, so a read adds 64 KiB or so to the block it fills, and
+    words read past one block carry over to the next."""
     shift = 32 - int(k).bit_length()
-    pool = np.empty(0, np.uint32)
+    pool = np.empty(0, np.min_scalar_type(int(k) - 1))
     for size in sizes:
         pieces, have = [pool], len(pool)
         while have < size:
             m = min(2 * (size - have), 1 << 14)  # 2**(b-1) <= k: half the words or more pass, on average
             words = np.frombuffer(rng.getrandbits(32 * m).to_bytes(4 * m, "little"), "<u4") >> shift
-            pieces.append(words[words < k])
+            pieces.append(words[words < k].astype(pool.dtype))
             have += len(pieces[-1])
         pool = np.concatenate(pieces)
         yield pool[:size]
@@ -191,7 +193,8 @@ def covering_radius(
         head, table = suffix_table(contrib)
         scan = partial(_scan_radius_range, head=head, table=table)
         return CoveringRadiusResult(max(fan_out(scan, k**n, workers)), True)
-    step = block_size(len(c), dtype)
+    # a block holds at most _BLOCK_BYTES of sums and at most as much of draws
+    step = min(block_size(len(c), dtype), block_size(n, np.min_scalar_type(int(k) - 1)))
     sizes = (min(step, samples - lo) * n for lo in range(0, samples, step))
     best = 0
     for draws in _randrange_blocks(random.Random(seed), k, sizes):

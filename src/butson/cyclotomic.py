@@ -28,7 +28,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .numtheory import divisors, factorize, moebius, totient
+from .numtheory import check_phase, divisors, factorize, moebius, totient
 
 
 def _times_binomial(c: list[int], d: int) -> list[int]:
@@ -158,13 +158,6 @@ def square_root(n: int, k: int) -> CycInt | None:
     return root
 
 
-def _positive(phase: int) -> int:
-    """phase, checked: the one test that a phase is positive."""
-    if phase < 1:
-        raise ValueError(f"phase must be positive, got {phase}")
-    return phase
-
-
 class CycInt:
     """An element of Z[zeta_k] in the group-ring basis, k = phase = len(coeffs).
 
@@ -177,7 +170,7 @@ class CycInt:
 
     def __init__(self, coeffs: Iterable[int]):
         c = tuple(map(int, coeffs))
-        object.__setattr__(self, "phase", _positive(len(c)))
+        object.__setattr__(self, "phase", check_phase(len(c)))
         object.__setattr__(self, "coeffs", c)
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -190,12 +183,12 @@ class CycInt:
 
     @classmethod
     def integer(cls, phase: int, value: int) -> CycInt:
-        return cls((value,) + (0,) * (_positive(phase) - 1))
+        return cls((value,) + (0,) * (check_phase(phase) - 1))
 
     @classmethod
     def root(cls, phase: int, exponent: int) -> CycInt:
         """zeta_phase ** exponent."""
-        c = [0] * _positive(phase)
+        c = [0] * check_phase(phase)
         c[exponent % phase] = 1
         return cls(c)
 
@@ -205,21 +198,12 @@ class CycInt:
         if self.phase != other.phase:
             raise ValueError(f"phase mismatch: {self.phase} vs {other.phase}")
 
-    def __add__(self, other: CycInt | int) -> CycInt:
-        if isinstance(other, int):
-            other = CycInt.integer(self.phase, other)
+    def __add__(self, other: CycInt) -> CycInt:
         self._same_phase(other)
         return CycInt(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
-    __radd__ = __add__
-
     def __neg__(self) -> CycInt:
         return CycInt(tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other: CycInt | int) -> CycInt:
-        if isinstance(other, int):
-            other = CycInt.integer(self.phase, other)
-        return self + (-other)
 
     def __mul__(self, other: CycInt | int) -> CycInt:
         if isinstance(other, int):

@@ -30,22 +30,18 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .cyclotomic import CycInt, canonical, check_exact, is_zero, max_reduction, reduce, square_root
-from .numtheory import TRIAL_DIVISION_BOUND  # exact checks factor the phase, so it must stay below this
+from .numtheory import check_phase
 
 
 class LogMatrix:
     """Exponent table of a square matrix over the k-th roots of unity."""
 
     def __init__(self, phase: int, entries):
-        if phase < 1:
-            raise ValueError(f"phase must be positive, got {phase}")
-        if phase >= TRIAL_DIVISION_BOUND:
-            raise ValueError(f"phase {phase} is not below the trial-division bound 2**32")
+        self.phase = check_phase(phase)
         arr = np.asarray(entries, dtype=np.int64) % phase
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
             raise ValueError(f"entries must be square, got shape {arr.shape}")
         arr.flags.writeable = False
-        self.phase = phase
         self.entries = arr
         self._hadamard: bool | None = None
 
@@ -111,11 +107,7 @@ class LogVector:
     """Exponent vector over the k-th roots of unity."""
 
     def __init__(self, phase: int, entries: Iterable[int]):
-        if phase < 1:
-            raise ValueError(f"phase must be positive, got {phase}")
-        if phase >= TRIAL_DIVISION_BOUND:
-            raise ValueError(f"phase {phase} is not below the trial-division bound 2**32")
-        self.phase = phase
+        self.phase = check_phase(phase)
         self.entries = tuple(int(v) % phase for v in entries)
 
     def __len__(self) -> int:

@@ -12,6 +12,7 @@ Everything is exact integer arithmetic.  factorize is the one trial division,
 ample for the intended input range (below 2**32); larger inputs are rejected
 rather than silently slow.  Primality, divisors, the totient and the Moebius
 function are read off its result, and self-conjugacy off multiplicative_order.
+check_phase, the one rule for a valid phase, holds every phase below that bound.
 """
 
 from __future__ import annotations
@@ -23,6 +24,16 @@ TRIAL_DIVISION_BOUND = 2**32
 # the bent-vector kinds bent.search_bent selects; kept in this numpy-free
 # module so that the CLI parser can offer them without loading numpy
 _MODES = ("any", "self_dual", "conjugate_self_dual")
+
+
+def check_phase(phase: int) -> int:
+    """phase, checked: the one rule for a valid phase, positive and below the
+    trial-division bound, since exact checks factor it."""
+    if phase < 1:
+        raise ValueError(f"phase must be positive, got {phase}")
+    if phase >= TRIAL_DIVISION_BOUND:
+        raise ValueError(f"phase {phase} is not below the trial-division bound 2**32")
+    return phase
 
 
 def is_prime(n: int) -> bool:

@@ -103,6 +103,18 @@ def test_verify_unbiased_of_two_orders_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error: ") and "order mismatch" in err
 
 
+@pytest.mark.parametrize("vector, error", [
+    ("VEC 3 4\n0 1 2\n", "error: phase mismatch: matrix 3, vector 4\n"),
+    ("VEC 9 3\n" + "0 " * 8 + "0\n", "error: length mismatch: matrix order 3, vector 9\n"),
+])
+def test_bent_check_of_a_vector_that_does_not_fit_is_a_usage_error(capsys, tmp_path, vector, error):
+    mpath, vpath = tmp_path / "f3.bh", tmp_path / "x.vec"
+    mpath.write_text(serialize_matrix(fourier_matrix(3)))
+    vpath.write_text(vector)
+    code, out, err = run(capsys, ["bent-check", str(mpath), str(vpath)])
+    assert (code, out, err) == (2, "", error)
+
+
 def test_bad_arguments_exit_2(capsys):
     assert main(["construct", "fourier"]) != 0  # missing --n
     code, _, err = run(capsys, ["construct", "fourier", "--n", "0"])
@@ -504,6 +516,13 @@ def test_verify_unbiased_exit_codes(capsys, tmp_path):
     mpath = tmp_path / "f33.bh"
     mpath.write_text(serialize_matrix(character_table([3, 3])))
     code, out, _ = run(capsys, ["verify", "unbiased", str(mpath), str(mpath)])
+    assert code == 1 and out == "unbiased: false\n"
+    # every entry of A B* is z times a 4th root, but the roots table [[0, 3], [3, 2]]
+    # is not Hadamard: only the roots-table check rejects this pair
+    a, b = tmp_path / "a.bh", tmp_path / "b.bh"
+    a.write_text("BH 2 4\n3 0\n2 3\n")
+    b.write_text("BH 2 4\n3 1\n0 2\n")
+    code, out, _ = run(capsys, ["verify", "unbiased", str(a), str(b)])
     assert code == 1 and out == "unbiased: false\n"
 
 

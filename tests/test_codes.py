@@ -391,6 +391,24 @@ def test_sampled_radius_of_f3_4_matches_the_per_draw_loop(seed):
     assert covering_radius(c, "sampled", samples=2000, seed=seed) == (_sampled_loop(c, 2000, seed), False)
 
 
+def test_sampled_memory_is_bounded_by_the_block():
+    # a block holds at most _BLOCK_BYTES of sums and at most as much of draws, so the
+    # peak is the sums, one gathered block, the draws with their concatenated copy and
+    # one read of at most 2**14 words, whatever the length against the number of words
+    rng = np.random.default_rng(5)
+    cases = [code_from_matrix(character_table([3] * 4))[1], reed_muller_1(2, 4),
+             ZkCode(2, rng.integers(0, 2, (300, 300))), ZkCode(11, rng.integers(0, 11, (5, 40))),
+             ZkCode(2, rng.integers(0, 2, (2, 300)))]
+    for c in cases:
+        tracemalloc.start()
+        try:
+            covering_radius(c, "sampled", samples=20000, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * bent._BLOCK_BYTES, c
+
+
 def test_sampled_modulus_is_guarded_before_any_allocation():
     # reading the words would build np.arange(modulus); a stub whose words raise
     # shows where each modulus stops
