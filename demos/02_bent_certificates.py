@@ -54,7 +54,7 @@ cert = tensor_corollary_check(f3, f3, variant=2)
 print("phi(F(C_3)) for F(C_3) (x) conj(F(C_3)):", cert.kind, "unit", cert.unit)
 # A symmetric M with H M* = M H* makes phi(M) conjugate self-dual for
 # conj(H) (x) H*; the Bush matrix B_1 at p = 3 is amicable with itself.
-b1 = bush_circulant(3, 1).base
+b1 = bush_circulant(3, 1)
 cert = tensor_corollary_check(b1, b1, variant=3)
 print("phi(B_1) for conj(B_1) (x) B_1*:", cert.kind, "unit", cert.unit)
 

@@ -31,7 +31,7 @@ print("projector algebra exact for p = 3, 5, 7:",
 
 b1 = bush_circulant(3, 1)
 print("\nB_1 at p = 3: order", b1.order, "phase", b1.phase)
-cert = check_bent(b1.base, b1.base.column(0))
+cert = check_bent(b1, b1.column(0))
 print("first column certificate:", cert.kind, "unit", cert.unit)
 
 # Diagonal scaling with constant u: both predicted vectors certify.
@@ -74,6 +74,6 @@ for x in bush_quaternary_bents(bush_real_order4()):
 # certified above; at p = 5 it does not, and that column is bent only.
 print()
 for p in (3, 5):
-    b = bush_circulant(p, 1).base
+    b = bush_circulant(p, 1)
     print(f"B_1 at p = {p}: M M = {p} conj(M) {conjugate_self_bent_check(b)}, "
           f"first column {check_bent(b, b.column(0)).kind}")

@@ -2,8 +2,8 @@
 Covering radii of codes built from Butson matrices
 ==================================================
 
-The column code C_H of a BH(n, k) collects the exponent vectors of all
-scalar multiples of columns: kn words of length n over Z_k.  For phase 3
+The code C_H of a BH(n, k) collects the exponent vectors of all scalar
+multiples of rows: kn words of length n over Z_k.  For phase 3
 a bent vector squeezes the exhaustive covering radius between an exact
 lower bound (2/3)(n - sqrt(n)) and an upper bound (T - sqrt(n))/q, both
 computed as exact surds.
@@ -22,12 +22,12 @@ from butson import (
 )
 
 h = character_table([3, 3])
-row_code, col_code = code_from_matrix(h)
-print("C_H for BH(9, 3):", len(col_code), "words of length", col_code.length,
-      "over Z_3, min distance", min_distance(col_code))
+_, c_h = code_from_matrix(h)
+print("C_H for BH(9, 3):", len(c_h), "words of length", c_h.length,
+      "over Z_3, min distance", min_distance(c_h))
 
 # Exhaustive scan of all 3^9 ambient vectors, exact by construction.
-radius = covering_radius(col_code, "exhaustive", workers=1)
+radius = covering_radius(c_h, "exhaustive", workers=1)
 print("covering radius:", radius.value, "(exact:", radius.exact, ")")
 
 lower = bent_lower_bound(h, ksw_vector(3, 2))
@@ -39,7 +39,7 @@ assert lower.bound <= radius.value <= upper.floor
 
 # Sampling gives a certified lower bound when the ambient space is
 # too large to scan; the seed makes it reproducible.
-sampled = covering_radius(col_code, "sampled", samples=500, seed=7)
+sampled = covering_radius(c_h, "sampled", samples=500, seed=7)
 print("sampled lower bound:", sampled.value, "(exact:", sampled.exact, ")")
 
 # First-order generalized Reed-Muller codes give the comparison point:

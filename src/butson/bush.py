@@ -10,10 +10,11 @@ bent vectors, diagonal-scaling variants, and quaternary bent families.
 
 projector is the one formula for R_a and the one odd-prime check: B_a is read
 off the stack of the p projector tables, block (I, J) being R_(a(J - I)), and
-verify_projector_algebra reads the same stack.  bush_table builds B_a's table
-unverified; every BushMatrix, bush_circulant's included, is verified exactly on
-construction, and a failure raises rather than returning a silently wrong
-object.  The bush command verifies B_a only when it writes it.
+verify_projector_algebra reads the same stack; both read a mod p.  bush_table
+builds B_a's table unverified.  A BushMatrix, bush_circulant's included, is a
+LogMatrix verified exactly on construction, so every check of the package takes
+it as it is; a failure raises rather than returning a silently wrong object.
+The bush command verifies B_a only when it writes it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .bent import BentCertificate, check_bent
+from .bent import BentCertificate, check_bent, index_digits
 from .cyclotomic import is_zero
 from .matrices import LogMatrix, LogVector, count_tensor, product_counts, verify_hadamard
 from .numtheory import is_prime
@@ -33,8 +34,9 @@ class BushStructureError(ValueError):
     """The matrix fails the Bush block-sum or Hadamard conditions."""
 
 
-class BushMatrix:
-    """A verified Bush-type Butson Hadamard matrix of order block_size^2."""
+class BushMatrix(LogMatrix):
+    """A Bush-type Butson Hadamard matrix of order block_size^2: the LogMatrix of base's
+    table, verified on construction, and holding base's cached Hadamard verdict."""
 
     def __init__(self, base: LogMatrix, block_size: int):
         n = block_size
@@ -44,16 +46,9 @@ class BushMatrix:
             raise BushStructureError("base matrix is not Butson Hadamard")
         if not _block_sums_hold(base, n):
             raise BushStructureError("block row/column sums violate the Bush condition")
-        self.base = base
+        super().__init__(base.phase, base.entries)
+        self._hadamard = True
         self.block_size = n
-
-    @property
-    def phase(self) -> int:
-        return self.base.phase
-
-    @property
-    def order(self) -> int:
-        return self.base.order
 
     def __repr__(self) -> str:
         return f"BushMatrix(order={self.order}, phase={self.phase}, block_size={self.block_size})"
@@ -72,13 +67,12 @@ def _block_sums_hold(base: LogMatrix, n: int) -> bool:
 
 
 def projector(p: int, a: int) -> LogMatrix:
-    """The rank-one projector block R_a: entry (i, j) = a(j - i) mod p."""
+    """The rank-one projector block R_a: entry (i, j) = a(j - i) mod p.  R_a depends
+    on a only mod p, as B_a does."""
     if not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
-    if not 0 <= a < p:
-        raise ValueError(f"residue a must be in [0, {p}), got {a}")
     idx = np.arange(p, dtype=np.int64)
-    return LogMatrix(p, (a * (idx[None, :] - idx[:, None])) % p)
+    return LogMatrix(p, (a % p * (idx[None, :] - idx[:, None])) % p)
 
 
 def _projectors(p: int) -> np.ndarray:
@@ -214,7 +208,7 @@ def bush_modify(h: BushMatrix, u: Sequence[int]) -> BushModification:
         raise ValueError(f"need one residue per block row: {n}, got {len(u)}")
     block = np.arange(n * n) // n  # block row of each row, block column of each column
     shifts = np.asarray(u, dtype=np.int64)[block]
-    modified = LogMatrix(k, h.base.entries + shifts[:, None] * (block[:, None] == block))
+    modified = LogMatrix(k, h.entries + shifts[:, None] * (block[:, None] == block))
     if not verify_hadamard(modified):
         raise BushStructureError(f"diagonal scaling by {tuple(u)} broke the Hadamard property")
     candidates = []
@@ -236,11 +230,10 @@ def bush_quaternary_bents(h: BushMatrix) -> Iterator[LogVector]:
     if h.phase != 4:
         raise ValueError(f"quaternary family needs phase 4, got {h.phase}")
     n = h.block_size
-    neg = h.base.negate()
-    for mask in range(2**n):
-        logs = [1 if (mask >> (n - 1 - i)) & 1 == 0 else 3 for i in range(n)]
-        x = LogVector(4, [li for li in logs for _ in range(n)])
-        cert = check_bent(h.base, x)
+    neg = h.negate()
+    for logs in (1 + 2 * index_digits(np.arange(2**n), 2, n)).T:
+        x = LogVector(4, np.repeat(logs, n))
+        cert = check_bent(h, x)
         if not cert.self_dual:
             raise RuntimeError(f"quaternary vector {x.entries} not self-dual: kind={cert.kind}")
         neg_cert = check_bent(neg, x)

@@ -84,7 +84,7 @@ def _cmd_construct_kron(args):
 def _cmd_construct_bush(args):
     from .bush import bush_circulant
 
-    return _write_constructed(bush_circulant(args.p, args.a).base, args)
+    return _write_constructed(bush_circulant(args.p, args.a), args)
 
 
 def _cmd_construct_ksw(args):
@@ -299,7 +299,7 @@ def _cmd_bush(args):
     table = bush_table(args.p, args.a)  # rejects p and a as bush_circulant does, unverified
     if args.out is not None or not (args.verify_algebra or args.json):
         # verified only when written: to --out, or to stdout when nothing else answers
-        _emit(serialize_matrix(BushMatrix(table, args.p).base), args.out)
+        _emit(serialize_matrix(BushMatrix(table, args.p)), args.out)
     algebra = verify_projector_algebra(args.p) if args.verify_algebra else None
     record = {"p": args.p, "a": args.a, "n": table.order, "written": args.out, "algebra": algebra}
     return [record], 1 if algebra is False else 0

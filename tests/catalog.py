@@ -63,8 +63,8 @@ def catalog() -> tuple[CatalogEntry, ...]:
         entries.append(
             CatalogEntry(
                 f"Bush block circulant p={p}, column witness",
-                b.base,
-                partner.base.column(0),
+                b,
+                partner.column(0),
                 ("bent", "conjugate_self_dual"),
             )
         )
@@ -80,7 +80,7 @@ def catalog() -> tuple[CatalogEntry, ...]:
     entries.append(
         CatalogEntry(
             "quaternary Bush block-constant vector",
-            bush_real_order4().base,
+            bush_real_order4(),
             LogVector(4, (1, 1, 1, 1)),
             ("bent", "self_dual"),
         )

@@ -129,13 +129,13 @@ def test_criterion_4_projector_algebra_and_products():
         r = reduction_matrix(p)
         eye = np.eye(p, dtype=np.int64)
         for a in range(1, p):
-            ba = bush_circulant(p, a).base
-            bb = bush_circulant(p, ((p - 2) * a) % p).base
-            target = bush_circulant(p, (2 * a) % p).base
+            ba = bush_circulant(p, a)
+            bb = bush_circulant(p, ((p - 2) * a) % p)
+            target = bush_circulant(p, (2 * a) % p)
             counts = product_counts(ba, bb)
             products &= bool(((counts @ r) == p * eye[target.entries] @ r).all())
-            conjugates &= ba.conjugate() == bush_circulant(p, p - a).base
-    b1 = bush_circulant(3, 1).base
+            conjugates &= ba.conjugate() == bush_circulant(p, p - a)
+    b1 = bush_circulant(3, 1)
     counts = product_counts(b1, b1)
     r = reduction_matrix(3)
     eye = np.eye(3, dtype=np.int64)
@@ -291,6 +291,6 @@ def test_catalog_note_order_substitution():
     assert t is not None and lcm(4, h.order, h.phase) % t == 0
     for p in (3, 5):
         for a in range(1, p):
-            b = bush_circulant(p, a).base
+            b = bush_circulant(p, a)
             t = unitary_order(b, 64)
             assert t == p and lcm(4, b.order, b.phase) % t == 0

@@ -157,8 +157,8 @@ def _scannable():
     yield "F(C_3^2)", character_table([3, 3])
     yield "BH(4,8)", sample_bh48()
     yield "order-4 circulant", circulant_from_row(LogVector(4, (0, 0, 0, 2)))
-    yield "B_1, p=3", bush_circulant(3, 1).base
-    yield "B_2, p=3", bush_circulant(3, 2).base
+    yield "B_1, p=3", bush_circulant(3, 1)
+    yield "B_2, p=3", bush_circulant(3, 2)
     for u in range(27):
         scaling = (u // 9, u // 3 % 3, u % 3)
         yield f"B_1 scaled by {scaling}", bush_modify(bush_circulant(3, 1), scaling).matrix
@@ -332,7 +332,7 @@ def test_tensor_corollary_variant3():
 @pytest.mark.parametrize("p", [3, 5])
 def test_tensor_corollary_variant3_on_complex_bush_matrices(p):
     # conj(H) M conj(H) = n conj(M) needs the conjugate of H, which a real H hides
-    b = bush_circulant(p, 1).base
+    b = bush_circulant(p, 1)
     cert = tensor_corollary_check(b, b, variant=3)
     assert cert.conjugate_self_dual and cert.conjugate_self_dual_unit == b.order
 

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from butson import bush
-from butson.bent import check_bent
+from butson import matrices
+from butson.bent import check_bent, search_bent
+from butson.codes import code_from_matrix
 from butson.bush import (
     BushMatrix,
     BushStructureError,
@@ -42,6 +44,12 @@ def test_projector_examples():
         raise AssertionError("expected ValueError")
     except ValueError:
         pass
+
+
+def test_projector_reads_a_mod_p():
+    for p in (3, 5, 7):
+        for a in range(p):
+            assert projector(p, a + p) == projector(p, a) == projector(p, a - p), (p, a)
 
 
 def test_projector_algebra():
@@ -95,11 +103,11 @@ def test_bush_circulant_structure():
     for p in (3, 5, 7, 11):
         for a in range(1, p):
             b = bush_circulant(p, a)
-            assert verify_hadamard(b.base)
+            assert verify_hadamard(b)
             # symmetry
-            assert LogMatrix(p, b.base.entries.T) == b.base
+            assert LogMatrix(p, b.entries.T) == b
             # conjugation identity
-            assert b.base.conjugate() == bush_circulant(p, p - a).base
+            assert b.conjugate() == bush_circulant(p, p - a)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -108,13 +116,13 @@ def test_bush_circulant_is_the_closed_form(p):
     i, r, j, c = np.ogrid[:p, :p, :p, :p]
     for a in range(1, p):
         want = ((j - i) * a * (c - r) % p).reshape(p * p, p * p)
-        assert (bush_circulant(p, a).base.entries == want).all(), a
+        assert (bush_circulant(p, a).entries == want).all(), a
 
 
 def test_bush_example_p3():
     b1 = bush_circulant(3, 1)
     r = [projector(3, a).entries for a in range(3)]
-    e = b1.base.entries
+    e = b1.entries
     # first block row is [R0, R1, R2]
     assert (e[0:3, 0:3] == r[0]).all()
     assert (e[0:3, 3:6] == r[1]).all()
@@ -127,29 +135,29 @@ def test_bush_product_identity():
     # B_a B_((p-2)a) = p B_(2a)
     for p in (3, 5, 7):
         for a in range(1, p):
-            ba = bush_circulant(p, a).base
-            bb = bush_circulant(p, ((p - 2) * a) % p or p).base if ((p - 2) * a) % p else None
+            ba = bush_circulant(p, a)
+            bb = bush_circulant(p, ((p - 2) * a) % p or p) if ((p - 2) * a) % p else None
             if bb is None:
                 continue
             counts = product_counts(ba, bb)
-            target = bush_circulant(p, (2 * a) % p).base
+            target = bush_circulant(p, (2 * a) % p)
             r = reduction_matrix(p)
             want = p * np.eye(p, dtype=np.int64)[target.entries] @ r
             assert ((counts @ r) == want).all(), (p, a)
 
 
 def test_bush_p5_product_example():
-    counts = product_counts(bush_circulant(5, 1).base, bush_circulant(5, 3).base)
-    target = bush_circulant(5, 2).base
+    counts = product_counts(bush_circulant(5, 1), bush_circulant(5, 3))
+    target = bush_circulant(5, 2)
     r = reduction_matrix(5)
     want = 5 * np.eye(5, dtype=np.int64)[target.entries] @ r
     assert ((counts @ r) == want).all()
 
 
 def test_conjugate_self_bent_check():
-    assert conjugate_self_bent_check(bush_circulant(3, 1).base) is True
-    assert conjugate_self_bent_check(bush_circulant(3, 2).base) is True
-    assert conjugate_self_bent_check(bush_circulant(5, 1).base) is False
+    assert conjugate_self_bent_check(bush_circulant(3, 1)) is True
+    assert conjugate_self_bent_check(bush_circulant(3, 2)) is True
+    assert conjugate_self_bent_check(bush_circulant(5, 1)) is False
     assert conjugate_self_bent_check(kronecker(fourier_matrix(2), fourier_matrix(2))) is False
 
 
@@ -157,20 +165,20 @@ def test_bush_columns_conjugate_self_dual():
     # columns of B_((p-2)a) are conjugate self-dual B_a-bent
     for p in (3, 5, 7):
         a = 1
-        ba = bush_circulant(p, a).base
-        other = bush_circulant(p, ((p - 2) * a) % p).base
+        ba = bush_circulant(p, a)
+        other = bush_circulant(p, ((p - 2) * a) % p)
         for j in range(0, p * p, p):  # one column per block suffices for speed
             cert = check_bent(ba, other.column(j))
             assert cert.conjugate_self_dual, (p, j)
     # B1 at p=3: every column of B1 itself is conjugate self-dual (M^2 = 3 conj(M))
-    b1 = bush_circulant(3, 1).base
+    b1 = bush_circulant(3, 1)
     for j in range(9):
         assert check_bent(b1, b1.column(j)).conjugate_self_dual
 
 
 def test_bush_pair_unbiased():
-    b1 = bush_circulant(3, 1).base
-    b2 = bush_circulant(3, 2).base
+    b1 = bush_circulant(3, 1)
+    b2 = bush_circulant(3, 2)
     z = is_unbiased(b1, b2)
     assert z is not None and z == 3
 
@@ -179,7 +187,7 @@ def test_bush_modify_identity_scaling():
     b1 = bush_circulant(3, 1)
     result = bush_modify(b1, (0, 0, 0))
     modified, sd, csd = result[:3]
-    assert modified == b1.base
+    assert modified == b1
     assert csd.entries == (0,) * 9
     assert result.self_dual_certificate.self_dual
     assert result.conjugate_self_dual_certificate.conjugate_self_dual
@@ -256,9 +264,9 @@ def test_bush_modify_rejects_even_phase():
 
 def test_real_order4_instance():
     b = bush_real_order4()
-    assert verify_hadamard(b.base)
+    assert verify_hadamard(b)
     assert b.block_size == 2
-    assert b.base.entries.tolist() == [[0, 0, 0, 2], [0, 0, 2, 0], [0, 2, 0, 0], [2, 0, 0, 0]]
+    assert b.entries.tolist() == [[0, 0, 0, 2], [0, 0, 2, 0], [0, 2, 0, 0], [2, 0, 0, 0]]
 
 
 def test_quaternary_bents():
@@ -268,9 +276,9 @@ def test_quaternary_bents():
     assert vectors[0].entries == (1, 1, 1, 1)
     assert vectors[-1].entries == (3, 3, 3, 3)
     for x in vectors:
-        cert = check_bent(b.base, x)
+        cert = check_bent(b, x)
         assert cert.self_dual
-        neg_cert = check_bent(b.base.negate(), x)
+        neg_cert = check_bent(b.negate(), x)
         assert neg_cert.conjugate_self_dual
 
 
@@ -289,3 +297,34 @@ def test_block_sums_check_block_rows_and_block_columns():
     m = LogMatrix(2, [[0, 0, 0, 1], [0, 0, 0, 1], [0, 1, 0, 0], [0, 1, 0, 0]])
     assert not _block_sums_hold(m, 2)
     assert not _block_sums_hold(LogMatrix(2, m.entries.T), 2)
+
+
+@pytest.mark.parametrize("make", [lambda: bush_circulant(3, 1), bush_real_order4],
+                         ids=["B_1, p=3", "real order 4"])
+def test_every_check_takes_a_bush_matrix_as_it_is(make):
+    b = make()
+    assert verify_hadamard(b)
+    plain = LogMatrix(b.phase, b.entries)
+    assert isinstance(b, LogMatrix) and b == plain and hash(b) == hash(plain)
+    assert [c.words for c in code_from_matrix(b)] == [c.words for c in code_from_matrix(plain)]
+    assert check_bent(b, b.column(0)) == check_bent(plain, plain.column(0))
+    hits = list(search_bent(b, "conjugate_self_dual"))
+    assert hits == list(search_bent(plain, "conjugate_self_dual")) and hits
+
+
+def test_a_bush_matrix_reuses_the_hadamard_verdict_of_its_table(monkeypatch):
+    # one Hadamard count of the table and one block-sum count; no second count
+    calls = []
+
+    def counting(module):
+        kernel = module.count_tensor
+
+        def count(*args):
+            calls.append(module.__name__)
+            return kernel(*args)
+        return count
+
+    monkeypatch.setattr(matrices, "count_tensor", counting(matrices))
+    monkeypatch.setattr(bush, "count_tensor", counting(bush))
+    b = BushMatrix(bush.bush_table(5, 2), 5)
+    assert verify_hadamard(b) and calls == ["butson.matrices", "butson.bush"]

@@ -72,7 +72,7 @@ def test_unitary_order_divides_lcm():
     t = unitary_order(circ, bound)
     assert t is not None and bound % t == 0
     for p in (3, 5):
-        b = bush_circulant(p, 1).base
+        b = bush_circulant(p, 1)
         bound = lcm(4, b.order, b.phase)
         t = unitary_order(b, bound)
         assert t is not None and bound % t == 0

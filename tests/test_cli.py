@@ -63,6 +63,22 @@ def test_verify_bush_rejects_plain_hadamard(capsys, tmp_path):
     assert payload["result"] is False and payload["reason"]
 
 
+@pytest.mark.parametrize("argv,code,stream,line", [
+    (["verify", "bush", "{zero}"], 1, 1, "bush: false (base matrix is not Butson Hadamard)\n"),
+    (["obstructions", "--n", "7", "--k", "3"], 0, 1, "  p=7: not applicable, 7 not self-conjugate mod 3\n"),
+    (["bent-check", "{s2}", "{x22}"], 0, 1, "\nself-dual unit: 2\n"),
+    (["covering-radius", "--rm", "a,b"], 2, 2, "expected integers q,m"),
+])
+def test_each_path_prints_its_line(capsys, tmp_path, argv, code, stream, line):
+    # stream 1 is stdout, 2 is stderr
+    files = {name: str(tmp_path / name) for name in ("zero", "s2", "x22")}
+    (tmp_path / "zero").write_text("BH 4 2\n" + "0 0 0 0\n" * 4)
+    run(capsys, ["construct", "sylvester", "--m", "2", "--out", files["s2"]])
+    run(capsys, ["construct", "ksw", "--k", "2", "--m", "2", "--out", files["x22"]])
+    got = run(capsys, [a.format(**files) for a in argv])
+    assert got[0] == code and line in got[stream]
+
+
 def test_construct_kron(capsys, tmp_path):
     a, b, out_path = tmp_path / "a.bh", tmp_path / "b.bh", tmp_path / "ab.bh"
     run(capsys, ["construct", "fourier", "--n", "2", "--out", str(a)])

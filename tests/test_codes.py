@@ -518,7 +518,7 @@ def test_bent_lower_bound_sandwich():
 
 
 PHASE_3_BASES = [fourier_matrix(3), kronecker(fourier_matrix(3), fourier_matrix(3)),
-                 bush_circulant(3, 1).base, bush_circulant(3, 2).base]
+                 bush_circulant(3, 1), bush_circulant(3, 2)]
 
 
 @lru_cache(maxsize=None)
@@ -613,8 +613,8 @@ def test_strength_2_and_complementary_for_prime_phase_catalog():
         fourier_matrix(3),
         fourier_matrix(5),
         kronecker(fourier_matrix(3), fourier_matrix(3)),
-        bush_circulant(3, 1).base,
-        bush_circulant(3, 2).base,
+        bush_circulant(3, 1),
+        bush_circulant(3, 2),
     ]
     for h in catalog:
         _, c_code = code_from_matrix(h)
@@ -701,7 +701,7 @@ def test_radius_below_leducq_for_small_prime_phase_codes():
         fourier_matrix(3),
         fourier_matrix(5),
         kronecker(fourier_matrix(3), fourier_matrix(3)),
-        bush_circulant(3, 1).base,
+        bush_circulant(3, 1),
     ]:
         _, c_code = code_from_matrix(h)
         radius = covering_radius(c_code).value

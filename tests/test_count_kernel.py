@@ -57,7 +57,7 @@ def test_count_kernels_match_brute_force(data):
 
 _HADAMARD = [fourier_matrix(k) for k in range(1, 17)] + [
     character_table([2, 2, 2]), character_table([4, 2]), character_table([3, 3]),
-    bush_circulant(3, 1).base, bush_circulant(5, 2).base,
+    bush_circulant(3, 1), bush_circulant(5, 2),
 ]
 
 
@@ -216,8 +216,8 @@ def _is_unbiased_reference(a: LogMatrix, b: LogMatrix) -> CycInt | None:
 
 def test_is_unbiased_matches_reference():
     rng = random.Random(17)
-    pairs = [(bush_circulant(3, 1).base, bush_circulant(3, 2).base),
-             (bush_circulant(3, 1).base, bush_circulant(3, 1).base)]
+    pairs = [(bush_circulant(3, 1), bush_circulant(3, 2)),
+             (bush_circulant(3, 1), bush_circulant(3, 1))]
     for base in (fourier_matrix(4), character_table([2, 2]).lift_phase(4), fourier_matrix(3)):
         pairs += [(_random_equivalent(base, rng), _random_equivalent(base, rng)) for _ in range(6)]
     results = [is_unbiased(a, b) for a, b in pairs]
@@ -260,7 +260,7 @@ def _record_dtypes(monkeypatch, force=None) -> list:
 
 def test_unitary_order_paths_match_reference(monkeypatch):
     rng = random.Random(9)
-    cases = [bush_circulant(3, 1).base]
+    cases = [bush_circulant(3, 1)]
     for base in (fourier_matrix(3), fourier_matrix(4), character_table([2, 2])):
         cases += [_random_equivalent(base, rng) for _ in range(2)]
     expected = [_unitary_order_reference(h, 40) for h in cases]

@@ -22,7 +22,7 @@ from butson.matrices import (
 )
 from butson.numtheory import _MODES
 
-B1_3 = bush_circulant(3, 1).base
+B1_3 = bush_circulant(3, 1)
 BH48 = LogMatrix(8, [[0, 0, 0, 0], [0, 2, 4, 6], [0, 4, 0, 4], [0, 6, 4, 2]])
 HADAMARD = [fourier_matrix(2), fourier_matrix(3), fourier_matrix(4), fourier_matrix(5),
             character_table([2, 2]), character_table([3, 3]), character_table([2, 4]),
