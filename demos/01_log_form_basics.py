@@ -7,14 +7,8 @@ unity and satisfies H H* = n I.  Storing the exponent table instead of
 the complex entries keeps every check exact.
 """
 
-from butson import (
-    fourier_matrix,
-    kronecker,
-    parse_matrix,
-    serialize_matrix,
-    sylvester_matrix,
-    verify_hadamard,
-)
+from butson.fileio import parse_matrix, serialize_matrix
+from butson.matrices import fourier_matrix, kronecker, sylvester_matrix, verify_hadamard
 
 # The Fourier matrix of the cyclic group C_n: entry (i, j) is i*j mod n.
 f3 = fourier_matrix(3)

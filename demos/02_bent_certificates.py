@@ -9,20 +9,16 @@ self-dual ones H x = u sqrt(n) conj(x), with u a root of unity times a
 rational scale.  check_bent decides all three properties exactly.
 """
 
-from butson import (
-    LogVector,
-    bush_circulant,
-    character_table,
+from butson.bent import (
     check_bent,
     circulant_bent_bridge,
-    fourier_matrix,
-    kronecker,
     ksw_vector,
     search_bent,
     tensor_bent,
     tensor_corollary_check,
-    verify_hadamard,
 )
+from butson.bush import bush_circulant
+from butson.matrices import LogVector, character_table, fourier_matrix, kronecker, verify_hadamard
 
 # The quadratic form x(c, c') = zeta^(c . c') gives a conjugate self-dual
 # bent vector on the character table of C_k^m for every k and even m.

@@ -15,16 +15,16 @@ survives unconditionally.  bush_modify reports the discrepancy rather
 than assuming it away.
 """
 
-from butson import (
+from butson.bent import check_bent
+from butson.bush import (
     bush_circulant,
     bush_modify,
     bush_quaternary_bents,
     bush_real_order4,
-    check_bent,
     conjugate_self_bent_check,
-    verify_hadamard,
     verify_projector_algebra,
 )
+from butson.matrices import LogVector, verify_hadamard
 
 print("projector algebra exact for p = 3, 5, 7:",
       all(verify_projector_algebra(p) for p in (3, 5, 7)))
@@ -56,8 +56,6 @@ print("  falsified:", result.falsified)
 # The scaled matrix is not short of self-dual vectors, though: vectors
 # whose blocks are nontrivial characters are annihilated by the all-ones
 # diagonal blocks, so the scaling never sees them.
-from butson import LogVector
-
 chi = LogVector(3, (0, 1, 2, 0, 1, 2, 0, 1, 2))
 print("\ncharacter-patterned vector on the scaled matrix:",
       check_bent(result.matrix, chi).kind)

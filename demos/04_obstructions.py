@@ -9,7 +9,7 @@ and 4 add an entry-shape constraint.  These predicates rule out whole
 parameter pairs without any search.
 """
 
-from butson import (
+from butson.numtheory import (
     bent_obstructions,
     circulant_real_obstruction,
     is_self_conjugate_prime,

@@ -9,17 +9,17 @@ lower bound (2/3)(n - sqrt(n)) and an upper bound (T - sqrt(n))/q, both
 computed as exact surds.
 """
 
-from butson import (
+from butson.bent import ksw_vector
+from butson.codes import (
     bent_lower_bound,
-    character_table,
     code_from_matrix,
     covering_radius,
-    ksw_vector,
     leducq_upper_bound,
     min_distance,
     reed_muller_1,
     schmidt_rho,
 )
+from butson.matrices import character_table
 
 h = character_table([3, 3])
 _, c_h = code_from_matrix(h)

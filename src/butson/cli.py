@@ -9,11 +9,12 @@ no record; bush without --out, --verify-algebra or --json writes its matrix to
 stdout, and its record renders as no text.  bush verifies B_a only when it
 writes it: otherwise its record reads the order off the unverified table.
 
-Each command imports the modules it runs, so `obstructions` and `--help` never
-load numpy, and only JSON output loads json.  `python -m butson` and the
-`butson` script enter through run(), which flushes stdout and stderr once
-main() returns and exits at once with its code, skipping the interpreter's
-teardown.
+Construct commands write the text formats of fileio; a JSON matrix file is
+read, never written.  Each command imports the modules it runs, so
+`obstructions` and `--help` never load numpy, and only --json output and JSON
+matrix files load json.  `python -m butson` and the `butson` script enter
+through run(), which flushes stdout and stderr once main() returns and exits
+at once with its code, skipping the interpreter's teardown.
 """
 
 from __future__ import annotations
@@ -51,12 +52,9 @@ def _cyc_json(z) -> dict | None:
 
 
 def _write_constructed(h, args):
-    from .fileio import serialize_matrix, serialize_matrix_json
+    from .fileio import serialize_matrix
 
-    if args.format == "json":
-        _emit(serialize_matrix_json(h), args.out)
-    else:
-        _emit(serialize_matrix(h), args.out)
+    _emit(serialize_matrix(h), args.out)
     return (), 0
 
 
@@ -335,7 +333,6 @@ def _add_json(p) -> None:
 
 def _add_out(p) -> None:
     p.add_argument("--out", default=None, help="output path (default: stdout)")
-    p.add_argument("--format", choices=("text", "json"), default="text")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -412,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="first-order generalized Reed-Muller code")
     p.add_argument("--sample", type=_positive_int, default=None, metavar="N",
                    help="sampled lower bound from N seeded draws (default: exhaustive scan)")
-    p.add_argument("--budget", type=int, default=2**30)
+    p.add_argument("--budget", type=_positive_int, default=2**30)
     p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bent-vector", default=None, help="vector file for the phase-3 lower bound")

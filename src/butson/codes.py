@@ -50,7 +50,7 @@ class BudgetExceededError(ValueError):
 
 class ZkCode:
     """The distinct words of a code in Z_k^n, first occurrences in order, as one read-only
-    int64 array of shape (size, length); words and membership are read from it."""
+    int64 array of shape (size, length); its words are read from it."""
 
     def __init__(self, modulus: int, words: np.ndarray | Sequence[Sequence[int]]):
         if modulus < 2:
@@ -72,10 +72,6 @@ class ZkCode:
 
     def __len__(self) -> int:
         return len(self._array)
-
-    def __contains__(self, w: Sequence[int]) -> bool:
-        w = np.asarray(w, dtype=np.int64) % self.modulus
-        return w.shape == (self.length,) and bool((self._array == w).all(axis=1).any())
 
     def __repr__(self) -> str:
         return f"ZkCode(length={self.length}, modulus={self.modulus}, size={len(self)})"
@@ -209,9 +205,6 @@ class LeducqBound(NamedTuple):
     root_coefficient: Fraction
     radicand: int
     floor: int
-
-    def __float__(self) -> float:
-        return float(self.rational_part) + float(self.root_coefficient) * self.radicand**0.5
 
 
 def leducq_upper_bound(n: int, q: int) -> LeducqBound:

@@ -1,10 +1,10 @@
-"""Bit-exact text and JSON serialization for log-form matrices and vectors.
+"""Bit-exact text serialization for log-form matrices and vectors, and a JSON matrix reader.
 
 Matrix text format: optional `#` comment lines, then a header `BH <n> <k>`,
-then n lines of n space-separated integers in [0, k).  The JSON alternative
-is an object {"n": ..., "k": ..., "rows": [[...], ...]}; readers sniff the
-two by the first non-whitespace character.  Vector files use the header
-`VEC <n> <k>` followed by a single line of n entries.
+then n lines of n space-separated integers in [0, k).  The JSON alternative,
+read but never written, is an object {"n": ..., "k": ..., "rows": [[...], ...]};
+readers sniff the two by the first non-whitespace character.  Vector files use
+the header `VEC <n> <k>` followed by a single line of n entries.
 
 A matrix body is read in one pass, as one int64 array from one numpy call;
 anything that pass does not take whole goes to the line-by-line reader.
@@ -37,12 +37,6 @@ def serialize_matrix(h: LogMatrix, comments: Sequence[str] = ()) -> str:
     lines.append(f"BH {h.order} {h.phase}")
     lines.extend(" ".join(str(int(e)) for e in row) for row in h.entries)
     return "\n".join(lines) + "\n"
-
-
-def serialize_matrix_json(h: LogMatrix) -> str:
-    import json  # text files never load it
-
-    return json.dumps({"n": h.order, "k": h.phase, "rows": h.entries.tolist()}) + "\n"
 
 
 def _parse_int(token: str, source: str, line: int, what: str) -> int:

@@ -35,14 +35,13 @@ def test_construct_round_trips_all_builders(capsys, tmp_path):
         (["construct", "fourier", "--n", "5"], fourier_matrix(5)),
         (["construct", "sylvester", "--m", "3"], sylvester_matrix(3)),
     ]
-    for fmt in ("text", "json"):
-        for argv, expected in targets:
-            path = tmp_path / f"m-{fmt}-{argv[1]}.bh"
-            code, _, _ = run(capsys, argv + ["--out", str(path), "--format", fmt])
-            assert code == 0
-            assert read_matrix(path) == expected
-            code, out, _ = run(capsys, ["verify", "hadamard", str(path)])
-            assert code == 0 and out == "hadamard: true\n"
+    for argv, expected in targets:
+        path = tmp_path / f"m-{argv[1]}.bh"
+        code, _, _ = run(capsys, argv + ["--out", str(path)])
+        assert code == 0
+        assert read_matrix(path) == expected
+        code, out, _ = run(capsys, ["verify", "hadamard", str(path)])
+        assert code == 0 and out == "hadamard: true\n"
 
 
 def test_construct_bush_and_verify(capsys, tmp_path):
@@ -68,15 +67,21 @@ def test_verify_bush_rejects_plain_hadamard(capsys, tmp_path):
     (["obstructions", "--n", "7", "--k", "3"], 0, 1, "  p=7: not applicable, 7 not self-conjugate mod 3\n"),
     (["bent-check", "{s2}", "{x22}"], 0, 1, "\nself-dual unit: 2\n"),
     (["covering-radius", "--rm", "a,b"], 2, 2, "expected integers q,m"),
+    (["covering-radius", "--rm", "2,2", "--budget", "0"], 2, 2, "expected a positive integer"),
+    (["covering-radius", "--rm", "2,2", "--sample", "3", "--budget", "-1"], 2, 2,
+     "expected a positive integer"),
+    (["construct", "fourier", "--n", "3", "--format", "json"], 2, 2,
+     "unrecognized arguments: --format json"),
 ])
 def test_each_path_prints_its_line(capsys, tmp_path, argv, code, stream, line):
-    # stream 1 is stdout, 2 is stderr
+    # stream 1 is stdout, 2 is stderr; a usage error (exit 2) leaves stdout empty
     files = {name: str(tmp_path / name) for name in ("zero", "s2", "x22")}
     (tmp_path / "zero").write_text("BH 4 2\n" + "0 0 0 0\n" * 4)
     run(capsys, ["construct", "sylvester", "--m", "2", "--out", files["s2"]])
     run(capsys, ["construct", "ksw", "--k", "2", "--m", "2", "--out", files["x22"]])
     got = run(capsys, [a.format(**files) for a in argv])
     assert got[0] == code and line in got[stream]
+    assert code != 2 or got[1] == ""
 
 
 def test_construct_kron(capsys, tmp_path):
@@ -338,7 +343,7 @@ def _parser_corpus(tmp_path) -> tuple[list[list[str]], list[list[str]]]:
         ["obstructions", "--n", "9", "--k", "3"],
         ["obstructions", "--n", "5", "--k", "13", "--json"],
         ["construct", "fourier", "--n", "3"],
-        ["construct", "sylvester", "--m", "2", "--format", "json"],
+        ["construct", "sylvester", "--m", "2"],
         ["construct", "ksw", "--k", "3", "--m", "2"],
         ["construct", "rm", "--q", "2", "--m", "2"],
         ["verify", "hadamard", f9],

@@ -15,7 +15,6 @@ from butson.fileio import (
     read_matrix,
     read_vector,
     serialize_matrix,
-    serialize_matrix_json,
     serialize_vector,
 )
 from butson.matrices import LogMatrix, LogVector, fourier_matrix, sylvester_matrix
@@ -41,7 +40,7 @@ def test_matrix_text_bit_exact():
 def test_matrix_json_round_trip(tmp_path):
     for h in [sample_bh48(), fourier_matrix(5)]:
         path = tmp_path / "m.json"
-        path.write_text(serialize_matrix_json(h))
+        path.write_text(json.dumps({"n": h.order, "k": h.phase, "rows": h.entries.tolist()}))
         assert read_matrix(path) == h  # sniffed by leading brace
 
 
@@ -127,7 +126,7 @@ def test_random_matrix_round_trips():
         n = rng.randrange(1, 6)
         h = LogMatrix(k, [[rng.randrange(k) for _ in range(n)] for _ in range(n)])
         assert parse_matrix(serialize_matrix(h)) == h
-        assert parse_matrix(serialize_matrix_json(h)) == h
+        assert parse_matrix(json.dumps({"n": n, "k": k, "rows": h.entries.tolist()})) == h
 
 
 def test_matrix_json_rejects_booleans():

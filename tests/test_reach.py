@@ -1,11 +1,12 @@
-"""src/butson holds what the CLI and the demos run, and the top level exports
-what the demos and the README import.
+"""src/butson holds what the CLI and the demos run, and every name has one
+import path: the module that defines it.
 
 Every module-level function and class of src/butson must be referred to, as a
 name or an attribute, somewhere in src/butson or demos/ outside its own
 definition; import statements do not count, so a name that only tests reach
 fails here.  Module hooks that Python calls itself (__getattr__, __dir__) are
-exempt.
+exempt.  The README's python blocks run as written, and neither they nor the
+demos import anything from the bare `butson` package but its submodules.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
-import butson
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "butson").glob("*.py"))
@@ -59,12 +60,21 @@ def test_every_module_level_name_is_reached_from_src_or_a_demo():
     assert not unreached, f"reached only from tests or not at all: {unreached}"
 
 
-def test_the_top_level_exports_what_the_demos_and_readme_import():
-    imported = set()
-    for path in DEMOS:
-        imported |= _butson_imports(_parse(path))
-    readme = (ROOT / "README.md").read_text()
-    for block in re.findall(r"```python\n(.*?)```", readme, flags=re.S):
-        imported |= _butson_imports(ast.parse(block))
-    assert imported, "no `from butson import` line found"
-    assert set(butson.__all__) == imported
+def _readme_blocks() -> list[str]:
+    return re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), flags=re.S)
+
+
+def test_the_readme_python_blocks_run():
+    blocks = _readme_blocks()
+    assert blocks, "no python block in README.md"
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {"__name__": "readme"})
+
+
+def test_demos_and_readme_import_names_from_their_modules():
+    trees = [_parse(path) for path in DEMOS] + [ast.parse(b) for b in _readme_blocks()]
+    imported = set().union(*map(_butson_imports, trees))
+    submodules = {path.stem for path in SOURCES}
+    assert not imported - submodules, f"imported from the bare package: {imported - submodules}"
+    with pytest.raises(ImportError):
+        from butson import check_bent  # noqa: F401
