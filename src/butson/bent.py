@@ -110,11 +110,12 @@ def block_size(cells: int, dtype) -> int:
 
 def digit_sum(contrib: np.ndarray, x: np.ndarray) -> np.ndarray:
     """(F, B) sums over j of contrib[j, x[j, b]] in contrib's dtype, added one coordinate
-    at a time as gathered (B, F) rows, the fastest way, with no (n, F, B) temporary."""
+    at a time as gathered (B, F) rows, the fastest way, with no (n, F, B) temporary; the
+    result is the transposed view of those rows."""
     out = np.zeros((x.shape[1], contrib.shape[2]), dtype=contrib.dtype)
     for j, row in enumerate(x):
         out += contrib[j].take(row, axis=0)
-    return out.T.copy()
+    return out.T
 
 
 def suffix_table(contrib: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -20,6 +20,7 @@ at once with its code, skipping the interpreter's teardown.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from math import isqrt
@@ -365,12 +366,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = csub.add_parser("ksw", help="quadratic-form bent vector for F(C_k^m)")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", default=None)
+    _add_out(p)
     p.set_defaults(func=_cmd_construct_ksw)
     p = csub.add_parser("rm", help="first-order generalized Reed-Muller code")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--out", default=None)
+    _add_out(p)
     p.set_defaults(func=_cmd_construct_rm)
 
     verify = sub.add_parser("verify", help="exact verification of matrix files")
@@ -409,7 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="first-order generalized Reed-Muller code")
     p.add_argument("--sample", type=_positive_int, default=None, metavar="N",
                    help="sampled lower bound from N seeded draws (default: exhaustive scan)")
-    p.add_argument("--budget", type=_positive_int, default=2**30)
+    p.add_argument("--budget", type=_positive_int, default=2**30,
+                   help="most ambient vectors an exhaustive scan may cover (default: 2^30)")
     p.add_argument("--workers", type=_positive_int, default=1, help=workers_help)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--bent-vector", default=None, help="vector file for the phase-3 lower bound")
@@ -431,7 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bush", help="Bush family: write B_a and optionally check the algebra")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--a", type=int, required=True)
-    p.add_argument("--out", default=None)
+    _add_out(p)
     p.add_argument("--verify-algebra", action="store_true")
     _add_json(p)
     p.set_defaults(func=_cmd_bush, text=_text_bush)
@@ -471,8 +473,12 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry point: main() on sys.argv, both streams flushed, then an
-    immediate exit with its code, skipping the interpreter's teardown."""
+    """The process entry point: main() on sys.argv with the cycle collector off, both
+    streams flushed, then an immediate exit with its code, skipping the interpreter's
+    teardown.  A command's objects live until the exit, and its scans leave no cycles
+    behind, so collections would only walk the heap; spawned pool workers do not enter
+    here and keep theirs."""
+    gc.disable()
     code = main()
     try:
         sys.stdout.flush()  # what main() left unflushed: help, usage, output before an error

@@ -7,14 +7,18 @@ R_H, the rows of L(H), and the translate-closed code C_H = union over alpha of
 codewords of the Hamming distance is computed by an exhaustive scan through
 the digit-sum kernel of bent: coordinate j with value v adds [w_j != v] to the
 distance of every codeword w, so an ambient vector costs one addition and one
-comparison per codeword on top of its prefix's distances.  Distances are held
-in the narrowest of uint8, int16 and int32 that is exact for the length, so
-codes shorter than 128 scan one byte per codeword.  The sampled radius
-sums the same table over blocks of seeded draws: the values
+comparison per codeword on top of its prefix's distances.  A self-complementary
+code (closed under adding alpha 1) puts x and x - x_0 1 at the same distance, so
+its scan covers only the k**(n-1) vectors with x_0 = 0; the budget still counts
+all k**n.  Distances are held in the narrowest of uint8, int16 and int32 that is
+exact for the length, so codes shorter than 128 scan one byte per codeword.  The
+sampled radius sums the same table over blocks of seeded draws: the values
 random.Random(seed).randrange(modulus) gives, coordinate by coordinate, read in
 bulk from the generator's 32-bit words, so the modulus must be below 2**32.  A
-sampled block holds at most _BLOCK_BYTES of sums and at most as much of draws,
-one byte each when the modulus is at most 256.
+draw's sum reads one row per group of g coordinates, from a table of the k**g
+sums of that group, for the widest g whose tables together hold at most
+_BLOCK_BYTES.  A sampled block holds at most _BLOCK_BYTES of sums and at most as
+much of draws, one byte each when the modulus is at most 256.
 
 Exact arithmetic backs the bound computations: the upper bound
 (q-1)n/q - sqrt(n)/q and the phase-3 lower bound ceil((2/3)(n - sqrt(n)))
@@ -27,10 +31,9 @@ for codes of under 2**24 words.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from functools import partial
 from math import isqrt
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -39,6 +42,8 @@ from .cyclotomic import check_exact
 from .matrices import LogMatrix, LogVector, NotHadamardError, _one_hot, verify_hadamard
 from .numtheory import is_prime
 
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 _TILE_CELLS = 2**19  # float32 cells (2 MiB) of one tile's one-hot and of one tile pair's counts
 _RM_ENTRIES = 2**22  # most entries reed_muller_1 builds
@@ -132,8 +137,8 @@ def _randrange_blocks(rng: random.Random, k: int, sizes: Iterable[int]) -> Itera
     getrandbits(32 m) holds the next m words, least significant first.  Words are read
     at most 2**14 at a time, so a read adds 64 KiB or so to the block it fills, and
     words read past one block carry over to the next."""
-    shift = 32 - int(k).bit_length()
-    pool = np.empty(0, np.min_scalar_type(int(k) - 1))
+    shift = 32 - k.bit_length()
+    pool = np.empty(0, np.min_scalar_type(k - 1))
     for size in sizes:
         pieces, have = [pool], len(pool)
         while have < size:
@@ -160,17 +165,19 @@ def covering_radius(
     The exhaustive strategy scans all modulus**length ambient vectors (guarded
     by `budget`, raising BudgetExceededError otherwise) and returns the exact
     radius; its indices are int64, so 2**63 or more vectors raise ValueError
-    whatever the budget.  The sampled strategy draws `samples` ambient vectors,
-    coordinate by coordinate, as random.Random(seed).randrange(modulus) would,
-    and returns the largest observed min-distance, which is a lower bound on the
-    radius and is flagged exact=False; it needs a modulus below 2**32.  Multi-worker scans
-    partition the ambient space into contiguous index ranges and reduce by max,
-    so the result does not depend on the worker count.  Distances and their sums
-    are at most length, held in uint8, int16 or int32, the first that
-    check_exact finds holds the length.  Every argument is checked before
-    anything is allocated.
+    whatever the budget.  A self-complementary code scans only the
+    modulus**(length-1) vectors whose first coordinate is 0, and both guards
+    still count modulus**length.  The sampled strategy draws `samples` ambient
+    vectors, coordinate by coordinate, as random.Random(seed).randrange(modulus)
+    would, and returns the largest observed min-distance, which is a lower bound
+    on the radius and is flagged exact=False; it needs a modulus below 2**32.
+    Multi-worker scans partition the ambient space into contiguous index ranges
+    and reduce by max, so the result does not depend on the worker count.
+    Distances and their sums are at most length, held in uint8, int16 or int32,
+    the first that check_exact finds holds the length.  Every argument is
+    checked before anything is allocated.
     """
-    k, n = c.modulus, c.length
+    k, n = int(c.modulus), c.length
     dtype = check_exact(n, np.uint8, np.int16, np.int32)
     if strategy == "exhaustive" and k**n > budget:
         raise BudgetExceededError(f"ambient space {k}^{n} = {k**n} vectors exceeds budget {budget}")
@@ -188,14 +195,49 @@ def covering_radius(
     if strategy == "exhaustive":
         head, table = suffix_table(contrib)
         scan = partial(_scan_radius_range, head=head, table=table)
-        return CoveringRadiusResult(max(fan_out(scan, k**n, workers)), True)
-    # a block holds at most _BLOCK_BYTES of sums and at most as much of draws
-    step = min(block_size(len(c), dtype), block_size(n, np.min_scalar_type(int(k) - 1)))
+        # x and x - x_0 1 lie at the same distance from a translate-closed code: x_0 = 0 suffices
+        total = k ** (n - 1) if is_self_complementary(c) else k**n
+        return CoveringRadiusResult(max(fan_out(scan, total, workers)), True)
+    # a block holds at most _BLOCK_BYTES of sums and at most as much of draws; the sums
+    # read one table of g coordinates at a time, g the widest whose tables hold as much together
+    fit = block_size(len(c), dtype)
+    g = max((g for g in range(2, min(n, fit.bit_length()) + 1) if -(-n // g) * k**g <= fit), default=1)
+    tables = _group_tables(contrib, g)
+    step = min(fit, block_size(n, np.min_scalar_type(k - 1)))
     sizes = (min(step, samples - lo) * n for lo in range(0, samples, step))
     best = 0
     for draws in _randrange_blocks(random.Random(seed), k, sizes):
-        best = max(best, int(digit_sum(contrib, draws.reshape(-1, n).T).min(axis=0).max()))
+        digits = _group_digits(draws.reshape(-1, n).T, k, g)
+        best = max(best, int(digit_sum(tables, digits).min(axis=0).max()))
     return CoveringRadiusResult(best, False)
+
+
+def _group_tables(contrib: np.ndarray, g: int) -> np.ndarray:
+    """(ceil(n / g), k**g, F) digit sums of each group of g coordinates of contrib, read
+    by _group_digits: the group's suffix table, the last group's, on fewer coordinates,
+    in its first rows; contrib itself for g = 1."""
+    if g == 1:
+        return contrib
+    n, k, f = contrib.shape
+    tables = np.zeros((-(-n // g), k**g, f), contrib.dtype)
+    for table, lo in zip(tables, range(0, n, g)):
+        part = suffix_table(contrib[lo : lo + g])[1]
+        table[: part.shape[1]] = part.T
+    return tables
+
+
+def _group_digits(x: np.ndarray, k: int, g: int) -> np.ndarray:
+    """(ceil(n / g), B) base-k numbers of each group of g rows of the (n, B) digits x,
+    most significant first, in the narrowest dtype that holds k**g - 1; x itself for g = 1."""
+    if g == 1:
+        return x
+    out = np.zeros((-(-len(x) // g), x.shape[1]), np.min_scalar_type(k**g - 1))
+    for t in range(g):
+        rows = x[t::g]
+        part = out[: len(rows)]
+        part *= k
+        part += rows
+    return out
 
 
 class LeducqBound(NamedTuple):
@@ -211,6 +253,8 @@ def leducq_upper_bound(n: int, q: int) -> LeducqBound:
     """Upper bound (q-1)n/q - sqrt(n)/q on the covering radius of a
     self-complementary strength-2 code from a BH(n, q), q an odd prime.
     The floor is exact, by _floor_surd."""
+    from fractions import Fraction  # only a printed Leducq bound loads it
+
     if not is_prime(q) or q == 2:
         raise ValueError(f"q must be an odd prime, got {q}")
     if n < 1:

@@ -5,6 +5,7 @@ bent-search CLI contract."""
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing
 import os
@@ -201,6 +202,7 @@ def test_search_memory_is_bounded_by_the_block(h):
     # it at most that again; _bent's k products take k times as much and their
     # reduction one block more; the suffix table holds at most one block: k + 4
     assert verify_hadamard(h)
+    gc.disable()  # as in a CLI process: what a block leaves behind is freed without the collector
     tracemalloc.start()
     try:
         for _ in search_bent(h, budget=2**16):
@@ -208,6 +210,7 @@ def test_search_memory_is_bounded_by_the_block(h):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+        gc.enable()
     assert peak < (h.phase + 4) * bent._BLOCK_BYTES
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import subprocess
@@ -320,6 +321,18 @@ def test_the_process_entry_imports_no_pool_and_exits_flushed(capsys):
     assert proc.returncode == 0
     assert proc.stdout == "[]\n" + want  # complete, and no atexit hook ran after it
     assert proc.stderr == ""
+
+
+def test_the_process_entry_runs_main_without_the_collector(monkeypatch):
+    # a command's objects live until os._exit, so run() turns the collector off first
+    seen = []
+    monkeypatch.setattr(cli, "main", lambda: seen.append(gc.isenabled()) or 0)
+    monkeypatch.setattr(cli.os, "_exit", seen.append)
+    try:
+        cli.run()
+    finally:
+        gc.enable()
+    assert seen == [False, 0]
 
 
 def test_help_names_every_command_and_no_internals(capsys):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import gc
 import itertools
 import math
 import random
@@ -168,6 +169,9 @@ def test_covering_radius_worker_invariance(monkeypatch):
     monkeypatch.setattr(bent, "_CHUNK", 50)
     monkeypatch.setattr(bent, "_POOL_SECONDS", 0)
     assert covering_radius(ZkCode(3, words), workers=2) == single
+    # a translate-closed code: its 81 vectors with x_0 = 0, 50 inline and 31 in the pool
+    closed = ZkCode(3, [[(e + alpha) % 3 for e in w] for w in words for alpha in range(3)])
+    assert covering_radius(closed, workers=2) == (covering_radius_brute(closed.words, 3), True)
 
 
 def test_covering_radius_budget_guard():
@@ -185,6 +189,9 @@ def test_covering_radius_budget_guard():
     except BudgetExceededError:
         pass
     assert covering_radius(c, budget=2**12) == (12, True)
+    # a numpy integer modulus: 2**64 would wrap to 0 in int64 and pass both guards
+    with pytest.raises(BudgetExceededError, match=r"2\^64 = 18446744073709551616"):
+        covering_radius(ZkCode(np.int64(2), [(0,) * 64]))
 
 
 def test_covering_radius_checks_the_budget_on_every_call():
@@ -284,6 +291,32 @@ def test_blocked_scan_is_the_same_at_two_workers(case):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bent, "_BLOCK_BYTES", cells * np.dtype(np.uint8).itemsize)
         assert covering_radius(c, workers=2) == covering_radius(c, workers=1)
+
+
+@st.composite
+def _closed_or_not(draw):
+    """Random words of length n, as drawn or with every translate w + alpha 1 added."""
+    k = draw(st.integers(2, 5))
+    n = draw(st.integers(1, _MAX_LENGTH[k]))
+    word = st.lists(st.integers(0, k - 1), min_size=n, max_size=n)
+    words = draw(st.lists(word, min_size=1, max_size=6))
+    if draw(st.booleans()):
+        words = [[(e + alpha) % k for e in w] for w in words for alpha in range(k)]
+    return ZkCode(k, words)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_closed_or_not(), st.sampled_from([1, 2]))
+def test_a_translate_closed_code_scans_only_the_vectors_with_x0_zero(c, workers):
+    # x and x - x_0 1 lie at the same distance from a translate-closed code, so its
+    # scan covers the k**(n - 1) indices below k**(n - 1); any other code all k**n
+    k, n = c.modulus, c.length
+    assert covering_radius(c, workers=workers) == (covering_radius_brute(c.words, k), True)
+    totals = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(codes, "fan_out", lambda scan, total, workers: totals.append(total) or [0])
+        covering_radius(c, workers=workers)
+    assert totals == [k ** (n - 1) if self_complementary_brute(c.words, k) else k**n]
 
 
 @st.composite
@@ -391,6 +424,29 @@ def test_sampled_radius_of_f3_4_matches_the_per_draw_loop(seed):
     assert covering_radius(c, "sampled", samples=2000, seed=seed) == (_sampled_loop(c, 2000, seed), False)
 
 
+_RNG = np.random.default_rng(3)
+
+
+@pytest.mark.parametrize("c,width", [
+    (reed_muller_1(2, 4), 12),  # 16 coordinates: groups of 12 and 4
+    (code_from_matrix(fourier_matrix(7))[1], 4),
+    (ZkCode(np.int64(3), code_from_matrix(character_table([3, 3]))[1].word_array()), 7),
+    (ZkCode(257, _RNG.integers(0, 257, (1, 5))), 2),  # uint16 draws
+    (ZkCode(300, _RNG.integers(0, 300, (5, 6))), 1),
+    (ZkCode(2, _RNG.integers(0, 2, (300, 300))), 1),
+], ids=["rm2_4", "f7", "np-int64-modulus", "k257", "k300", "n300"])
+def test_grouped_sampled_sums_match_the_per_draw_loop(c, width, monkeypatch):
+    # the sums read one table of `width` coordinates per group, the last group shorter
+    # when the width does not divide the length; width 1 reads contrib itself
+    shapes = []
+    digit_sum = codes.digit_sum
+    monkeypatch.setattr(codes, "digit_sum",
+                        lambda tables, x: shapes.append((tables.shape, x.shape)) or digit_sum(tables, x))
+    assert covering_radius(c, "sampled", samples=300, seed=3) == (_sampled_loop(c, 300, 3), False)
+    groups = -(-c.length // width)
+    assert {(tables, x[0]) for tables, x in shapes} == {((groups, int(c.modulus) ** width, len(c)), groups)}
+
+
 def test_sampled_memory_is_bounded_by_the_block():
     # a block holds at most _BLOCK_BYTES of sums and at most as much of draws, so the
     # peak is the sums, one gathered block, the draws with their concatenated copy and
@@ -399,14 +455,18 @@ def test_sampled_memory_is_bounded_by_the_block():
     cases = [code_from_matrix(character_table([3] * 4))[1], reed_muller_1(2, 4),
              ZkCode(2, rng.integers(0, 2, (300, 300))), ZkCode(11, rng.integers(0, 11, (5, 40))),
              ZkCode(2, rng.integers(0, 2, (2, 300)))]
-    for c in cases:
-        tracemalloc.start()
-        try:
-            covering_radius(c, "sampled", samples=20000, seed=1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 6 * bent._BLOCK_BYTES, c
+    gc.disable()  # as in a CLI process: what a block leaves behind is freed without the collector
+    try:
+        for c in cases:
+            tracemalloc.start()
+            try:
+                covering_radius(c, "sampled", samples=20000, seed=1)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 6 * bent._BLOCK_BYTES, c
+    finally:
+        gc.enable()
 
 
 def test_sampled_modulus_is_guarded_before_any_allocation():
