@@ -234,6 +234,8 @@ def ksw_vector(k: int, m: int) -> LogVector:
     """
     if m % 2 or m < 2:
         raise ValueError(f"m must be even and at least 2, got {m}")
+    if k >= 2 and m >= 63:  # k^m >= 2^63: decided without building k^m
+        raise ValueError(f"{k}^{m} entries pass the int64 index range")
     t = m // 2
     c = index_digits(np.arange(k**m), k, m)
     return LogVector(k, (c[:t] * c[t:]).sum(axis=0) % k)

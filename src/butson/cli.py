@@ -384,7 +384,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("matrix")
     _add_json(p)
     p.set_defaults(func=_cmd_verify_bush, text=_text_verify)
-    p = vsub.add_parser("unbiased", help="H1* H2 / sqrt(n) has constant-modulus entries")
+    p = vsub.add_parser("unbiased", help="H1 H2* = z L with L a Butson Hadamard matrix")
     p.add_argument("left")
     p.add_argument("right")
     _add_json(p)
@@ -464,7 +464,7 @@ def main(argv=None) -> int:
         # the reader closed stdout (`| head`): a normal end; devnull takes the final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (OSError, ValueError, MemoryError) as e:  # FileFormatError is a ValueError
+    except (OSError, ValueError, MemoryError, OverflowError) as e:  # FileFormatError is a ValueError
         print(f"error: {e}", file=sys.stderr)
         return 2
     finally:

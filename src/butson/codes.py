@@ -359,6 +359,8 @@ def reed_muller_1(q: int, m: int) -> ZkCode:
         raise ValueError(f"q must be prime, got {q}")
     if m < 1:
         raise ValueError(f"m must be at least 1, got {m}")
+    if 2 * m + 1 > 64:  # q >= 2 passes the budget: decided without building q^(2m+1)
+        raise BudgetExceededError(f"{q}^{m + 1} words of length {q}^{m} exceed budget {_RM_ENTRIES}")
     if q ** (2 * m + 1) > _RM_ENTRIES:
         raise BudgetExceededError(
             f"{q}^{m + 1} words of length {q}^{m} = {q ** (2 * m + 1)} entries exceed budget {_RM_ENTRIES}"

@@ -6,10 +6,11 @@ read but never written, is an object {"n": ..., "k": ..., "rows": [[...], ...]};
 readers sniff the two by the first non-whitespace character.  Vector files use
 the header `VEC <n> <k>` followed by a single line of n entries.
 
-A matrix body is read in one pass, as one int64 array from one numpy call;
-anything that pass does not take whole goes to the line-by-line reader.
-Malformed input raises FileFormatError carrying the source name and the
-1-based line number of the offending line.
+A matrix body is read in one pass, as one int64 array from one numpy call.
+A text body that pass does not take whole goes to the line-by-line reader,
+JSON rows to a per-row loop.  Malformed input raises FileFormatError carrying
+the source name and the 1-based line number of the offending line, or for
+JSON rows the index of the offending row.
 """
 
 from __future__ import annotations

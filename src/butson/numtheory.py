@@ -3,10 +3,13 @@
 p-parts, totients, multiplicative orders, self-conjugacy of a prime modulo k
 (some power of p is -1 mod k/k_p), splitting parameters (f, g) of a rational
 prime in the k-th cyclotomic field, and the arithmetic non-existence tests
-derived from them: square p-part conditions for bent vectors and the order
+derived from them: the square p-part condition for bent vectors and the order
 test for real circulant Hadamard matrices.  bent_obstructions is the one home
 of each bent-vector rule, the entry-root form n = 9 m^2 (k = 3) or 4 m^2
-(k = 4) included: its verdicts are the only spelling of the rules.
+(k = 4) included: its verdicts are the only spelling of the rules.  The p-part
+condition is one rule for every prime, p = 2 included, read in the field
+Q(zeta_k); its conductor is k/2 when k = 2 mod 4, so the phases k and k/2 get
+the same verdict.
 
 Everything is exact integer arithmetic.  factorize is the one trial division,
 ample for the intended input range (below 2**32); larger inputs are rejected
@@ -193,20 +196,21 @@ class ObstructionReport(NamedTuple):
 def bent_obstructions(n: int, k: int) -> ObstructionReport:
     """Run the arithmetic non-existence rules for a bent vector at order n, phase k.
 
-    square-p-part: for each prime p | n coprime to k and self-conjugate mod k,
-    the p-part of n must be an even power of p.  square-2-part: the same
-    conclusion for p = 2 when k = 2 mod 4 (2 is unramified there even though
-    it divides the phase).  entry-root-form (phases 3 and 4 only): n must be
-    9*m^2 resp. 4*m^2; this one binds only bent vectors whose transform has an
-    entry sqrt(n) * zeta_k^t, so a violation rules out that shape alone and
-    does not count in any_violated.
+    square-p-part, one row per prime p | n: when p is unramified in Q(zeta_k)
+    and self-conjugate mod k, the p-part of n must be an even power of p.
+    Unramified means p does not divide the conductor of Q(zeta_k), which is k,
+    or k/2 when k = 2 mod 4 (there Q(zeta_k) = Q(zeta_{k/2})), so p = 2 takes
+    part at such a phase although it divides k.  entry-root-form (phases 3 and
+    4 only): n must be 9*m^2 resp. 4*m^2; this one binds only bent vectors
+    whose transform has an entry sqrt(n) * zeta_k^t, so a violation rules out
+    that shape alone and does not count in any_violated.
     """
     if n < 2 or k < 2:
         raise ValueError(f"need n, k >= 2, got n={n}, k={k}")
     verdicts: list[ObstructionVerdict] = []
-    factors = factorize(n)
-    for p, e in sorted(factors.items()):
-        kp = p_part(k, p)
+    field = k // 2 if k % 4 == 2 else k  # the conductor: Q(zeta_k) = Q(zeta_{k/2}) for k = 2 mod 4
+    for p, e in sorted(factorize(n).items()):
+        kp = p_part(field, p)
         self_conj = is_self_conjugate_prime(p, k)
         applicable = kp == 1 and self_conj
         violated = applicable and e % 2 == 1
@@ -218,16 +222,6 @@ def bent_obstructions(n: int, k: int) -> ObstructionReport:
         else:
             witness = f"p={p}: not applicable, {p} not self-conjugate mod {k}"
         verdicts.append(ObstructionVerdict("square-p-part", applicable, violated, witness))
-    if k % 4 == 2:
-        e2 = factors.get(2, 0)
-        self_conj = is_self_conjugate_prime(2, k)
-        violated = self_conj and e2 % 2 == 1
-        parity = "odd" if e2 % 2 else "even"
-        witness = (
-            f"phase {k} = 2 mod 4: n_2=2^{e2} ({parity} exponent); "
-            f"2 {'is' if self_conj else 'is not'} self-conjugate mod {k}"
-        )
-        verdicts.append(ObstructionVerdict("square-2-part", self_conj, violated, witness))
     if k in (3, 4):
         base = 9 if k == 3 else 4
         holds = n % base == 0 and math.isqrt(n // base) ** 2 == n // base

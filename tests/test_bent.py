@@ -395,3 +395,14 @@ def test_circulant_bridge():
         x = LogVector(k, [rng.randrange(k) for _ in range(n)])
         h, cert = circulant_bent_bridge(x)
         assert verify_hadamard(h) == cert.bent
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: next(search_bent(fourier_matrix(3), "bogus")), ValueError, "unknown mode 'bogus'"),
+    (lambda: tensor_bent(LogVector(3, []), LogVector(3, [0])), ValueError, "tensor_bent needs nonempty vectors"),
+    (lambda: tensor_corollary_check(fourier_matrix(3), variant=2), ValueError, "variant 2 needs a second matrix"),
+    (lambda: tensor_corollary_check(fourier_matrix(3), variant=4), ValueError, "variant must be 1, 2 or 3, got 4"),
+], ids=["search-mode", "tensor-empty", "variant-2-without-m", "variant-4"])
+def test_guards_raise_before_any_work(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -328,3 +328,14 @@ def test_a_bush_matrix_reuses_the_hadamard_verdict_of_its_table(monkeypatch):
     monkeypatch.setattr(bush, "count_tensor", counting(bush))
     b = BushMatrix(bush.bush_table(5, 2), 5)
     assert verify_hadamard(b) and calls == ["butson.matrices", "butson.bush"]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: bush_modify(bush_circulant(3, 1), [0]), ValueError, "need one residue per block row: 3, got 1"),
+    (lambda: next(bush_quaternary_bents(bush_circulant(3, 1))), ValueError,
+     "quaternary family needs phase 4, got 3"),
+    (lambda: conjugate_self_bent_check(fourier_matrix(3)), ValueError, "order 3 is not a perfect square"),
+], ids=["modify-short-u", "quaternary-phase-3", "non-square-order"])
+def test_guards_raise_before_any_work(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -16,7 +16,7 @@ from butson import bush, cli, codes
 from butson.bent import _MODES, ksw_vector
 from butson.cli import _build_parser, main
 from butson.fileio import read_matrix, read_vector, serialize_matrix, serialize_vector
-from butson.matrices import LogVector, character_table, fourier_matrix, sylvester_matrix
+from butson.matrices import LogMatrix, LogVector, character_table, fourier_matrix, sylvester_matrix
 
 
 def run(capsys, argv):
@@ -558,6 +558,18 @@ def test_verify_unbiased_exit_codes(capsys, tmp_path):
     b.write_text("BH 2 4\n3 1\n0 2\n")
     code, out, _ = run(capsys, ["verify", "unbiased", str(a), str(b)])
     assert code == 1 and out == "unbiased: false\n"
+    # the check is A B* = z L, rows against rows: B_1 and B_2 at p = 3 pass it, and
+    # multiplying column 0 of B_2 by zeta breaks it, though A* B = 3 zeta L still holds
+    b2 = bush.bush_circulant(3, 2)
+    a.write_text(serialize_matrix(bush.bush_circulant(3, 1)))
+    b.write_text(serialize_matrix(b2))
+    code, out, _ = run(capsys, ["verify", "unbiased", str(a), str(b)])
+    assert code == 0 and out == "unbiased: true with constant 3\n"
+    entries = b2.entries.copy()
+    entries[:, 0] += 1  # LogMatrix reduces mod 3
+    b.write_text(serialize_matrix(LogMatrix(3, entries)))
+    code, out, _ = run(capsys, ["verify", "unbiased", str(a), str(b)])
+    assert code == 1 and out == "unbiased: false\n"
 
 
 def test_bush_subcommand_writes_and_checks(capsys, tmp_path):
@@ -674,6 +686,25 @@ def test_obstructions_at_a_large_phase_end_at_once(k, code, out):
                           capture_output=True, text=True, timeout=10, env=_buffered_env())
     assert proc.returncode == code and out in proc.stdout
     assert (proc.stderr == "") if code == 1 else proc.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", ["construct rm --q 3 --m 100000000",
+                                  "covering-radius --rm 2,100000000000000000000",
+                                  "construct ksw --k 3 --m 100000000000000000000",
+                                  "construct sylvester --m 100000000000000000000"])
+def test_an_astronomical_exponent_exits_2_at_once(argv):
+    # the size is decided from the exponent: nothing builds q^(2m+1) or k^m, and the
+    # OverflowError of [2] * m is a usage error like a ValueError
+    proc = subprocess.run([sys.executable, "-m", "butson", *argv.split()],
+                          capture_output=True, text=True, timeout=10, env=_buffered_env())
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+
+def test_a_reed_muller_code_past_the_budget_names_its_entry_count(capsys):
+    code, out, err = run(capsys, ["construct", "rm", "--q", "2", "--m", "30"])
+    assert (code, out) == (2, "")
+    assert err == "error: 2^31 words of length 2^30 = 2305843009213693952 entries exceed budget 4194304\n"
 
 
 def test_construct_rm_lists_words(capsys):

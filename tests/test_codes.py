@@ -823,3 +823,12 @@ def test_schmidt_rho_validation():
             raise AssertionError("expected ValueError")
         except ValueError:
             pass
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ZkCode(1, [[0]]), ValueError, "modulus must be at least 2, got 1"),
+    (lambda: leducq_upper_bound(0, 3), ValueError, "n must be positive, got 0"),
+], ids=["modulus-1", "leducq-n-0"])
+def test_guards_raise_before_any_work(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

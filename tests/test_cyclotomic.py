@@ -298,3 +298,13 @@ def test_square_root_squares_to_n(n, k):
 def test_square_root_is_none_outside_the_field(n, k):
     # the conductor of Q(sqrt(m)), m the squarefree part of n, does not divide k
     assert square_root(n, k) is None
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: CycInt.root(3, 1) + CycInt.root(4, 1), ValueError, "phase mismatch: 3 vs 4"),
+    (lambda: CycInt.root(3, 1) * CycInt.root(4, 1), ValueError, "phase mismatch: 3 vs 4"),
+    (lambda: CycInt.root(3, 1).embed(4), ValueError, "phase 3 does not divide 4"),
+], ids=["add-across-phases", "mul-across-phases", "embed-non-multiple"])
+def test_guards_raise_before_any_work(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

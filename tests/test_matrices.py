@@ -248,3 +248,15 @@ def test_lift_phase_and_negate():
 
 def test_bh48_equals_lifted_fourier4():
     assert LogMatrix(8, BH48_ROWS) == fourier_matrix(4).lift_phase(8)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: LogMatrix(3, [[0, 1, 2]]), ValueError, "entries must be square, got shape"),
+    (lambda: fourier_matrix(3).negate(), ValueError, "-1 is not a root of unity of odd order 3"),
+    (lambda: fourier_matrix(3).lift_phase(4), ValueError, "phase 3 does not divide 4"),
+    (lambda: sylvester_matrix(-1), ValueError, "m must be nonnegative, got -1"),
+    (lambda: unitary_order(fourier_matrix(3), 1), ValueError, "max_t must be at least 2, got 1"),
+], ids=["non-square", "negate-odd-phase", "lift-non-multiple", "sylvester-negative", "order-max-t-1"])
+def test_guards_raise_before_any_work(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -111,13 +111,16 @@ def test_entry_root_obstruction():
     assert entry_root(9, 5) is None  # the rule is specific to phases 3 and 4
 
 
+def _prime_rows(n, k):
+    return [v for v in bent_obstructions(n, k).verdicts if v.rule == "square-p-part"]
+
+
 def test_bent_obstructions_per_prime_rule():
-    # (6, 6): no per-prime violation; 3 is not self conjugate mod 2,
-    # and 2 is handled by the even-part rule, not the odd per-prime one.
-    report = bent_obstructions(6, 6)
-    prime_rows = [v for v in report.verdicts if v.rule == "square-p-part"]
+    # (6, 6): Q(zeta_6) = Q(zeta_3), where 3 ramifies and 2 does not; 2 = -1 mod 3
+    # is self-conjugate, so the first power of 2 in n = 6 violates its row.
+    prime_rows = _prime_rows(6, 6)
     assert prime_rows, "per-prime rows must always be present"
-    assert not any(v.violated for v in prime_rows)
+    assert [(v.applicable, v.violated) for v in prime_rows] == [(True, True), (False, False)]
 
     # (5, 13): 5 is self conjugate mod 13 and appears to the first power in n = 5.
     report = bent_obstructions(5, 13)
@@ -130,19 +133,32 @@ def test_bent_obstructions_per_prime_rule():
 
 
 def test_bent_obstructions_even_part_rule():
-    # k = 2 mod 4 with 2 self conjugate mod k and odd 2-part exponent in n.
-    report = bent_obstructions(6, 6)
-    rows = [v for v in report.verdicts if v.rule == "square-2-part"]
-    assert len(rows) == 1
-    assert rows[0].applicable and rows[0].violated
+    # k = 2 mod 4 with 2 self conjugate mod k and odd 2-part exponent in n:
+    # the p = 2 row of the one per-prime rule applies, since the conductor is k/2.
+    row = _prime_rows(6, 6)[0]
+    assert row.applicable and row.violated
+    assert row.witness == "p=2: n_p=2^1 (odd exponent); 2 self-conjugate mod 6"
 
-    report = bent_obstructions(12, 6)
-    rows = [v for v in report.verdicts if v.rule == "square-2-part"]
-    assert rows[0].applicable and not rows[0].violated
+    row = _prime_rows(12, 6)[0]
+    assert row.applicable and not row.violated
 
-    # rule only applies when k = 2 mod 4
-    report = bent_obstructions(6, 4)
-    assert not any(v.rule == "square-2-part" for v in report.verdicts)
+    # 2 ramifies in Q(zeta_4): at k = 0 mod 4 the p = 2 row does not apply
+    row = _prime_rows(6, 4)[0]
+    assert not row.applicable and row.witness == "p=2: not applicable, p divides the phase (k_p=4)"
+
+
+def test_square_p_part_reads_the_field_not_the_phase():
+    # Q(zeta_k) = Q(zeta_{k/2}) for k = 2 mod 4, so both phases give the same p-part
+    # verdicts (k = 2 is left out: k/2 = 1 is no phase); every prime of n has one row
+    def decisions(n, k):
+        return [(v.rule, v.applicable, v.violated) for v in _prime_rows(n, k)]
+
+    for n in range(2, 201):
+        primes = [f"p={p}" for p in sorted(factorize(n))]
+        for k in range(6, 59, 4):
+            assert decisions(n, k) == decisions(n, k // 2), (n, k)
+        for k in range(2, 61):
+            assert [v.witness.split(":")[0] for v in _prime_rows(n, k)] == primes, (n, k)
 
 
 def test_bent_obstructions_entry_root_rule():
@@ -184,6 +200,12 @@ def test_circulant_real_obstruction():
     assert circulant_real_obstruction(484) is True  # 484 = 4 * 11^2, 11 = 3 mod 8
     assert circulant_real_obstruction(100) is False  # 5 = 5 mod 8
     assert circulant_real_obstruction(16) is False
+
+
+@pytest.mark.parametrize("n", [6, 10, 18, 50])
+def test_circulant_real_obstruction_needs_a_multiple_of_4(n):
+    # 4 does not divide n, so n is no 4 p^2, though 18 = 2 * 3^2 holds the square of 3 = 3 mod 8
+    assert circulant_real_obstruction(n) is False
 
 
 def test_dual_entry_ambient_phase():
