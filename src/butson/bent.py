@@ -99,8 +99,9 @@ _INDICES = 2**63  # scan indices are int64: a scan stays below this many
 def index_digits(indices, k: int, length: int) -> np.ndarray:
     """Base-k digits of indices in [0, 2**63 - 1), most significant in row 0: shape
     (length, len(indices)).  Place values past int64 clamp to its maximum, quotient 0."""
-    places = [min(k**p, _INDICES - 1) for p in range(length - 1, -1, -1)]
-    return np.asarray(indices, dtype=np.int64)[None, :] // np.array(places, dtype=np.int64)[:, None] % k
+    out = np.empty((length, len(indices)), dtype=np.int64)  # first, so an impossible length fails here
+    places = np.array([min(k**p, _INDICES - 1) for p in range(length - 1, -1, -1)], dtype=np.int64)[:, None]
+    return np.remainder(np.floor_divide(np.asarray(indices, dtype=np.int64), places, out=out), k, out=out)
 
 
 def block_size(cells: int, dtype) -> int:

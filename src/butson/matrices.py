@@ -24,7 +24,7 @@ unitary_order keeps powers in cyclotomic.canonical form, which division by n nee
 
 from __future__ import annotations
 
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -134,21 +134,20 @@ def fourier_matrix(n: int) -> LogMatrix:
 
 
 def character_table(orders: Sequence[int]) -> LogMatrix:
-    """Character table of C_{orders[0]} x ... x C_{orders[-1]}.
+    """Character table of C_{orders[0]} x ... x C_{orders[-1]}, phase k = lcm(orders).
 
-    Rows (characters) and columns (group elements) are enumerated in
-    lexicographic mixed-radix order, most significant factor first.  The
-    phase is the group exponent lcm(orders).
-    """
+    Rows (characters) and columns (group elements) are enumerated in mixed-radix
+    order, most significant factor first: entry (i, j) is sum_t (k/d_t) i_t j_t mod k
+    over the digits of i and j.  The (n, n) table is allocated once, before any other
+    array, and filled by one integer matmul of the scaled digits against the digits."""
     orders = tuple(int(d) for d in orders)
     if not orders or any(d < 1 for d in orders):
         raise ValueError(f"orders must be positive, got {orders}")
-    k = lcm(*orders)
-    h = LogMatrix(k, [[0]])
-    for d in orders:
-        idx = np.arange(d, dtype=np.int64)
-        h = kronecker(h, LogMatrix(k, np.outer(idx, idx) * (k // d) % k))
-    return h
+    k = check_phase(lcm(*orders))
+    table = np.empty((prod(orders),) * 2, dtype=np.int64)
+    check_exact(sum(k // d * (d - 1) ** 2 for d in orders), np.int64)
+    digits = np.stack(np.unravel_index(np.arange(len(table)), orders), axis=1)
+    return LogMatrix(k, np.matmul(digits * [k // d for d in orders], digits.T, out=table))
 
 
 def sylvester_matrix(m: int) -> LogMatrix:

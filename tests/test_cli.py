@@ -73,6 +73,7 @@ def test_verify_bush_rejects_plain_hadamard(capsys, tmp_path):
      "expected a positive integer"),
     (["construct", "fourier", "--n", "3", "--format", "json"], 2, 2,
      "unrecognized arguments: --format json"),
+    (["construct", "ksw", "--k", "1", "--m", "2"], 0, 1, "VEC 1 1\n0\n"),
 ])
 def test_each_path_prints_its_line(capsys, tmp_path, argv, code, stream, line):
     # stream 1 is stdout, 2 is stderr; a usage error (exit 2) leaves stdout empty
@@ -691,10 +692,15 @@ def test_obstructions_at_a_large_phase_end_at_once(k, code, out):
 @pytest.mark.parametrize("argv", ["construct rm --q 3 --m 100000000",
                                   "covering-radius --rm 2,100000000000000000000",
                                   "construct ksw --k 3 --m 100000000000000000000",
-                                  "construct sylvester --m 100000000000000000000"])
+                                  "construct sylvester --m 100000000000000000000",
+                                  "construct sylvester --m 40", "construct sylvester --m 100",
+                                  "construct fourier --n 4000000000",
+                                  "construct ksw --k 1 --m 100000000000000000000"])
 def test_an_astronomical_exponent_exits_2_at_once(argv):
     # the size is decided from the exponent: nothing builds q^(2m+1) or k^m, and the
-    # OverflowError of [2] * m is a usage error like a ValueError
+    # OverflowError of [2] * m is a usage error like a ValueError.  A character table
+    # and a digit table are allocated before they are filled, so numpy refuses a size
+    # it cannot address (2^40 or 4e9 squared, 2^100, 10^20 digit rows) at once
     proc = subprocess.run([sys.executable, "-m", "butson", *argv.split()],
                           capture_output=True, text=True, timeout=10, env=_buffered_env())
     assert (proc.returncode, proc.stdout) == (2, "")

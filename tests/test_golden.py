@@ -32,6 +32,7 @@ CLI_CASES = [
     ("construct-fourier", ["construct", "fourier", "--n", "3"]),
     ("construct-fourier-out", ["construct", "fourier", "--n", "3", "--out", "f3.bh"]),
     ("construct-kron", ["construct", "kron", "f3.bh", "f3.bh", "--out", "f33.bh"]),
+    ("construct-sylvester", ["construct", "sylvester", "--m", "3"]),
     ("construct-bush-a1", ["construct", "bush", "--p", "5", "--a", "1", "--out", "a.bh"]),
     ("construct-bush-a2", ["construct", "bush", "--p", "5", "--a", "2", "--out", "b.bh"]),
     ("construct-ksw", ["construct", "ksw", "--k", "3", "--m", "2", "--out", "x.vec"]),

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
+from math import lcm, prod
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from butson.cyclotomic import CycInt
@@ -48,6 +50,17 @@ def test_character_table_examples():
     assert character_table([3]).entries.tolist() == [[0, 0, 0], [0, 1, 2], [0, 2, 1]]
     assert character_table([2, 2]) == kronecker(fourier_matrix(2), fourier_matrix(2))
     assert character_table([2, 4]).phase == 4
+
+
+@given(st.lists(st.integers(1, 9), min_size=1, max_size=4).filter(lambda o: prod(o) <= 1024))
+@example([2, 4])
+@example([4, 6])
+@settings(max_examples=60, deadline=None)
+def test_character_table_is_the_kronecker_fold_of_its_factors(orders):
+    # the reference builds F(C_d) per factor at the full phase k and multiplies left to right
+    k = lcm(*orders)
+    factors = [LogMatrix(k, np.outer(np.arange(d), np.arange(d)) * (k // d) % k) for d in orders]
+    assert character_table(orders) == reduce(kronecker, factors)
 
 
 def test_character_tables_verify():
@@ -256,7 +269,11 @@ def test_bh48_equals_lifted_fourier4():
     (lambda: fourier_matrix(3).lift_phase(4), ValueError, "phase 3 does not divide 4"),
     (lambda: sylvester_matrix(-1), ValueError, "m must be nonnegative, got -1"),
     (lambda: unitary_order(fourier_matrix(3), 1), ValueError, "max_t must be at least 2, got 1"),
-], ids=["non-square", "negate-odd-phase", "lift-non-multiple", "sylvester-negative", "order-max-t-1"])
+    (lambda: character_table([2, 0]), ValueError, r"orders must be positive, got \(2, 0\)"),
+    # 4294967311 is a prime past 2**32: the phase check comes before the (n, n) allocation
+    (lambda: character_table([4294967311]), ValueError, "phase 4294967311 is not below the trial-division bound"),
+], ids=["non-square", "negate-odd-phase", "lift-non-multiple", "sylvester-negative", "order-max-t-1",
+        "table-non-positive-order", "table-phase-past-2**32"])
 def test_guards_raise_before_any_work(call, error, message):
     with pytest.raises(error, match=message):
         call()
